@@ -411,7 +411,9 @@ def main(argv=None):
     solve.add_argument("--config", required=True, help="JSON run configuration")
     solve.add_argument("--mode", choices=MODES, help="override run.mode")
     solve.add_argument("--out", help="override run.out_dir")
-    solve.add_argument("--threads", type=int, help="override run.parallelism")
+    solve.add_argument("--threads", type=int,
+                       help="override run.parallelism (Monte Carlo chunk "
+                            "threads in oracle mode; grid sweeps ignore it)")
     solve.add_argument("--dump-config", action="store_true",
                        help="print the normalized config and exit")
     args = parser.parse_args(argv)

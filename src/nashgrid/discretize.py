@@ -13,16 +13,18 @@ as one batched VI ("front"). Second, neighboring fronts have nearly
 identical solutions, so each front is seeded by extrapolating the two
 previous solutions, which cuts iteration counts to nearly one.
 
-Results are bitwise independent of the worker count: rows of a front
-are frozen individually the moment they converge, all elementwise
-arithmetic is position-stable, and per-block moment accumulators are
-merged in canonical block order.
+The sweep solves every r-block in one front, in the calling thread.
+Rows of a front are frozen individually the moment they converge and
+all elementwise arithmetic is position-stable, so each cell lands
+exactly where a single-cell solve from the same seed would; per-block
+moment accumulators are merged in canonical block order.
 """
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
+# unused by the sweep; the benchmark tracer (perfbench/trace.py) rebinds it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from typing import Optional
 
@@ -244,16 +246,17 @@ def solve_all(instance, grid, solver_config=None, parallelism=1,
               max_flagged_fraction=0.0):
     """Solve every cell problem of the grid.
 
-    Cells are organized into one block per r-cell; fronts (one cell per
-    block at equal inner position) are solved as batched VIs with
-    extrapolated warm starts along the inner sweep. Blocks are split
-    into ``parallelism`` contiguous groups of independent work.
+    Cells are organized into one block per r-cell; each front (one cell
+    per block at equal inner position) is solved as one batched VI over
+    all blocks, with extrapolated warm starts along the inner sweep.
+    The sweep always runs in the calling thread.
 
     Args:
         instance: the market model.
         grid: FactorGrid from make_grid (factor counts must match).
         solver_config: SolverConfig, defaults if omitted.
-        parallelism: worker count; never changes the results.
+        parallelism: accepted for API compatibility; the sweep never
+            depends on it.
         keep_cells: force storing (True) or streaming (False) per-cell
             arrays; default stores grids up to 2e6 cells.
         cell_cap: refuse grids larger than this.
@@ -294,80 +297,67 @@ def solve_all(instance, grid, solver_config=None, parallelism=1,
         residuals = np.empty(n)
         iterations = np.empty(n, dtype=np.int64)
         converged = np.empty(n, dtype=bool)
+        block_ids = np.arange(n_blocks) * inner_count
     else:
         solutions = weights = residuals = iterations = converged = None
 
-    def sweep_group(blocks):
-        B = blocks.size
-        r_rep_g = r_reps[blocks]
-        r_prob_g = r_probs[blocks]
-        acc = RunningMoments(m, lead=(B,))
-        flagged = 0
-        worst = 0.0
-        x1 = x0 = None
-        for ii in range(inner_count):
-            idx = np.unravel_index(ii, inner_shape)
-            k = idx[0]
-            s_rep = float(s_reps[k])
-            upper = np.array([bound_reps[f][idx[1 + f]] for f in range(m)])
-            beta = np.array([beta_reps[f][idx[1 + m + f]] for f in range(m)])
-            alpha = float(alpha_reps[idx[-1]])
-            # cell weights, multiplied in canonical factor order (r first)
-            w = r_prob_g * float(s_probs[k])
-            for f in range(m):
-                w = w * float(bound_probs[f][idx[1 + f]])
-            for f in range(m):
-                w = w * float(beta_probs[f][idx[1 + m + f]])
-            w = w * float(alpha_probs[idx[-1]])
+    acc = RunningMoments(m, lead=(n_blocks,))
+    flagged = 0
+    worst = 0.0
+    x1 = x0 = None
+    for ii in range(inner_count):
+        idx = np.unravel_index(ii, inner_shape)
+        k = idx[0]
+        s_rep = float(s_reps[k])
+        upper = np.array([bound_reps[f][idx[1 + f]] for f in range(m)])
+        beta = np.array([beta_reps[f][idx[1 + m + f]] for f in range(m)])
+        alpha = float(alpha_reps[idx[-1]])
+        # cell weights, multiplied in canonical factor order (r first)
+        w = r_probs * float(s_probs[k])
+        for f in range(m):
+            w = w * float(bound_probs[f][idx[1 + f]])
+        for f in range(m):
+            w = w * float(beta_probs[f][idx[1 + m + f]])
+        w = w * float(alpha_probs[idx[-1]])
 
-            if ii == 0:
-                seeds = np.broadcast_to(0.5 * (lower + upper), (B, m))
-            elif ii == 1:
-                seeds = x1
-            else:
-                seeds = np.clip(2.0 * x1 - x0, lower, upper)
+        if ii == 0:
+            seeds = np.broadcast_to(0.5 * (lower + upper), (n_blocks, m))
+        elif ii == 1:
+            seeds = x1
+        else:
+            seeds = np.clip(2.0 * x1 - x0, lower, upper)
 
-            def op(x, rows, _r=r_rep_g, _s=s_rep, _b=beta, _a=alpha):
-                return operator_eval(instance, x, _r[rows], _s, _b, _a)
+        def op(x, rows, _s=s_rep, _b=beta, _a=alpha):
+            return operator_eval(instance, x, r_reps[rows], _s, _b, _a)
 
-            out = solve_box_vi_batch(op, lower, upper, config, seeds)
-            sols = out["solutions"]
-            conv = out["converged"]
-            bad = int(B - conv.sum())
-            if bad:
-                flagged += bad
-                worst = max(worst, float(out["residuals"][~conv].max()))
-            acc.add(w, sols)
-            if keep_cells:
-                ids = blocks * inner_count + ii
-                solutions[ids] = sols
-                weights[ids] = w
-                residuals[ids] = out["residuals"]
-                iterations[ids] = out["iterations"]
-                converged[ids] = conv
-            x0, x1 = x1, sols
-        return acc, flagged, worst
+        out = solve_box_vi_batch(op, lower, upper, config, seeds)
+        sols = out["solutions"]
+        conv = out["converged"]
+        if not conv.all():
+            bad = out["residuals"][~conv]
+            flagged += bad.size
+            # a non-finite residual must not vanish from the report
+            worst = max(worst, float(
+                np.where(np.isfinite(bad), bad, np.inf).max()))
+        acc.add(w, sols)
+        if keep_cells:
+            ids = block_ids + ii
+            solutions[ids] = sols
+            weights[ids] = w
+            residuals[ids] = out["residuals"]
+            iterations[ids] = out["iterations"]
+            converged[ids] = conv
+        x0, x1 = x1, sols
 
-    groups = [g for g in np.array_split(np.arange(n_blocks), max(1, parallelism))
-              if g.size]
-    if len(groups) == 1:
-        results = [sweep_group(groups[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-            results = list(pool.map(sweep_group, groups))
-
-    flagged_total = sum(r[1] for r in results)
-    worst_res = max((r[2] for r in results), default=0.0)
-    acc = fold_moments([r[0] for r in results], m)
-    report = moment_report(acc, flagged_cells=flagged_total)
-    if flagged_total > max_flagged_fraction * n:
-        raise FlaggedCellsError(flagged_total, n, worst_res)
+    report = moment_report(fold_moments([acc], m), flagged_cells=flagged)
+    if flagged > max_flagged_fraction * n:
+        raise FlaggedCellsError(flagged, n, worst)
     if abs(report.total_weight - 1.0) > 1e-9:
         raise RuntimeError(
             f"cell weights sum to {report.total_weight!r}, not 1")
     return StepSolution(
         grid=grid, report=report, solver_config=config, n_cells=n,
-        flagged_cells=flagged_total, solutions=solutions, weights=weights,
+        flagged_cells=flagged, solutions=solutions, weights=weights,
         residuals=residuals, iterations=iterations, converged=converged,
     )
 

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from nashgrid import (BoxSet, FlaggedCellsError, RandomFactor, SolverConfig,
-                      VIProblem, build_cell_problem, cell_conditional_mean,
-                      enumerate_cells, expectation, make_grid, make_partition,
-                      mean_truncation, natural_residual, operator_eval,
-                      solve_all, solve_vi, write_cells_csv)
+from nashgrid import (BoxSet, CournotInstance, FirmParams, FlaggedCellsError,
+                      RandomFactor, SolverConfig, VIProblem, build_cell_problem,
+                      cell_conditional_mean, discretize, enumerate_cells,
+                      expectation, make_grid, make_partition, mean_truncation,
+                      natural_residual, operator_eval, solve_all, solve_vi,
+                      write_cells_csv)
 
 import _oracles as o
 from conftest import five_firm_instance, randomized_instance
@@ -137,6 +138,71 @@ def test_worker_counts_agree_bitwise():
             runs[0].report.second_moment.tolist()
 
 
+def three_firm_instance():
+    """A market where capacities, cost multipliers and price shift are random.
+
+    Firms 1 and 2 produce at capacity in every cell and firm 3 in most,
+    so the grid mixes cells solved at iteration 0 with cells that take
+    over a hundred iterations.
+    """
+    firms = tuple(FirmParams(c=c, k=5.0, b=b,
+                             q_bar=RandomFactor.uniform(lo, lo + 10.0))
+                  for c, b, lo in zip((9.0, 6.0, 3.0), (1.2, 1.0, 0.8),
+                                      (37.0, 34.5, 40.5)))
+    return CournotInstance(
+        firms=firms, a=1 / 1.1, e=1e-4,
+        r_factor=RandomFactor.truncated_normal(0.0, 0.25, -0.5, 0.5),
+        s_factor=RandomFactor.truncated_normal(5000.0, 10.0, 4950.0, 5050.0),
+        beta_factors=tuple(RandomFactor.uniform(lo, lo + 0.1)
+                           for lo in (0.65, 0.65, 0.85)),
+        alpha_factor=RandomFactor.uniform(-0.1, 0.1))
+
+
+def reference_chain(inst, grid, cfg):
+    """solve_vi cell by cell along each r-block, seeded as the sweep seeds.
+
+    The first inner cell starts at its box midpoint, the second at the
+    previous solution, every later one at the clipped secant
+    extrapolation of the two previous solutions.
+    """
+    cells = [cell for _, cell in enumerate_cells(grid)]
+    inner = len(cells) // grid.r.n_cells
+    out = {"solutions": [], "residuals": [], "iterations": [], "weights": []}
+    for start in range(0, len(cells), inner):
+        x0 = x1 = None
+        for ii, cell in enumerate(cells[start:start + inner]):
+            box = cell.box
+            if ii == 0:
+                seed = box.midpoint()
+            elif ii == 1:
+                seed = x1
+            else:
+                seed = np.clip(2.0 * x1 - x0, box.lower, box.upper)
+            x, rep = solve_vi(build_cell_problem(inst, cell), cfg,
+                              warm_start=seed)
+            out["solutions"].append(x)
+            out["residuals"].append(rep.residual)
+            out["iterations"].append(rep.iterations)
+            out["weights"].append(cell.weight)
+            x0, x1 = x1, x
+    return {k: np.array(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("inst, counts", [
+    (randomized_instance(), dict(n_r=6, n_s=40)),
+    (three_firm_instance(),
+     dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)),
+], ids=["five_firm_6x40", "three_firm_random_box"])
+def test_sweep_matches_single_cell_reference_chain(inst, counts):
+    cfg = SolverConfig(initial_step=1.4)
+    g = make_grid(inst, **counts)
+    sol = solve_all(inst, g, cfg, keep_cells=True)
+    want = reference_chain(inst, g, cfg)
+    assert sol.converged.all()
+    for key, ref in want.items():
+        np.testing.assert_array_equal(getattr(sol, key), ref, err_msg=key)
+
+
 def test_streaming_mode_keeps_moments_only():
     inst = randomized_instance()
     g = make_grid(inst, n_r=3, n_s=4)
@@ -154,11 +220,34 @@ def test_flagged_cells_raise_or_count(tmp_path):
     inst = randomized_instance()
     g = make_grid(inst, n_r=2, n_s=2)
     starved = SolverConfig(max_iterations=1, initial_step=1e-9)
-    with pytest.raises(FlaggedCellsError):
+    with pytest.raises(FlaggedCellsError) as err:
         solve_all(inst, g, starved)
     sol = solve_all(inst, g, starved, max_flagged_fraction=1.0)
     assert sol.flagged_cells == 4
     assert not sol.converged.any()
+    assert err.value.worst_residual == sol.residuals.max()
+
+
+def test_non_finite_residual_reports_infinite_worst(monkeypatch):
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=2, n_s=2)
+    poisoned_r = g.r.representatives[0]
+    real = discretize.operator_eval
+
+    def poisoned(instance, x, r, *args):
+        out = real(instance, x, r, *args)
+        out[np.asarray(r) == poisoned_r] = np.nan
+        return out
+
+    monkeypatch.setattr(discretize, "operator_eval", poisoned)
+    cfg = SolverConfig(initial_step=1.4)
+    with pytest.raises(FlaggedCellsError) as err:
+        solve_all(inst, g, cfg)
+    assert err.value.flagged == 2
+    assert err.value.worst_residual == math.inf
+    sol = solve_all(inst, g, cfg, max_flagged_fraction=1.0)
+    assert np.isnan(sol.residuals[:2]).all()
+    assert sol.converged.tolist() == [False, False, True, True]
 
 
 def test_cells_csv_round_trip(tmp_path):
