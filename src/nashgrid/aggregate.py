@@ -1,15 +1,14 @@
 """Moment summaries of cell-wise solutions and refinement reports.
 
-Expectations over millions of weighted cells are accumulated with
-compensated (Neumaier) summation so that results are reproducible to
-full precision regardless of how the cells were distributed over
-workers: each accumulator folds its cells in a fixed order, and partial
-accumulators are merged in one canonical order at the end.
+Expectations over millions of weighted cells are folded once, during
+the sweep, with compensated (Neumaier) summation: each accumulator
+folds its cells in a fixed order, and the accumulators are merged in
+one canonical order at the end, so results are reproducible to full
+precision. Stored per-cell arrays are never summed a second time.
 """
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,6 @@ class RunningMoments:
         self.mean_c = np.zeros(lead + (dim,))
         self.m2_s = np.zeros(lead + (dim,))
         self.m2_c = np.zeros(lead + (dim,))
-        self.count = 0
 
     def add(self, weight, values):
         """Fold one weighted observation per accumulator.
@@ -59,7 +57,6 @@ class RunningMoments:
         wx = w[..., None] * x
         self.mean_s, self.mean_c = neumaier_add(self.mean_s, self.mean_c, wx)
         self.m2_s, self.m2_c = neumaier_add(self.m2_s, self.m2_c, wx * x)
-        self.count += 1
 
     def rows(self):
         """Yield per-accumulator compensated partials in leading order."""
@@ -77,9 +74,8 @@ class RunningMoments:
 def fold_moments(parts, dim):
     """Merge accumulators row by row, in the order given.
 
-    The order must be the canonical one (ascending block index); callers
-    pass partials from however many workers produced them, already
-    arranged canonically, so the result is independent of worker count.
+    The order must be the canonical one (ascending block index), so the
+    result does not depend on how the cells were split into partials.
     """
     out = RunningMoments(dim)
     for part in parts:
@@ -90,7 +86,6 @@ def fold_moments(parts, dim):
             out.mean_s, out.mean_c = neumaier_add(out.mean_s, out.mean_c,
                                                   mean_s + mean_c)
             out.m2_s, out.m2_c = neumaier_add(out.m2_s, out.m2_c, m2_s + m2_c)
-        out.count += part.count * (part.w_s.size if part.lead else 1)
     return out
 
 
@@ -126,36 +121,12 @@ def moment_report(acc, flagged_cells=0):
     )
 
 
-def expectation_from_arrays(weights, values, flagged_cells=0):
-    """Exact weighted moments of explicitly stored cells.
-
-    Uses exact float summation, so the result is invariant under any
-    reordering of the cells.
-    """
-    w = np.asarray(weights, dtype=float)
-    V = np.asarray(values, dtype=float)
-    if V.ndim != 2 or w.shape != (V.shape[0],):
-        raise ValueError("need weights (n,) and values (n, m)")
-    mean = np.array([math.fsum(w * V[:, i]) for i in range(V.shape[1])])
-    m2 = np.array([math.fsum(w * V[:, i] ** 2) for i in range(V.shape[1])])
-    return MomentReport(
-        mean=mean,
-        second_moment=m2,
-        variance=np.maximum(m2 - mean ** 2, 0.0),
-        total_weight=math.fsum(w),
-        flagged_cells=int(flagged_cells),
-    )
-
-
 def expectation(solution):
-    """MomentReport of a solved grid.
+    """MomentReport of a solved grid: the moments folded during the sweep.
 
-    Recomputes from the stored per-cell arrays when the solution kept
-    them; otherwise returns the moments folded during the sweep.
+    The same report is returned whether or not the solution stored its
+    per-cell arrays.
     """
-    if getattr(solution, "solutions", None) is not None:
-        return expectation_from_arrays(solution.weights, solution.solutions,
-                                       solution.flagged_cells)
     return solution.report
 
 

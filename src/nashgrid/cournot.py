@@ -19,9 +19,11 @@ equilibrium operator is the negative welfare gradient,
 F is strictly monotone on the nonnegative orthant for 0 < a < 1, which
 makes every boxed equilibrium problem uniquely solvable.
 
-All evaluators accept a single point of shape (m,) or a batch of shape
-(B, m) and run the identical numpy expression sequence either way, so a
-batched solve and a pointwise recheck produce bitwise-equal values.
+One kernel, operator_eval, evaluates F at a point (m,) or a batch
+(B, m), with the factors shared by the batch or given per row
+(operator_eval_sampled). It runs the same numpy expression sequence
+either way, so a batched solve and a pointwise recheck with the same
+scalar factors produce bitwise-equal values.
 """
 from __future__ import annotations
 
@@ -176,9 +178,10 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0):
     Args:
         q: quantities, shape (m,) or (B, m), componentwise >= 0.
         r: additive cost shift, scalar or shape (B,).
-        s: price scale, scalar > 0.
-        beta: per-firm cost multipliers, shape (m,), default all ones.
-        alpha: additive price shift, scalar.
+        s: price scale > 0, scalar or shape (B,).
+        beta: per-firm cost multipliers > 0, shape (m,) or (B, m),
+            default all ones.
+        alpha: additive price shift, scalar or shape (B,).
 
     Returns:
         F with the shape of q. The random additive parts enter through
@@ -190,7 +193,7 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0):
         raise ValueError("q must have one component per firm")
     if np.any(q < 0):
         raise ValueError("quantities must be >= 0")
-    if s <= 0:
+    if (np.asarray(s) <= 0).any():
         raise ValueError("price scale s must be > 0")
     if beta is None:
         beta = 1.0
@@ -199,14 +202,16 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0):
         if np.any(beta <= 0):
             raise ValueError("beta must be > 0 componentwise")
     a = instance.a
-    sa = s ** a
-    # keep Qe an ndarray: the pow ufunc loop and np.float64.__pow__ can
-    # round transcendentals differently, and single-point evaluations must
+    # a scalar s stays a Python float and Qe stays an ndarray: Python's
+    # pow, np.float64.__pow__ and the ndarray pow loop can round
+    # transcendentals differently, and single-point evaluations must
     # agree bitwise with the batched sweep
+    sa = s ** a
     Qe = np.asarray(_total(q) + instance.e)
     dens = Qe ** a
     marginal = beta * instance._cost_scale * np.power(q, instance._inv_b)
-    base = (instance._c + marginal + (a * sa) * q / (dens * Qe)[..., None]
+    base = (instance._c + marginal
+            + np.asarray(a * sa)[..., None] * q / (dens * Qe)[..., None]
             - (sa / dens)[..., None])
     shift = np.asarray(r, dtype=float) - alpha
     return base + shift[..., None] if shift.ndim else base + float(shift)
@@ -227,25 +232,10 @@ def operator_eval_sampled(instance, q, r, s, beta, alpha):
         (B, m) operator values.
     """
     q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
     if q.ndim != 2 or q.shape[1] != instance.m:
         raise ValueError("q must have shape (B, m)")
-    if np.any(q < 0):
-        raise ValueError("quantities must be >= 0")
-    if np.any(s <= 0):
-        raise ValueError("price scale s must be > 0")
-    if np.any(beta <= 0):
-        raise ValueError("beta must be > 0 componentwise")
-    a = instance.a
-    sa = s ** a
-    Qe = _total(q) + instance.e
-    dens = Qe ** a
-    marginal = beta * instance._cost_scale * np.power(q, instance._inv_b)
-    return (instance._c + marginal + ((a * sa) / (dens * Qe))[:, None] * q
-            - (sa / dens)[:, None] + (r - alpha)[:, None])
+    return operator_eval(instance, q, r, np.asarray(s, dtype=float), beta,
+                         alpha)
 
 
 def welfare(instance, i, q, r, s, beta=None, alpha=0.0):

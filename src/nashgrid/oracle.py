@@ -2,9 +2,10 @@
 
 Draws i.i.d. realizations of all random factors, solves the pointwise
 equilibrium problem per sample, and reports the sample mean with
-standard errors. This estimator shares no code path with the cell
-discretization beyond the VI solver, so agreement between the two is a
-meaningful consistency check.
+standard errors. This estimator shares only the operator kernel and the
+VI solver with the cell discretization, not its partitions,
+representatives, warm starts or moment accumulators, so agreement
+between the two is a meaningful check of the discretization.
 
 Sampling is counter-based: sample i lives in chunk i // 4096, and each
 chunk draws from its own Philox stream keyed by (seed, chunk index).

@@ -203,7 +203,9 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds):
     slice ``operator_batch(X, rows)[i]`` where ``rows`` are original row
     indices. Rows are iterated with per-row extragradient steps and are
     frozen the moment their natural residual passes tolerance, so a
-    row's result never depends on which other rows share the batch.
+    row's result never depends on which other rows share the batch. A
+    row whose residual is non-finite (the operator returned NaN) is
+    frozen at once as well, unconverged and with an all-NaN solution.
 
     Args:
         operator_batch: callable (x: (B, m), rows: (B,) int) -> (B, m)
@@ -236,12 +238,15 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds):
         ref = np.clip(xa - config.gamma * fx, la, ua)
         res = _norm_rows(xa - ref)
         done = res <= config.tolerance
-        if done.any():
-            idx = active[done]
-            residuals[idx] = res[done]
+        lost = ~np.isfinite(res)
+        leave = done | lost
+        if leave.any():
+            idx = active[leave]
+            residuals[idx] = res[leave]
             iterations[idx] = it
-            converged[idx] = True
-            keep = ~done
+            converged[idx] = done[leave]
+            x[active[lost]] = np.nan
+            keep = ~leave
             active = active[keep]
             if active.size == 0:
                 return {"solutions": x, "residuals": residuals,

@@ -6,9 +6,8 @@ import pytest
 
 from nashgrid import ConvergenceRow, MomentReport
 from nashgrid.aggregate import (RunningMoments, convergence_report,
-                                expectation_from_arrays, fold_moments,
-                                moment_report, neumaier_add, write_summary_csv,
-                                write_convergence_csv)
+                                fold_moments, moment_report, neumaier_add,
+                                write_summary_csv, write_convergence_csv)
 
 
 def test_compensated_add_survives_cancellation():
@@ -67,17 +66,6 @@ def test_variance_never_negative():
         acc.add(0.1, np.array([7.0]))
     rep = moment_report(acc)
     assert rep.variance[0] == 0.0
-
-
-def test_expectation_from_arrays_is_exact_fsum():
-    rng = np.random.default_rng(5)
-    w = rng.random(64)
-    w /= w.sum()
-    x = rng.standard_normal((64, 2))
-    rep = expectation_from_arrays(w, x)
-    for j in range(2):
-        assert rep.mean[j] == math.fsum(w[i] * x[i, j] for i in range(64))
-    assert rep.flagged_cells == 0
 
 
 def test_moment_report_carries_flag_count():

@@ -65,15 +65,38 @@ def test_operator_matches_reference_marginal_map():
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def test_operator_rejects_bad_inputs():
+@pytest.mark.parametrize("entry", ["operator_eval", "operator_eval_sampled"])
+def test_operator_rejects_bad_inputs(entry):
     inst = five_firm_instance()
-    q = np.full(5, 10.0)
-    with pytest.raises(ValueError):
-        operator_eval(inst, np.full(5, -1.0), 0.0, 5000.0)
-    with pytest.raises(ValueError):
-        operator_eval(inst, q, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        operator_eval(inst, q, 0.0, 5000.0, beta=np.zeros(5))
+    if entry == "operator_eval":
+        def call(q=np.full(5, 10.0), s=5000.0, beta=None):
+            return operator_eval(inst, q, 0.0, s, beta=beta)
+
+        bad = [(dict(q=np.full(5, -1.0)), "quantities"),
+               (dict(s=0.0), "price scale"),
+               (dict(beta=np.zeros(5)), "beta")]
+    else:
+        B = 4
+
+        def call(q=np.full((B, 5), 10.0), s=np.full(B, 5000.0),
+                 beta=np.ones((B, 5))):
+            return operator_eval_sampled(inst, q, np.zeros(B), s, beta,
+                                         np.zeros(B))
+
+        q = np.full((B, 5), 10.0)
+        q[2, 3] = -1.0
+        s = np.full(B, 5000.0)
+        s[1] = 0.0
+        beta = np.ones((B, 5))
+        beta[3] = 0.0
+        bad = [(dict(q=q), "quantities"),
+               (dict(s=s), "price scale"),
+               (dict(beta=beta), "beta"),
+               (dict(q=np.full(5, 10.0)), "shape")]
+    assert np.isfinite(call()).all()
+    for kwargs, message in bad:
+        with pytest.raises(ValueError, match=message):
+            call(**kwargs)
 
 
 def test_operator_finite_at_zero_output():

@@ -203,6 +203,27 @@ def test_sweep_matches_single_cell_reference_chain(inst, counts):
         np.testing.assert_array_equal(getattr(sol, key), ref, err_msg=key)
 
 
+@pytest.mark.parametrize("inst, counts", [
+    (randomized_instance(), dict(n_r=6, n_s=40)),
+    (three_firm_instance(),
+     dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)),
+], ids=["five_firm_6x40", "three_firm_random_box"])
+def test_stored_grid_report_matches_exact_fsum(inst, counts):
+    # the moments folded during the sweep are the only moments path;
+    # exact summation over the stored cells checks them
+    g = make_grid(inst, **counts)
+    sol = solve_all(inst, g, SolverConfig(initial_step=1.4), keep_cells=True)
+    rep = expectation(sol)
+    assert rep is sol.report
+    w = sol.weights
+    for j in range(inst.m):
+        v = sol.solutions[:, j]
+        assert rep.mean[j] == pytest.approx(math.fsum(w * v), abs=1e-13)
+        assert rep.second_moment[j] == pytest.approx(math.fsum(w * v * v),
+                                                     abs=1e-12)
+    assert rep.total_weight == pytest.approx(math.fsum(w), abs=1e-14)
+
+
 def test_streaming_mode_keeps_moments_only():
     inst = randomized_instance()
     g = make_grid(inst, n_r=3, n_s=4)

@@ -167,6 +167,28 @@ def test_batch_rows_converge_independently():
     assert out["residuals"][0] <= cfg.tolerance
 
 
+def test_batch_freezes_non_finite_rows():
+    # row 0's operator is NaN everywhere; row 1 is affine and solvable
+    calls = []
+
+    def op(x, rows):
+        calls.append(rows.size)
+        return np.where(rows[:, None] == 0, np.nan, x - 0.3)
+
+    cfg = SolverConfig()
+    out = solve_box_vi_batch(op, np.zeros((2, 2)), np.ones((2, 2)), cfg,
+                             seeds=np.full((2, 2), 0.9))
+    assert out["iterations"][0] == 0
+    assert bool(out["converged"][0]) is False
+    assert np.isnan(out["residuals"][0])
+    assert np.isnan(out["solutions"][0]).all()
+    assert bool(out["converged"][1]) is True
+    assert out["residuals"][1] <= cfg.tolerance
+    np.testing.assert_allclose(out["solutions"][1], 0.3, atol=1e-8)
+    assert calls[0] == 2 and set(calls[1:]) == {1}
+    assert len(calls) < 2 * cfg.max_iterations
+
+
 def test_check_monotone_classifies_operators():
     box = BoxSet(np.zeros(2), np.ones(2))
     good = check_monotone(lambda x: x, box, num_pairs=200, seed=1)
