@@ -9,7 +9,8 @@ Solving them all yields a step-function approximation of the random
 equilibrium whose moments converge as the partitions refine.
 
 Modules:
-    vi             box-constrained VI solver (extragradient)
+    vi             box-constrained VI solver (extragradient, semismooth
+                   Newton when a Jacobian is given)
     distributions  bounded random factors and support partitions
     cournot        the oligopoly model: cost, price, welfare, operator
     discretize     cell grids, cell problems, the batched sweep
@@ -21,8 +22,8 @@ Modules:
 from .aggregate import (ConvergenceRow, MomentReport, convergence_report,
                         expectation)
 from .cournot import (CournotInstance, FirmParams, cost, jacobian_form_test,
-                      operator_eval, operator_eval_sampled, price, price_part,
-                      welfare)
+                      operator_eval, operator_eval_sampled, operator_jacobian,
+                      price, price_part, welfare)
 from .discretize import (CellIndex, CellProblem, FactorGrid,
                          FlaggedCellsError, StepSolution, build_cell_problem,
                          enumerate_cells, make_grid, mean_truncation,
@@ -45,7 +46,8 @@ __all__ = [
     "check_monotone", "convergence_report", "cost", "enumerate_cells",
     "expectation", "jacobian_form_test", "make_grid", "make_partition",
     "mean_truncation", "monte_carlo_mean", "natural_residual", "operator_eval",
-    "operator_eval_sampled", "pdf", "ppf", "price", "price_part", "project",
-    "solve_all", "solve_box_vi_batch", "solve_vi", "welfare", "write_cells_csv",
+    "operator_eval_sampled", "operator_jacobian", "pdf", "ppf", "price",
+    "price_part", "project", "solve_all", "solve_box_vi_batch", "solve_vi",
+    "welfare", "write_cells_csv",
     "__version__",
 ]

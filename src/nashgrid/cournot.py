@@ -23,7 +23,9 @@ One kernel, operator_eval, evaluates F at a point (m,) or a batch
 (B, m), with the factors shared by the batch or given per row
 (operator_eval_sampled). It runs the same numpy expression sequence
 either way, so a batched solve and a pointwise recheck with the same
-scalar factors produce bitwise-equal values.
+scalar factors produce bitwise-equal values. operator_jacobian gives
+its closed-form derivative in q, with the same argument shapes and
+input checks.
 """
 from __future__ import annotations
 
@@ -172,6 +174,27 @@ def price_part(instance, q, s):
     return (a * sa) * q / (dens * Qe)[..., None] - (sa / dens)[..., None]
 
 
+def _checked(instance, q, s, beta):
+    """The operator's input checks; returns q as an array and beta.
+
+    The positivity checks use the ``not (x > 0).all()`` form so that a
+    NaN s or beta is rejected like a nonpositive one.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1] != instance.m:
+        raise ValueError("q must have one component per firm")
+    if np.any(q < 0):
+        raise ValueError("quantities must be >= 0")
+    if not (np.asarray(s) > 0).all():
+        raise ValueError("price scale s must be > 0")
+    if beta is None:
+        return q, 1.0
+    beta = np.asarray(beta, dtype=float)
+    if not (beta > 0).all():
+        raise ValueError("beta must be > 0 componentwise")
+    return q, beta
+
+
 def operator_eval(instance, q, r, s, beta=None, alpha=0.0):
     """Equilibrium operator F(q; r, s, beta, alpha), the negative welfare gradient.
 
@@ -188,19 +211,7 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0):
         one final addition of (r - alpha), so two calls differing only
         in (r, alpha) differ by a constant vector.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] != instance.m:
-        raise ValueError("q must have one component per firm")
-    if np.any(q < 0):
-        raise ValueError("quantities must be >= 0")
-    if (np.asarray(s) <= 0).any():
-        raise ValueError("price scale s must be > 0")
-    if beta is None:
-        beta = 1.0
-    else:
-        beta = np.asarray(beta, dtype=float)
-        if np.any(beta <= 0):
-            raise ValueError("beta must be > 0 componentwise")
+    q, beta = _checked(instance, q, s, beta)
     a = instance.a
     # a scalar s stays a Python float and Qe stays an ndarray: Python's
     # pow, np.float64.__pow__ and the ndarray pow loop can round
@@ -236,6 +247,36 @@ def operator_eval_sampled(instance, q, r, s, beta, alpha):
         raise ValueError("q must have shape (B, m)")
     return operator_eval(instance, q, r, np.asarray(s, dtype=float), beta,
                          alpha)
+
+
+def operator_jacobian(instance, q, r, s, beta=None, alpha=0.0):
+    """Closed-form Jacobian dF/dq of operator_eval, rowwise.
+
+    J = diag(d) + g (I + 11^T) - h q 1^T with, per row,
+    g = a s^a/(Q+e)^{a+1}, h = (a+1) g/(Q+e) and
+    d_i = beta_i k_i^{-1/b_i} (1/b_i) q_i^{1/b_i - 1}. The price part is
+    -p'(Q)(I + 11^T) - p''(Q) q 1^T, the matrix jacobian_form_test
+    evaluates. For b_i > 1, d_i is +inf at q_i = 0.
+
+    Takes the arguments and applies the checks of operator_eval; r and
+    alpha shift F by a constant and do not enter J.
+
+    Returns:
+        (m, m) for q of shape (m,), (B, m, m) for q of shape (B, m).
+    """
+    q, beta = _checked(instance, q, s, beta)
+    a = instance.a
+    Qe = np.asarray(_total(q) + instance.e)
+    g = a * np.asarray(s, dtype=float) ** a / Qe ** (a + 1.0)
+    h = (a + 1.0) * g / Qe
+    with np.errstate(divide="ignore"):
+        slope = np.power(q, instance._inv_b - 1.0)
+    d = beta * instance._cost_scale * instance._inv_b * slope
+    m = instance.m
+    J = (g[..., None, None] * (np.eye(m) + 1.0)
+         - h[..., None, None] * q[..., :, None])
+    J[..., np.arange(m), np.arange(m)] += d
+    return J
 
 
 def welfare(instance, i, q, r, s, beta=None, alpha=0.0):

@@ -7,6 +7,13 @@ VI solver with the cell discretization, not its partitions,
 representatives, warm starts or moment accumulators, so agreement
 between the two is a meaningful check of the discretization.
 
+Each sample is solved from its box midpoint by semismooth Newton steps
+with the closed-form Jacobian (cournot.operator_jacobian), falling back
+to extragradient steps where a Newton step does not pay; on the shipped
+market that takes 4 iterations per sample where extragradient alone
+takes about 175. The grid sweep keeps pure extragradient: its pinned
+mean depends on the iteration path, not only on the tolerance.
+
 Sampling is counter-based: sample i lives in chunk i // 4096, and each
 chunk draws from its own Philox stream keyed by (seed, chunk index).
 A chunk's samples are therefore a pure function of the seed, so the
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import neumaier_add
-from .cournot import operator_eval_sampled
+from .cournot import operator_eval_sampled, operator_jacobian
 from .distributions import ppf
 from .vi import SolverConfig, solve_box_vi_batch
 
@@ -90,7 +97,12 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
             return operator_eval_sampled(instance, x, r[rows], s[rows],
                                          beta[rows], alpha[rows])
 
-        out = solve_box_vi_batch(op, lower, upper, config, seeds=0.5 * upper)
+        def jac(x, rows):
+            return operator_jacobian(instance, x, r[rows], s[rows],
+                                     beta[rows], alpha[rows])
+
+        out = solve_box_vi_batch(op, lower, upper, config, seeds=0.5 * upper,
+                                 jacobian_batch=jac)
         sols = out["solutions"]
         failed = int(nc - out["converged"].sum())
         s1 = np.array([math.fsum(sols[:, i]) for i in range(m)])

@@ -4,7 +4,8 @@ import pytest
 from nashgrid import (BoxSet, CournotInstance, FirmParams, RandomFactor,
                       SolverConfig, VIProblem, check_monotone, cost,
                       jacobian_form_test, operator_eval, operator_eval_sampled,
-                      price, price_part, solve_vi, welfare)
+                      operator_jacobian, price, price_part, solve_box_vi_batch,
+                      solve_vi, welfare)
 
 import _oracles as o
 from conftest import five_firm_instance
@@ -65,7 +66,8 @@ def test_operator_matches_reference_marginal_map():
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("entry", ["operator_eval", "operator_eval_sampled"])
+@pytest.mark.parametrize("entry", ["operator_eval", "operator_eval_sampled",
+                                   "operator_jacobian"])
 def test_operator_rejects_bad_inputs(entry):
     inst = five_firm_instance()
     if entry == "operator_eval":
@@ -74,29 +76,141 @@ def test_operator_rejects_bad_inputs(entry):
 
         bad = [(dict(q=np.full(5, -1.0)), "quantities"),
                (dict(s=0.0), "price scale"),
-               (dict(beta=np.zeros(5)), "beta")]
+               (dict(s=np.nan), "price scale"),
+               (dict(beta=np.zeros(5)), "beta"),
+               (dict(beta=np.full(5, np.nan)), "beta")]
     else:
         B = 4
+        fn = (operator_eval_sampled if entry == "operator_eval_sampled"
+              else operator_jacobian)
 
         def call(q=np.full((B, 5), 10.0), s=np.full(B, 5000.0),
                  beta=np.ones((B, 5))):
-            return operator_eval_sampled(inst, q, np.zeros(B), s, beta,
-                                         np.zeros(B))
+            return fn(inst, q, np.zeros(B), s, beta, np.zeros(B))
 
         q = np.full((B, 5), 10.0)
         q[2, 3] = -1.0
         s = np.full(B, 5000.0)
         s[1] = 0.0
+        s_nan = np.full(B, 5000.0)
+        s_nan[2] = np.nan
         beta = np.ones((B, 5))
         beta[3] = 0.0
+        beta_nan = np.ones((B, 5))
+        beta_nan[0, 4] = np.nan
         bad = [(dict(q=q), "quantities"),
                (dict(s=s), "price scale"),
+               (dict(s=s_nan), "price scale"),
                (dict(beta=beta), "beta"),
-               (dict(q=np.full(5, 10.0)), "shape")]
+               (dict(beta=beta_nan), "beta")]
+        if entry == "operator_eval_sampled":
+            bad.append((dict(q=np.full(5, 10.0)), "shape"))
     assert np.isfinite(call()).all()
     for kwargs, message in bad:
         with pytest.raises(ValueError, match=message):
             call(**kwargs)
+
+
+def _central_difference_jacobian(inst, q, r, s, beta, alpha, h=1e-5):
+    # column j of dF/dq from F(q + h e_j) - F(q - h e_j), rowwise
+    J = np.zeros(q.shape + (q.shape[-1],))
+    for j in range(q.shape[-1]):
+        e = np.zeros(q.shape[-1])
+        e[j] = h
+        J[..., j] = (operator_eval(inst, q + e, r, s, beta, alpha)
+                     - operator_eval(inst, q - e, r, s, beta, alpha)) / (2 * h)
+    return J
+
+
+def test_jacobian_matches_central_differences():
+    inst = five_firm_instance()
+    rng = np.random.default_rng(21)
+    B = 16
+    q = rng.uniform(5.0, 95.0, (B, 5))
+    r = rng.uniform(-0.5, 0.5, B)
+    s = rng.uniform(4950.0, 5050.0, B)
+    beta = rng.uniform(0.5, 1.5, (B, 5))
+    alpha = rng.uniform(0.0, 0.3, B)
+    J = operator_jacobian(inst, q, r, s, beta, alpha)
+    assert J.shape == (B, 5, 5)
+    np.testing.assert_allclose(
+        J, _central_difference_jacobian(inst, q, r, s, beta, alpha),
+        rtol=1e-6, atol=1e-8)
+    for i in (0, 7):
+        one = operator_jacobian(inst, q[i], float(r[i]), float(s[i]),
+                                beta=beta[i], alpha=float(alpha[i]))
+        assert one.shape == (5, 5)
+        np.testing.assert_allclose(
+            one, _central_difference_jacobian(inst, q[i], float(r[i]),
+                                              float(s[i]), beta[i],
+                                              float(alpha[i])),
+            rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(one, J[i], rtol=1e-14, atol=0.0)
+
+
+def test_jacobian_price_part_reproduces_quadratic_form():
+    # h^T J h minus the marginal-cost diagonal is h^T J_price h
+    inst = five_firm_instance()
+    rng = np.random.default_rng(23)
+    scale = np.array([k ** (-1 / b) / b for _, k, b in o.TABLE_FIRMS])
+    expo = np.array([1 / b - 1 for _, _, b in o.TABLE_FIRMS])
+    for _ in range(10):
+        q = rng.uniform(5.0, 95.0, 5)
+        h = rng.standard_normal(5)
+        s = rng.uniform(4950.0, 5050.0)
+        beta = rng.uniform(0.5, 1.5, 5)
+        J = operator_jacobian(inst, q, 0.0, s, beta=beta)
+        d = beta * scale * q ** expo
+        got = float(h @ J @ h) - float(d @ (h * h))
+        assert got == pytest.approx(jacobian_form_test(inst, q, h, s),
+                                    rel=1e-11)
+
+
+def test_jacobian_at_zero_output_routes_to_extragradient(monkeypatch):
+    # firms 1 and 2 have b > 1, so their marginal-cost slope is infinite
+    # at q_i = 0
+    inst = five_firm_instance()
+    J = operator_jacobian(inst, np.zeros(5), 0.0, 5000.0)
+    diag = np.diag(J)
+    assert np.isposinf(diag[:2]).all()
+    assert np.isfinite(diag[2:]).all()
+    assert np.isfinite(J[~np.eye(5, dtype=bool)]).all()
+
+    # from (0, 40, 40, 40, 40) firm 1 wants to produce but not past its
+    # bound, so its component is free and its generalized Jacobian row
+    # infinite: the first step must be the extragradient one
+    seed = np.array([[0.0, 40.0, 40.0, 40.0, 40.0]])
+    assert 0.0 < -operator_eval(inst, seed[0], 0.0, 5000.0)[0] < 100.0
+    linear_solves = []
+    real_solve = np.linalg.solve
+
+    def finite_solve(a, b):
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        linear_solves.append(len(a))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", finite_solve)
+
+    def solve(jac):
+        seen = []
+
+        def op(x, rows):
+            seen.append(x.copy())
+            return operator_eval(inst, x, 0.0, 5000.0)
+
+        out = solve_box_vi_batch(op, np.zeros(5), np.full(5, 100.0),
+                                 SolverConfig(initial_step=1.4), seed,
+                                 jacobian_batch=jac)
+        return out, seen
+
+    newton, seen_n = solve(lambda x, rows: operator_jacobian(inst, x, 0.0,
+                                                             5000.0))
+    plain, seen_p = solve(None)
+    assert np.array_equal(seen_n[1], seen_p[1])
+    assert len(linear_solves) > 0
+    assert newton["converged"][0] and plain["converged"][0]
+    np.testing.assert_allclose(newton["solutions"], plain["solutions"],
+                               atol=1e-7)
 
 
 def test_operator_finite_at_zero_output():

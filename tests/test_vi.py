@@ -91,16 +91,29 @@ def test_affine_solutions_match_active_set_enumeration():
         ref = active_set_box_vi(M, d, lo, hi)
         assert report.converged
         assert np.abs(x - ref).max() < 1e-8
+        newton = solve_box_vi_batch(
+            lambda x, rows: x @ M.T + d, lo, hi, cfg, seeds=[0.5 * (lo + hi)],
+            jacobian_batch=lambda x, rows: np.broadcast_to(M, (len(x), m, m)))
+        assert newton["converged"][0]
+        assert np.abs(newton["solutions"][0] - ref).max() < 1e-8
 
 
 def test_backtracking_handles_stiff_operator():
     # badly scaled rows: the initial step must shrink, not diverge
     M = np.diag([1.0, 50.0])
     prob = affine_problem(M, [-1.0, -25.0], [0.0, 0.0], [10.0, 10.0])
-    x, report = solve_vi(prob, SolverConfig(initial_step=1.0,
-                                            max_iterations=5000))
+    cfg = SolverConfig(initial_step=1.0, max_iterations=5000)
+    x, report = solve_vi(prob, cfg)
     assert report.converged
     assert np.abs(x - np.array([1.0, 0.5])).max() < 1e-7
+    # the batch solver counts the same shrinks, per row; the second row
+    # starts at its solution and never steps
+    out = solve_box_vi_batch(lambda x, rows: x @ M.T - [1.0, 25.0],
+                             [0.0, 0.0], [10.0, 10.0], cfg,
+                             seeds=[[5.0, 5.0], [1.0, 0.5]])
+    assert out["converged"].all()
+    assert out["backtracks"].tolist() == [report.backtracks, 0]
+    assert report.backtracks > 0
 
 
 def test_nonconvergence_raises_with_report():
@@ -187,6 +200,45 @@ def test_batch_freezes_non_finite_rows():
     np.testing.assert_allclose(out["solutions"][1], 0.3, atol=1e-8)
     assert calls[0] == 2 and set(calls[1:]) == {1}
     assert len(calls) < 2 * cfg.max_iterations
+
+
+def test_newton_rows_do_not_depend_on_their_neighbours():
+    # F(x) = M x + x**3 + d is strictly monotone with Jacobian
+    # M + diag(3 x**2). Row 0 is the Newton row under test; row 1's
+    # operator is NaN, row 2's Jacobian is NaN so it only takes
+    # extragradient steps and runs out of iterations, and row 3's
+    # Jacobian is singular, which makes the stacked linear solve fail.
+    # M x is summed column by column: a BLAS matmul may round a 1-row
+    # and a 4-row product differently.
+    M = np.array([[2.0, 0.5, 0.0], [-0.5, 1.5, 0.3], [0.0, -0.3, 1.0]])
+    d = np.array([[-3.0, 0.5, -1.0], [1.0, 1.0, 1.0], [-4.0, -2.0, 3.0],
+                  [-1.0, -1.0, 0.5]])
+
+    def op(x, rows):
+        out = sum(x[:, j:j + 1] * M[:, j] for j in range(3)) + x ** 3 + d[rows]
+        return np.where(rows[:, None] == 1, np.nan, out)
+
+    def jac(x, rows):
+        out = M + 3.0 * x[:, None, :] ** 2 * np.eye(3)
+        out = np.where(rows[:, None, None] == 2, np.nan, out)
+        return np.where(rows[:, None, None] == 3, 0.0, out)
+
+    cfg = SolverConfig(max_iterations=12, tolerance=1e-12)
+    lo, hi = np.full(3, -2.0), np.full(3, 2.0)
+    seeds = np.full((4, 3), 1.5)
+    batch = solve_box_vi_batch(op, lo, hi, cfg, seeds, jacobian_batch=jac)
+    alone = solve_box_vi_batch(op, lo, hi, cfg, seeds[:1], jacobian_batch=jac)
+    # from 1.5 row 0 rejects some Newton points and backtracks
+    assert bool(batch["converged"][0]) is True
+    assert batch["iterations"][0] < cfg.max_iterations
+    assert batch["backtracks"][0] > 0
+    assert bool(batch["converged"][1]) is False
+    assert np.isnan(batch["solutions"][1]).all()
+    assert bool(batch["converged"][2]) is False
+    assert batch["iterations"][2] == cfg.max_iterations
+    for key in ("solutions", "residuals", "iterations", "converged",
+                "backtracks"):
+        assert batch[key][0].tobytes() == alone[key][0].tobytes(), key
 
 
 def test_check_monotone_classifies_operators():
