@@ -32,8 +32,7 @@ def main():
     print("grid         expected outputs")
     for n_r, n_s in ladder:
         grid = make_grid(market, n_r=n_r, n_s=n_s)
-        report = expectation(solve_all(market, grid, solver,
-                                       parallelism=2, keep_cells=False))
+        report = expectation(solve_all(market, grid, solver, keep_cells=False))
         entries.append(((n_r, n_s), report))
         vals = "  ".join(f"{v:.5f}" for v in report.mean)
         print(f"{n_r:4d} x {n_s:5d}  {vals}")

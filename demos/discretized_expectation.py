@@ -31,7 +31,7 @@ def run(market, n_r, n_s):
     grid = make_grid(market, n_r=n_r, n_s=n_s)
     t0 = time.perf_counter()
     solution = solve_all(market, grid, SolverConfig(initial_step=1.4),
-                         parallelism=2, keep_cells=False)
+                         keep_cells=False)
     dt = time.perf_counter() - t0
     return expectation(solution), dt
 

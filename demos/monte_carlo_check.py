@@ -32,8 +32,7 @@ def main():
     # bias, so this modest grid already sits on top of the sampler
     grid = make_grid(market, n_r=50, n_s=2000,
                      rules={"r": "conditional_mean", "s": "conditional_mean"})
-    report = expectation(solve_all(market, grid, solver,
-                                   parallelism=2, keep_cells=False))
+    report = expectation(solve_all(market, grid, solver, keep_cells=False))
     print("grid estimate (50 x 2000 cells):")
     print("  ", "  ".join(f"{v:.4f}" for v in report.mean))
 

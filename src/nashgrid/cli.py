@@ -8,6 +8,17 @@ one of four modes:
     oracle          Monte Carlo sample average with standard errors
     ladder          run a refinement sequence, write mean differences
 
+The dataclasses are the schema. The flat blocks ``discretization``,
+``solver`` and ``run`` take exactly the fields of DiscretizationConfig,
+SolverConfig and RunSettings (see BLOCKS). An absent key keeps the
+field's default, and the type of that default says how a value is read:
+true/false, an integer, a number or a string. Only ``rules`` (an object
+of group -> rule) and ``ladder`` (a list of [n_r, n_s] pairs) have forms
+of their own. A factor object takes its kind's parameter names from
+distributions.FACTOR_PARAMS. Every number must be finite, and integer
+fields take integral values only. config_to_json reads the same fields,
+so ``--dump-config`` prints every default.
+
 Outputs are CSV files in the chosen output directory: summary.csv
 (deterministic/discretize), cells.csv (optional cell dump), oracle.csv,
 ladder.csv. Exit status 0 means every requested solve converged.
@@ -16,24 +27,39 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 
 from .aggregate import (convergence_report, expectation, write_convergence_csv,
                         write_summary_csv)
 from .cournot import CournotInstance, FirmParams
-from .discretize import FlaggedCellsError, make_grid, solve_all, write_cells_csv
-from .distributions import KINDS, REPRESENTATIVE_RULES, RandomFactor
+from .discretize import (DEFAULT_RULES, FlaggedCellsError, make_grid,
+                         solve_all, write_cells_csv)
+from .distributions import (FACTOR_PARAMS, KINDS, REPRESENTATIVE_RULES,
+                            RandomFactor)
 from .oracle import monte_carlo_mean, write_oracle_csv
 from .vi import SolverConfig
 
 MODES = ("deterministic", "discretize", "oracle", "ladder")
-RULE_GROUPS = ("r", "s", "bounds", "betas", "alpha")
+RULE_GROUPS = tuple(DEFAULT_RULES)
 
 
 class ConfigError(ValueError):
     """A configuration file violated the schema or an invariant."""
+
+
+@contextmanager
+def _located(where):
+    """Re-raise a model invariant's ValueError as a ConfigError at where."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}") from err
 
 
 def _require_keys(block, allowed, required, where):
@@ -47,15 +73,21 @@ def _require_keys(block, allowed, required, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(block, key, where, default=None, integer=False, required=True):
-    if key not in block:
-        if required:
-            raise ConfigError(f"{where}.{key}: missing")
-        return default
-    v = block[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    return int(v) if integer else float(v)
+def _number(value, where, integer=False):
+    """The one reading of a JSON number: finite, and integral if asked."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if not integer:
+        return x
+    if not x.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(value)
 
 
 def parse_factor(d, where):
@@ -66,33 +98,16 @@ def parse_factor(d, where):
     if kind not in KINDS:
         raise ConfigError(f"{where}.kind: unknown kind {kind!r}, "
                           f"expected one of {list(KINDS)}")
-    try:
-        if kind == "constant":
-            _require_keys(d, ("kind", "value"), ("value",), where)
-            return RandomFactor.constant(_number(d, "value", where))
-        if kind == "uniform":
-            _require_keys(d, ("kind", "lo", "hi"), ("lo", "hi"), where)
-            return RandomFactor.uniform(_number(d, "lo", where),
-                                        _number(d, "hi", where))
-        _require_keys(d, ("kind", "mu", "sigma", "lo", "hi"),
-                      ("mu", "sigma", "lo", "hi"), where)
-        return RandomFactor.truncated_normal(
-            _number(d, "mu", where), _number(d, "sigma", where),
-            _number(d, "lo", where), _number(d, "hi", where))
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {err}") from err
+    names = FACTOR_PARAMS[kind]
+    _require_keys(d, ("kind",) + names, names, where)
+    params = [_number(d[name], f"{where}.{name}") for name in names]
+    with _located(where):
+        return RandomFactor(kind, params)
 
 
 def factor_to_json(factor):
-    if factor.kind == "constant":
-        return {"kind": "constant", "value": factor.params[0]}
-    if factor.kind == "uniform":
-        return {"kind": "uniform", "lo": factor.params[0], "hi": factor.params[1]}
-    mu, sigma, lo, hi = factor.params
-    return {"kind": "truncated_normal", "mu": mu, "sigma": sigma,
-            "lo": lo, "hi": hi}
+    return {"kind": factor.kind,
+            **dict(zip(FACTOR_PARAMS[factor.kind], factor.params))}
 
 
 @dataclass(frozen=True)
@@ -105,9 +120,9 @@ class DiscretizationConfig:
     rules: tuple = ()
 
     def __post_init__(self):
-        for name in ("n_r", "n_s", "n_bounds", "n_betas", "n_alpha"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"discretization.{name}: must be >= 1")
+        for f in fields(self):
+            if f.name != "rules" and getattr(self, f.name) < 1:
+                raise ConfigError(f"discretization.{f.name}: must be >= 1")
         for key, rule in self.rules:
             if key not in RULE_GROUPS:
                 raise ConfigError(f"discretization.rules: unknown group {key!r}")
@@ -156,12 +171,75 @@ class RunConfig:
     run: RunSettings
 
 
+# the flat config blocks and the dataclasses that are their schema
+BLOCKS = {"discretization": DiscretizationConfig, "solver": SolverConfig,
+          "run": RunSettings}
+
+
+def _parse_rules(value, where):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object")
+    return tuple(sorted(value.items()))
+
+
+def _parse_ladder(value, where):
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of [n_r, n_s] pairs")
+    pairs = []
+    for i, entry in enumerate(value):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise ConfigError(f"{where}: entries must be [n_r, n_s] "
+                              "integer pairs")
+        pairs.append(tuple(_number(v, f"{where}[{i}]", integer=True)
+                           for v in entry))
+    return tuple(pairs)
+
+
+# a firm's keys; q_bar is a factor object, the others are numbers
+_FIRM_KEYS = tuple(f.name for f in fields(FirmParams))
+
+# block fields whose JSON form is not a scalar: name -> (parse, dump)
+_FORMS = {"rules": (_parse_rules, dict),
+          "ladder": (_parse_ladder, lambda pairs: [list(p) for p in pairs])}
+
+
+def _parse_block(cls, block, name):
+    """Build one of the BLOCKS dataclasses from its JSON object."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    _require_keys(block, defaults, (), name)
+    values = {}
+    for key, value in block.items():
+        where = f"{name}.{key}"
+        default = defaults[key]
+        if key in _FORMS:
+            value = _FORMS[key][0](value, where)
+        elif isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{where}: expected true or false")
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{where}: expected a string")
+        else:
+            value = _number(value, where, integer=isinstance(default, int))
+        values[key] = value
+    with _located(name):
+        return cls(**values)
+
+
+def _block_to_json(settings):
+    out = {}
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        out[f.name] = _FORMS[f.name][1](value) if f.name in _FORMS else value
+    return out
+
+
 def parse_config(doc):
     """Validate a parsed JSON document into a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    _require_keys(doc, ("model", "factors", "discretization", "solver", "run"),
-                  ("model", "factors"), "top level")
+    _require_keys(doc, ("model", "factors", *BLOCKS), ("model", "factors"),
+                  "top level")
     model = doc["model"]
     _require_keys(model, ("firms", "a", "e"), ("firms", "a", "e"), "model")
     firms_spec = model["firms"]
@@ -170,16 +248,11 @@ def parse_config(doc):
     firms = []
     for i, fd in enumerate(firms_spec):
         where = f"model.firms[{i}]"
-        _require_keys(fd, ("c", "k", "b", "q_bar"), ("c", "k", "b", "q_bar"), where)
-        try:
-            firms.append(FirmParams(
-                c=_number(fd, "c", where), k=_number(fd, "k", where),
-                b=_number(fd, "b", where),
-                q_bar=parse_factor(fd["q_bar"], where + ".q_bar")))
-        except ValueError as err:
-            if isinstance(err, ConfigError):
-                raise
-            raise ConfigError(f"{where}: {err}") from err
+        _require_keys(fd, _FIRM_KEYS, _FIRM_KEYS, where)
+        params = {key: (parse_factor if key == "q_bar" else _number)(
+            fd[key], f"{where}.{key}") for key in _FIRM_KEYS}
+        with _located(where):
+            firms.append(FirmParams(**params))
 
     factors = doc["factors"]
     _require_keys(factors, ("r", "s", "betas", "alpha"), ("r", "s"), "factors")
@@ -195,81 +268,15 @@ def parse_config(doc):
     alpha = parse_factor(factors["alpha"], "factors.alpha") \
         if "alpha" in factors else None
 
-    try:
+    a = _number(model["a"], "model.a")
+    e = _number(model["e"], "model.e")
+    with _located("model"):
         instance = CournotInstance(
-            firms=tuple(firms), a=_number(model, "a", "model"),
-            e=_number(model, "e", "model"), r_factor=r_factor,
+            firms=tuple(firms), a=a, e=e, r_factor=r_factor,
             s_factor=s_factor, beta_factors=betas, alpha_factor=alpha)
-    except ValueError as err:
-        raise ConfigError(f"model: {err}") from err
-
-    dblock = doc.get("discretization", {})
-    _require_keys(dblock, ("n_r", "n_s", "n_bounds", "n_betas", "n_alpha",
-                           "rules"), (), "discretization")
-    rules = dblock.get("rules", {})
-    if not isinstance(rules, dict):
-        raise ConfigError("discretization.rules: expected an object")
-    disc = DiscretizationConfig(
-        n_r=_number(dblock, "n_r", "discretization", 1, True, False),
-        n_s=_number(dblock, "n_s", "discretization", 1, True, False),
-        n_bounds=_number(dblock, "n_bounds", "discretization", 1, True, False),
-        n_betas=_number(dblock, "n_betas", "discretization", 1, True, False),
-        n_alpha=_number(dblock, "n_alpha", "discretization", 1, True, False),
-        rules=tuple(sorted(rules.items())))
-
-    sblock = doc.get("solver", {})
-    _require_keys(sblock, ("tolerance", "max_iterations", "initial_step",
-                           "step_shrink", "gamma"), (), "solver")
-    try:
-        solver = SolverConfig(
-            tolerance=_number(sblock, "tolerance", "solver", 1e-8,
-                              required=False),
-            max_iterations=_number(sblock, "max_iterations", "solver", 1000,
-                                   True, False),
-            initial_step=_number(sblock, "initial_step", "solver", 1.0,
-                                 required=False),
-            step_shrink=_number(sblock, "step_shrink", "solver", 0.5,
-                                required=False),
-            gamma=_number(sblock, "gamma", "solver", 1.0, required=False))
-    except ValueError as err:
-        raise ConfigError(f"solver: {err}") from err
-
-    rblock = doc.get("run", {})
-    _require_keys(rblock, ("mode", "parallelism", "out_dir", "seed",
-                           "n_samples", "dump_cells", "max_flagged_fraction",
-                           "ladder"), (), "run")
-    mode = rblock.get("mode", "discretize")
-    if not isinstance(mode, str):
-        raise ConfigError("run.mode: expected a string")
-    out_dir = rblock.get("out_dir", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigError("run.out_dir: expected a string")
-    dump = rblock.get("dump_cells", False)
-    if not isinstance(dump, bool):
-        raise ConfigError("run.dump_cells: expected true or false")
-    ladder_spec = rblock.get("ladder", [])
-    if not isinstance(ladder_spec, list):
-        raise ConfigError("run.ladder: expected a list of [n_r, n_s] pairs")
-    ladder = []
-    for entry in ladder_spec:
-        if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           for v in entry)):
-            raise ConfigError("run.ladder: entries must be [n_r, n_s] "
-                              "integer pairs")
-        ladder.append((entry[0], entry[1]))
-    settings = RunSettings(
-        mode=mode,
-        parallelism=_number(rblock, "parallelism", "run", 1, True, False),
-        out_dir=out_dir,
-        seed=_number(rblock, "seed", "run", 0, True, False),
-        n_samples=_number(rblock, "n_samples", "run", 10000, True, False),
-        dump_cells=dump,
-        max_flagged_fraction=_number(rblock, "max_flagged_fraction", "run",
-                                     0.0, required=False),
-        ladder=tuple(ladder))
-    return RunConfig(instance=instance, discretization=disc, solver=solver,
-                     run=settings)
+    blocks = {name: _parse_block(cls, doc.get(name, {}), name)
+              for name, cls in BLOCKS.items()}
+    return RunConfig(instance=instance, **blocks)
 
 
 def load_config(path):
@@ -286,13 +293,10 @@ def load_config(path):
 def config_to_json(config):
     """Normalized JSON form; parsing it again yields an equal RunConfig."""
     inst = config.instance
-    disc = config.discretization
-    s = config.solver
-    run = config.run
-    return {
+    doc = {
         "model": {
-            "firms": [{"c": f.c, "k": f.k, "b": f.b,
-                       "q_bar": factor_to_json(f.q_bar)} for f in inst.firms],
+            "firms": [{key: (factor_to_json if key == "q_bar" else float)(
+                getattr(f, key)) for key in _FIRM_KEYS} for f in inst.firms],
             "a": inst.a,
             "e": inst.e,
         },
@@ -302,24 +306,10 @@ def config_to_json(config):
             "betas": [factor_to_json(b) for b in inst.beta_factors],
             "alpha": factor_to_json(inst.alpha_factor),
         },
-        "discretization": {
-            "n_r": disc.n_r, "n_s": disc.n_s, "n_bounds": disc.n_bounds,
-            "n_betas": disc.n_betas, "n_alpha": disc.n_alpha,
-            "rules": disc.rules_dict(),
-        },
-        "solver": {
-            "tolerance": s.tolerance, "max_iterations": s.max_iterations,
-            "initial_step": s.initial_step, "step_shrink": s.step_shrink,
-            "gamma": s.gamma,
-        },
-        "run": {
-            "mode": run.mode, "parallelism": run.parallelism,
-            "out_dir": run.out_dir, "seed": run.seed,
-            "n_samples": run.n_samples, "dump_cells": run.dump_cells,
-            "max_flagged_fraction": run.max_flagged_fraction,
-            "ladder": [list(pair) for pair in run.ladder],
-        },
     }
+    for name in BLOCKS:
+        doc[name] = _block_to_json(getattr(config, name))
+    return doc
 
 
 def _print_mean(label, mean, stream):
@@ -341,8 +331,7 @@ def run_config(config, stdout=None):
     if run.mode == "deterministic":
         rules = {k: "conditional_mean" for k in RULE_GROUPS}
         grid = make_grid(config.instance, rules=rules)
-        solution = solve_all(config.instance, grid, config.solver,
-                             parallelism=1)
+        solution = solve_all(config.instance, grid, config.solver)
         path = write_summary_csv(solution.report, out_path("summary.csv"))
         _print_mean("solution", solution.report.mean, stdout)
         print(f"wrote {path}", file=stdout)
@@ -353,7 +342,6 @@ def run_config(config, stdout=None):
                          n_bounds=disc.n_bounds, n_betas=disc.n_betas,
                          n_alpha=disc.n_alpha, rules=disc.rules_dict())
         solution = solve_all(config.instance, grid, config.solver,
-                             parallelism=run.parallelism,
                              keep_cells=True if run.dump_cells else None,
                              max_flagged_fraction=run.max_flagged_fraction)
         report = expectation(solution)
@@ -391,7 +379,7 @@ def run_config(config, stdout=None):
                          n_bounds=disc.n_bounds, n_betas=disc.n_betas,
                          n_alpha=disc.n_alpha, rules=disc.rules_dict())
         solution = solve_all(config.instance, grid, config.solver,
-                             parallelism=run.parallelism, keep_cells=False,
+                             keep_cells=False,
                              max_flagged_fraction=run.max_flagged_fraction)
         flagged += solution.flagged_cells
         entries.append(((n_r, n_s), solution.report))
@@ -433,11 +421,7 @@ def main(argv=None):
                 raise ConfigError("--threads: must be >= 1")
             overrides["parallelism"] = args.threads
         if overrides:
-            from dataclasses import replace
-            config = RunConfig(instance=config.instance,
-                               discretization=config.discretization,
-                               solver=config.solver,
-                               run=replace(config.run, **overrides))
+            config = replace(config, run=replace(config.run, **overrides))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -177,13 +177,13 @@ def price_part(instance, q, s):
 def _checked(instance, q, s, beta):
     """The operator's input checks; returns q as an array and beta.
 
-    The positivity checks use the ``not (x > 0).all()`` form so that a
-    NaN s or beta is rejected like a nonpositive one.
+    The checks use the ``not (x >= 0).all()`` form so that a NaN q, s
+    or beta is rejected like a negative or nonpositive one.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1] != instance.m:
         raise ValueError("q must have one component per firm")
-    if np.any(q < 0):
+    if not (q >= 0).all():
         raise ValueError("quantities must be >= 0")
     if not (np.asarray(s) > 0).all():
         raise ValueError("price scale s must be > 0")

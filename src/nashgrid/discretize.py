@@ -241,22 +241,21 @@ class FlaggedCellsError(RuntimeError):
         self.worst_residual = worst_residual
 
 
-def solve_all(instance, grid, solver_config=None, parallelism=1,
-              keep_cells=None, cell_cap=CELL_CAP_DEFAULT,
-              max_flagged_fraction=0.0):
+def solve_all(instance, grid, solver_config=None, keep_cells=None,
+              cell_cap=CELL_CAP_DEFAULT, max_flagged_fraction=0.0):
     """Solve every cell problem of the grid.
 
     Cells are organized into one block per r-cell; each front (one cell
     per block at equal inner position) is solved as one batched VI over
     all blocks, with extrapolated warm starts along the inner sweep.
-    The sweep always runs in the calling thread.
+    The sweep runs in the calling thread. Once a front has frozen a
+    non-finite row, any row whose extrapolated seed is non-finite starts
+    from its box midpoint instead.
 
     Args:
         instance: the market model.
         grid: FactorGrid from make_grid (factor counts must match).
         solver_config: SolverConfig, defaults if omitted.
-        parallelism: accepted for API compatibility; the sweep never
-            depends on it.
         keep_cells: force storing (True) or streaming (False) per-cell
             arrays; default stores grids up to 2e6 cells.
         cell_cap: refuse grids larger than this.
@@ -304,6 +303,7 @@ def solve_all(instance, grid, solver_config=None, parallelism=1,
     acc = RunningMoments(m, lead=(n_blocks,))
     flagged = 0
     worst = 0.0
+    lost = False
     x1 = x0 = None
     for ii in range(inner_count):
         idx = np.unravel_index(ii, inner_shape)
@@ -326,6 +326,10 @@ def solve_all(instance, grid, solver_config=None, parallelism=1,
             seeds = x1
         else:
             seeds = np.clip(2.0 * x1 - x0, lower, upper)
+        if lost:
+            # a frozen non-finite row must not seed the operator with NaN
+            finite = np.isfinite(seeds).all(axis=1, keepdims=True)
+            seeds = np.where(finite, seeds, 0.5 * (lower + upper))
 
         def op(x, rows, _s=s_rep, _b=beta, _a=alpha):
             return operator_eval(instance, x, r_reps[rows], _s, _b, _a)
@@ -336,6 +340,7 @@ def solve_all(instance, grid, solver_config=None, parallelism=1,
         if not conv.all():
             bad = out["residuals"][~conv]
             flagged += bad.size
+            lost = lost or not np.isfinite(bad).all()
             # a non-finite residual must not vanish from the report
             worst = max(worst, float(
                 np.where(np.isfinite(bad), bad, np.inf).max()))

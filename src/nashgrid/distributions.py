@@ -15,7 +15,13 @@ from scipy.special import ndtr, ndtri
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
-KINDS = ("constant", "uniform", "truncated_normal")
+# each factor kind's parameter names, in RandomFactor.params order
+FACTOR_PARAMS = {
+    "constant": ("value",),
+    "uniform": ("lo", "hi"),
+    "truncated_normal": ("mu", "sigma", "lo", "hi"),
+}
+KINDS = tuple(FACTOR_PARAMS)
 REPRESENTATIVE_RULES = ("lower_endpoint", "conditional_mean", "midpoint")
 
 
@@ -23,11 +29,8 @@ REPRESENTATIVE_RULES = ("lower_endpoint", "conditional_mean", "midpoint")
 class RandomFactor:
     """A scalar random factor with bounded support.
 
-    params by kind:
-        constant         -> (value,)
-        uniform          -> (lo, hi)
-        truncated_normal -> (mu, sigma, lo, hi), the N(mu, sigma^2)
-                            density restricted to [lo, hi) and renormalized
+    params are named by FACTOR_PARAMS[kind]. A truncated_normal is the
+    N(mu, sigma^2) density restricted to [lo, hi) and renormalized.
     """
 
     kind: str
@@ -38,20 +41,13 @@ class RandomFactor:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "params", params)
-        if self.kind == "constant":
-            if len(params) != 1:
-                raise ValueError("constant factor takes a single value")
-        elif self.kind == "uniform":
-            if len(params) != 2 or not params[0] < params[1]:
-                raise ValueError("uniform factor requires lo < hi")
-        else:
-            if len(params) != 4:
-                raise ValueError("truncated_normal takes (mu, sigma, lo, hi)")
-            mu, sigma, lo, hi = params
-            if sigma <= 0:
-                raise ValueError("truncated_normal requires sigma > 0")
-            if not lo < hi:
-                raise ValueError("truncated_normal requires lo < hi")
+        names = FACTOR_PARAMS[self.kind]
+        if len(params) != len(names):
+            raise ValueError(f"{self.kind} factor takes ({', '.join(names)})")
+        if self.kind == "truncated_normal" and not params[1] > 0:
+            raise ValueError("truncated_normal requires sigma > 0")
+        if self.kind != "constant" and not params[-2] < params[-1]:
+            raise ValueError(f"{self.kind} factor requires lo < hi")
 
     @staticmethod
     def constant(value):

@@ -1,13 +1,18 @@
 import csv
 import importlib.metadata
 import json
+import re
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from nashgrid.cli import (ConfigError, config_to_json, load_config, main,
-                          parse_config)
+from nashgrid import SolverConfig
+from nashgrid.cli import (ConfigError, DiscretizationConfig, RunSettings,
+                          config_to_json, load_config, main, parse_config)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_config(**run_overrides):
@@ -51,6 +56,28 @@ def test_parse_config_round_trips():
     assert cfg.run.mode == "discretize"
 
 
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_shipped_configs_round_trip(path):
+    cfg = load_config(path)
+    assert parse_config(config_to_json(cfg)) == cfg
+
+
+@pytest.mark.parametrize("block, cls", [("discretization", DiscretizationConfig),
+                                        ("solver", SolverConfig),
+                                        ("run", RunSettings)])
+def test_flat_blocks_accept_exactly_the_dataclass_fields(block, cls):
+    cfg = parse_config(small_config())
+    dumped = config_to_json(cfg)[block]
+    assert set(dumped) == {f.name for f in fields(cls)}
+    doc = small_config()
+    doc[block] = dumped
+    assert getattr(parse_config(doc), block) == getattr(cfg, block)
+    doc[block] = dict(dumped, extra=1)
+    with pytest.raises(ConfigError, match=f"{block}: unknown keys"):
+        parse_config(doc)
+
+
 def test_unknown_keys_rejected():
     doc = small_config()
     doc["extra"] = 1
@@ -86,6 +113,56 @@ def test_numbers_reject_booleans_and_strings():
     doc["solver"]["tolerance"] = "tight"
     with pytest.raises(ConfigError, match="expected a number"):
         parse_config(doc)
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _where(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path)[1:]
+
+
+BAD_NUMBERS = [
+    (("discretization", "n_r"), 3.5),
+    (("solver", "max_iterations"), 2.7),
+    (("run", "seed"), 1.9),
+    (("solver", "tolerance"), float("nan")),
+    (("solver", "gamma"), float("nan")),
+    (("solver", "initial_step"), float("inf")),
+    (("model", "e"), float("inf")),
+    (("model", "firms", 0, "c"), float("nan")),
+    (("model", "firms", 0, "k"), float("nan")),
+    (("factors", "r", "mu"), float("nan")),
+    (("factors", "r", "lo"), float("-inf")),
+]
+
+
+@pytest.mark.parametrize("path, value", BAD_NUMBERS,
+                         ids=[f"{_where(p)}={v}" for p, v in BAD_NUMBERS])
+def test_non_integral_and_non_finite_numbers_rejected(tmp_path, capsys, path,
+                                                      value):
+    doc = small_config()
+    _set(doc, path, value)
+    with pytest.raises(ConfigError, match=re.escape(_where(path) + ":")):
+        parse_config(doc)
+    # json writes NaN and Infinity, and json.load reads them back
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--dump-config"]) == 2
+    assert _where(path) in capsys.readouterr().err
+
+
+def test_integral_floats_read_as_integers():
+    doc = small_config(seed=2.0, n_samples=1e3, ladder=[[2.0, 4]])
+    doc["discretization"]["n_r"] = 3.0
+    cfg = parse_config(doc)
+    assert cfg.run.n_samples == 1000 and type(cfg.run.n_samples) is int
+    assert type(cfg.run.seed) is int and type(cfg.discretization.n_r) is int
+    assert cfg.run.ladder == ((2, 4),)
+    assert cfg == parse_config(config_to_json(cfg))
 
 
 def test_factor_spec_validation():

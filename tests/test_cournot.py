@@ -75,6 +75,8 @@ def test_operator_rejects_bad_inputs(entry):
             return operator_eval(inst, q, 0.0, s, beta=beta)
 
         bad = [(dict(q=np.full(5, -1.0)), "quantities"),
+               (dict(q=np.array([np.nan, 10.0, 10.0, 10.0, 10.0])),
+                "quantities"),
                (dict(s=0.0), "price scale"),
                (dict(s=np.nan), "price scale"),
                (dict(beta=np.zeros(5)), "beta"),
@@ -90,6 +92,8 @@ def test_operator_rejects_bad_inputs(entry):
 
         q = np.full((B, 5), 10.0)
         q[2, 3] = -1.0
+        q_nan = np.full((B, 5), 10.0)
+        q_nan[1, 0] = np.nan
         s = np.full(B, 5000.0)
         s[1] = 0.0
         s_nan = np.full(B, 5000.0)
@@ -99,6 +103,7 @@ def test_operator_rejects_bad_inputs(entry):
         beta_nan = np.ones((B, 5))
         beta_nan[0, 4] = np.nan
         bad = [(dict(q=q), "quantities"),
+               (dict(q=q_nan), "quantities"),
                (dict(s=s), "price scale"),
                (dict(s=s_nan), "price scale"),
                (dict(beta=beta), "beta"),

@@ -125,19 +125,6 @@ def test_every_cell_residual_rechecks_below_tolerance():
         assert res == sol.residuals[flat]
 
 
-def test_worker_counts_agree_bitwise():
-    inst = randomized_instance()
-    cfg = SolverConfig(initial_step=1.4)
-    g = make_grid(inst, n_r=8, n_s=25)
-    runs = [solve_all(inst, g, cfg, parallelism=p) for p in (1, 2, 3)]
-    for other in runs[1:]:
-        np.testing.assert_array_equal(other.solutions, runs[0].solutions)
-        np.testing.assert_array_equal(other.residuals, runs[0].residuals)
-        assert other.report.mean.tolist() == runs[0].report.mean.tolist()
-        assert other.report.second_moment.tolist() == \
-            runs[0].report.second_moment.tolist()
-
-
 def three_firm_instance():
     """A market where capacities, cost multipliers and price shift are random.
 
