@@ -9,11 +9,12 @@ Solving them all yields a step-function approximation of the random
 equilibrium whose moments converge as the partitions refine.
 
 Modules:
-    vi             box-constrained VI solver (extragradient, semismooth
-                   Newton when a Jacobian is given)
+    vi             box-constrained VI solver: one batched extragradient
+                   loop (semismooth Newton when a Jacobian is given);
+                   solve_vi is its one-row call
     distributions  bounded random factors and support partitions
     cournot        the oligopoly model: cost, price, welfare, operator
-    discretize     cell grids, cell problems, the batched sweep
+    discretize     cell grids and the batched sweep over their cells
     aggregate      compensated moment summaries and refinement reports
     oracle         Monte Carlo cross-check with standard errors
     cli            JSON-config command line front end
@@ -24,10 +25,9 @@ from .aggregate import (ConvergenceRow, MomentReport, convergence_report,
 from .cournot import (CournotInstance, FirmParams, cost, jacobian_form_test,
                       operator_eval, operator_eval_sampled, operator_jacobian,
                       price, price_part, welfare)
-from .discretize import (CellIndex, CellProblem, FactorGrid,
-                         FlaggedCellsError, StepSolution, build_cell_problem,
-                         enumerate_cells, make_grid, mean_truncation,
-                         solve_all, write_cells_csv)
+from .discretize import (FactorGrid, FlaggedCellsError, StepSolution,
+                         make_grid, mean_truncation, solve_all,
+                         write_cells_csv)
 from .distributions import (Partition1D, RandomFactor, cdf, cell_conditional_mean,
                             cell_probability, make_partition, pdf, ppf)
 from .oracle import OracleReport, monte_carlo_mean
@@ -38,16 +38,16 @@ from .vi import (BoxSet, MonotoneReport, NonConvergenceError, SolveReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxSet", "CellIndex", "CellProblem", "ConvergenceRow", "CournotInstance",
-    "FactorGrid", "FirmParams", "FlaggedCellsError", "MomentReport",
-    "MonotoneReport", "NonConvergenceError", "OracleReport", "Partition1D",
-    "RandomFactor", "SolveReport", "SolverConfig", "StepSolution", "VIProblem",
-    "build_cell_problem", "cdf", "cell_conditional_mean", "cell_probability",
-    "check_monotone", "convergence_report", "cost", "enumerate_cells",
-    "expectation", "jacobian_form_test", "make_grid", "make_partition",
-    "mean_truncation", "monte_carlo_mean", "natural_residual", "operator_eval",
-    "operator_eval_sampled", "operator_jacobian", "pdf", "ppf", "price",
-    "price_part", "project", "solve_all", "solve_box_vi_batch", "solve_vi",
-    "welfare", "write_cells_csv",
+    "BoxSet", "ConvergenceRow", "CournotInstance", "FactorGrid", "FirmParams",
+    "FlaggedCellsError", "MomentReport", "MonotoneReport",
+    "NonConvergenceError", "OracleReport", "Partition1D", "RandomFactor",
+    "SolveReport", "SolverConfig", "StepSolution", "VIProblem", "cdf",
+    "cell_conditional_mean", "cell_probability", "check_monotone",
+    "convergence_report", "cost", "expectation", "jacobian_form_test",
+    "make_grid", "make_partition", "mean_truncation", "monte_carlo_mean",
+    "natural_residual", "operator_eval", "operator_eval_sampled",
+    "operator_jacobian", "pdf", "ppf", "price", "price_part", "project",
+    "solve_all", "solve_box_vi_batch", "solve_vi", "welfare",
+    "write_cells_csv",
     "__version__",
 ]

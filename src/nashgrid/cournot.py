@@ -50,15 +50,16 @@ class FirmParams:
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "k", float(self.k))
         object.__setattr__(self, "b", float(self.b))
-        if self.c < 0:
+        # checks in the ``not (x >= 0)`` form refuse NaN as well
+        if not self.c >= 0:
             raise ValueError("linear cost coefficient c must be >= 0")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ValueError("cost scale k must be > 0")
-        if self.b <= 0:
+        if not self.b > 0:
             raise ValueError("cost curvature b must be > 0")
         if not isinstance(self.q_bar, RandomFactor):
             raise TypeError("q_bar must be a RandomFactor")
-        if self.q_bar.support[0] < 0:
+        if not self.q_bar.support[0] >= 0:
             raise ValueError("production bound support must be nonnegative")
 
 
@@ -88,9 +89,9 @@ class CournotInstance:
         object.__setattr__(self, "e", float(self.e))
         if not 0.0 < self.a < 1.0:
             raise ValueError("price exponent a must lie in (0, 1)")
-        if self.e <= 0:
+        if not self.e > 0:
             raise ValueError("price floor parameter e must be > 0")
-        if self.s_factor.support[0] <= 0:
+        if not self.s_factor.support[0] > 0:
             raise ValueError("price scale factor support must be positive")
         betas = self.beta_factors
         if betas is None:
@@ -100,7 +101,7 @@ class CournotInstance:
             if len(betas) != len(firms):
                 raise ValueError("need one beta factor per firm")
             for bf in betas:
-                if bf.support[0] <= 0:
+                if not bf.support[0] > 0:
                     raise ValueError("beta factor supports must be positive")
         object.__setattr__(self, "beta_factors", betas)
         if self.alpha_factor is None:
@@ -115,10 +116,6 @@ class CournotInstance:
     @property
     def m(self):
         return len(self.firms)
-
-    @property
-    def bound_factors(self):
-        return tuple(f.q_bar for f in self.firms)
 
 
 def _total(q):
@@ -136,9 +133,9 @@ def cost(firm, q, r, beta=1.0):
     Vectorized in q. The power term vanishes at q=0 for every b > 0.
     """
     q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
+    if not (q >= 0).all():
         raise ValueError("production quantity must be >= 0")
-    if beta <= 0:
+    if not beta > 0:
         raise ValueError("beta must be > 0")
     b = firm.b
     power = beta * (b / (b + 1.0)) * firm.k ** (-1.0 / b) * q ** ((b + 1.0) / b)
@@ -151,9 +148,9 @@ def cost(firm, q, r, beta=1.0):
 def price(instance, Q, s):
     """Demand price s^a/(Q+e)^a; vectorized in Q, strictly decreasing."""
     Q = np.asarray(Q, dtype=float)
-    if np.any(Q < 0):
+    if not (Q >= 0).all():
         raise ValueError("total quantity must be >= 0")
-    if s <= 0:
+    if not s > 0:
         raise ValueError("price scale s must be > 0")
     out = s ** instance.a / (Q + instance.e) ** instance.a
     if out.ndim == 0:
@@ -286,10 +283,9 @@ def welfare(instance, i, q, r, s, beta=None, alpha=0.0):
         raise ValueError("q must be a vector with one component per firm")
     if not 0 <= i < instance.m:
         raise IndexError("firm index out of range")
-    if beta is None:
-        beta_i = 1.0
-    else:
-        beta_i = float(np.asarray(beta, dtype=float)[i])
+    if not (q >= 0).all():
+        raise ValueError("quantities must be >= 0")
+    beta_i = 1.0 if beta is None else float(np.asarray(beta, dtype=float)[i])
     p = price(instance, float(_total(q)), s)
     return (p + alpha) * float(q[i]) - cost(instance.firms[i], float(q[i]), r, beta_i)
 
@@ -304,10 +300,12 @@ def jacobian_form_test(instance, q_point, h, s):
     h = np.asarray(h, dtype=float)
     if q.shape != h.shape or q.ndim != 1 or q.size != instance.m:
         raise ValueError("q_point and h must be vectors with one entry per firm")
-    if not np.any(h != 0.0):
-        raise ValueError("h must be nonzero")
-    if np.any(q < 0):
+    if not (np.isfinite(h).all() and np.any(h != 0.0)):
+        raise ValueError("h must be finite and nonzero")
+    if not (q >= 0).all():
         raise ValueError("quantities must be >= 0")
+    if not s > 0:
+        raise ValueError("price scale s must be > 0")
     a = instance.a
     sa = s ** a
     Qe = float(_total(q)) + instance.e

@@ -33,7 +33,7 @@ import numpy as np
 from .aggregate import RunningMoments, fold_moments, moment_report
 from .cournot import operator_eval
 from .distributions import Partition1D, make_partition
-from .vi import BoxSet, SolverConfig, VIProblem, solve_box_vi_batch
+from .vi import SolverConfig, solve_box_vi_batch
 
 CELL_CAP_DEFAULT = 100_000_000
 # above this many cells, per-cell arrays are not stored by default
@@ -111,106 +111,14 @@ def make_grid(instance, n_r=1, n_s=1, n_bounds=1, n_betas=1, n_alpha=1,
     )
 
 
-@dataclass(frozen=True)
-class CellIndex:
-    """Per-factor cell indices, ordered as FactorGrid.parts()."""
-
-    indices: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices",
-                           tuple(int(i) for i in self.indices))
-
-    @property
-    def r_index(self):
-        return self.indices[0]
-
-    @property
-    def s_index(self):
-        return self.indices[1]
-
-
-@dataclass(frozen=True)
-class CellProblem:
-    """One cell's frozen data: factor representatives, box, probability."""
-
-    r_rep: float
-    s_rep: float
-    beta_rep: np.ndarray
-    alpha_rep: float
-    box: BoxSet
-    weight: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta_rep",
-                           np.atleast_1d(np.asarray(self.beta_rep, dtype=float)))
-        if self.beta_rep.shape != (self.box.dim,):
-            raise ValueError("beta_rep length must match the box dimension")
-        if not 0.0 <= self.weight <= 1.0 + 1e-12:
-            raise ValueError("cell weight must lie in [0, 1]")
-
-
-def _cap_check(n, cell_cap):
-    if n > cell_cap:
-        raise ValueError(
-            f"grid has {n} cells, exceeding the cap of {cell_cap}; lower the "
-            f"per-factor resolution or raise cell_cap")
-
-
-def enumerate_cells(grid, cell_cap=CELL_CAP_DEFAULT):
-    """Yield (CellIndex, CellProblem) for every cell in lexicographic order.
-
-    Weights multiply the per-factor cell probabilities in factor order.
-    This is the reference enumeration; the sweep in solve_all produces
-    the same cells batched.
-    """
-    _cap_check(grid.n_cells, cell_cap)
-    m = grid.m
-    parts = [p for _, p in grid.parts()]
-    reps = [p.representatives for p in parts]
-    probs = [p.probabilities for p in parts]
-    lower = np.zeros(m)
-    for idx in np.ndindex(grid.shape):
-        weight = 1.0
-        for d, i in enumerate(idx):
-            weight = weight * float(probs[d][i])
-        upper = np.array([reps[2 + f][idx[2 + f]] for f in range(m)])
-        beta = np.array([reps[2 + m + f][idx[2 + m + f]] for f in range(m)])
-        yield CellIndex(idx), CellProblem(
-            r_rep=float(reps[0][idx[0]]),
-            s_rep=float(reps[1][idx[1]]),
-            beta_rep=beta,
-            alpha_rep=float(reps[-1][idx[-1]]),
-            box=BoxSet(lower, upper),
-            weight=weight,
-        )
-
-
-def build_cell_problem(instance, cell):
-    """The finite-dimensional VI of one cell.
-
-    The operator holds the cell's s and beta representatives with zero
-    additive shifts; r and alpha enter through the constant shift, so
-    cells differing only in (r, alpha) share the operator and their
-    shifts differ by exactly (r - r') - (alpha - alpha') per component.
-    """
-    if cell.box.dim != instance.m:
-        raise ValueError("cell dimension does not match the instance")
-
-    def base(q):
-        return operator_eval(instance, q, 0.0, cell.s_rep, cell.beta_rep, 0.0)
-
-    shift = np.full(instance.m, cell.alpha_rep - cell.r_rep)
-    return VIProblem(operator=base, constant_shift=shift, set=cell.box)
-
-
 @dataclass
 class StepSolution:
     """A solved grid: folded moments plus (optionally) per-cell arrays.
 
-    Per-cell arrays are indexed in the lexicographic cell order of
-    enumerate_cells; they are None for streamed runs that folded cells
-    into the moment accumulators without storing them.
+    Per-cell arrays are indexed in lexicographic cell order over
+    FactorGrid.parts() (np.unravel_index(c, grid.shape) is cell c's
+    index tuple); they are None for streamed runs that folded cells into
+    the moment accumulators without storing them.
     """
 
     grid: FactorGrid
@@ -269,7 +177,10 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         raise ValueError("grid and instance have different firm counts")
     config = solver_config or SolverConfig()
     n = grid.n_cells
-    _cap_check(n, cell_cap)
+    if n > cell_cap:
+        raise ValueError(
+            f"grid has {n} cells, exceeding the cap of {cell_cap}; lower the "
+            f"per-factor resolution or raise cell_cap")
     if keep_cells is None:
         keep_cells = n <= STORE_CELL_LIMIT
     m = instance.m
@@ -370,7 +281,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
 def write_cells_csv(solution, path):
     """Dump per-cell indices, representatives, weight, solution, residual.
 
-    Requires a run that stored its cells (small grids or keep_cells=True).
+    One row per cell, in the lexicographic order of StepSolution's
+    arrays. Requires a run that stored its cells (small grids or
+    keep_cells=True).
     """
     if not solution.stored:
         raise ValueError(

@@ -44,6 +44,8 @@ class RandomFactor:
         names = FACTOR_PARAMS[self.kind]
         if len(params) != len(names):
             raise ValueError(f"{self.kind} factor takes ({', '.join(names)})")
+        if not np.isfinite(params).all():
+            raise ValueError(f"{self.kind} factor parameters must be finite")
         if self.kind == "truncated_normal" and not params[1] > 0:
             raise ValueError("truncated_normal requires sigma > 0")
         if self.kind != "constant" and not params[-2] < params[-1]:
@@ -188,7 +190,11 @@ def ppf(factor, u):
 
 @dataclass(frozen=True)
 class Partition1D:
-    """Uniform cells over a factor support with representatives and weights."""
+    """Uniform cells over a factor support with representatives and weights.
+
+    The checks use the ``not (...)`` form so that NaN breakpoints,
+    representatives or probabilities are refused.
+    """
 
     breakpoints: np.ndarray
     representatives: np.ndarray
@@ -200,16 +206,18 @@ class Partition1D:
         pr = np.asarray(self.probabilities, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("breakpoints must be a 1-d array of length >= 2")
+        if not np.isfinite(bp).all():
+            raise ValueError("breakpoints must be finite")
         degenerate = bp.size == 2 and bp[0] == bp[1]
-        if not degenerate and np.any(np.diff(bp) <= 0):
+        if not (degenerate or (np.diff(bp) > 0).all()):
             raise ValueError("breakpoints must be strictly increasing")
         if rep.shape != (bp.size - 1,) or pr.shape != rep.shape:
             raise ValueError("need one representative and one probability per cell")
-        if np.any(pr < 0):
+        if not (pr >= 0).all():
             raise ValueError("probabilities must be nonnegative")
-        if abs(pr.sum() - 1.0) > 1e-12:
+        if not abs(pr.sum() - 1.0) <= 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")
-        if not degenerate and (np.any(rep < bp[:-1]) or np.any(rep > bp[1:])):
+        if not ((rep >= bp[:-1]).all() and (rep <= bp[1:]).all()):
             raise ValueError("each representative must lie within its cell")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "representatives", rep)

@@ -7,7 +7,10 @@ The problem solved here: find x* in K = [lower, upper] such that
 The solver is the extragradient method (two projected operator
 evaluations per iteration) with backtracking step adaptation, which
 converges for continuous monotone operators without a known Lipschitz
-constant. Termination uses the natural residual
+constant (Facchinei & Pang 2003, ch. 12). solve_box_vi_batch is the one
+implementation: it iterates many independent VIs as rows of a batch,
+and solve_vi is its one-row call for a single VIProblem. Termination
+uses the natural residual
 
     ||x - P_K(x - gamma * (F(x) - shift))||_2
 
@@ -20,8 +23,8 @@ extragradient step for rows where it does not cut the residual enough.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,10 +63,6 @@ class BoxSet:
     def midpoint(self):
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, point, tol=0.0):
-        x = np.asarray(point, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
 
 @dataclass(frozen=True)
 class VIProblem:
@@ -93,15 +92,16 @@ class SolverConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        # the ``not (x > 0)`` form refuses NaN as well
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.initial_step <= 0:
+        if not self.initial_step > 0:
             raise ValueError("initial_step must be > 0")
         if not 0 < self.step_shrink < 1:
             raise ValueError("step_shrink must lie in (0, 1)")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be > 0")
 
 
@@ -139,7 +139,7 @@ def project(point, box):
 
 def _norm_rows(d):
     # sqrt of the last-axis sum of squares; one expression shared by the
-    # scalar and batch code paths so their residuals agree bitwise
+    # solver and natural_residual so their residuals agree bitwise
     return np.sqrt((d ** 2).sum(axis=-1))
 
 
@@ -153,7 +153,7 @@ def natural_residual(problem, point, gamma):
 
 
 def solve_vi(problem, config=None, warm_start=None):
-    """Solve a box VI by the extragradient method with step backtracking.
+    """Solve one box VI: a one-row call of solve_box_vi_batch.
 
     Args:
         problem: VIProblem with a continuous monotone operator.
@@ -166,43 +166,23 @@ def solve_vi(problem, config=None, warm_start=None):
         natural_residual(problem, solution, config.gamma) <= config.tolerance.
 
     Raises:
+        FloatingPointError: if the operator returns NaN/Inf.
         NonConvergenceError: if max_iterations is exhausted; the error
             carries the last iterate and its report.
     """
     config = config or SolverConfig()
     box = problem.set
-    if warm_start is None:
-        x = box.midpoint()
-    else:
-        x = project(warm_start, box)
-    step = config.initial_step
-    backtracks = 0
-
-    for it in range(config.max_iterations + 1):
-        fx = problem.eval_shifted(x)
-        if not np.all(np.isfinite(fx)):
-            raise FloatingPointError("operator returned NaN/Inf during solve")
-        res = float(_norm_rows(x - np.clip(x - config.gamma * fx, box.lower, box.upper)))
-        if res <= config.tolerance:
-            return x, SolveReport(iterations=it, residual=res, converged=True,
-                                  backtracks=backtracks)
-        if it == config.max_iterations:
-            break
-        # trial point, shrinking the step until the contraction test holds
-        while True:
-            y = np.clip(x - step * fx, box.lower, box.upper)
-            fy = problem.eval_shifted(y)
-            df = float(_norm_rows(fx - fy))
-            dx = float(_norm_rows(x - y))
-            if step * df <= _BACKTRACK_RATIO * dx or dx == 0.0:
-                break
-            step *= config.step_shrink
-            backtracks += 1
-        x = np.clip(x - step * fy, box.lower, box.upper)
-
-    report = SolveReport(iterations=config.max_iterations, residual=res,
-                         converged=False, backtracks=backtracks)
-    raise NonConvergenceError(x, report)
+    seed = box.midpoint() if warm_start is None else project(warm_start, box)
+    out = solve_box_vi_batch(lambda x, rows: problem.eval_shifted(x[0])[None],
+                             box.lower, box.upper, config, seed[None])
+    x = out["solutions"][0]
+    report = SolveReport(*(out[key][0].item() for key in (
+        "iterations", "residuals", "converged", "backtracks")))
+    if np.isnan(report.residual):
+        raise FloatingPointError("operator returned NaN/Inf during solve")
+    if not report.converged:
+        raise NonConvergenceError(x, report)
+    return x, report
 
 
 def _solve_stack(V, rhs):
@@ -269,8 +249,10 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
     indices. Rows are iterated with per-row steps and are frozen the
     moment their natural residual passes tolerance, so a row's result
     never depends on which other rows share the batch. A row whose
-    residual is non-finite (the operator returned NaN) is frozen at once
-    as well, unconverged and with an all-NaN solution.
+    operator value is non-finite, at its iterate or at its extragradient
+    trial point, is frozen in that iteration as well: unconverged, with
+    an all-NaN solution and a NaN residual. The operator is never called
+    at a non-finite point the solver made.
 
     Without ``jacobian_batch`` every step is an extragradient step with
     backtracking. With it, every row first tries a semismooth Newton
@@ -309,13 +291,14 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
     fx = None
 
     for it in range(config.max_iterations + 1):
-        xa = x[active]
-        la = lo[active]
-        ua = up[active]
+        xa, la, ua = x[active], lo[active], up[active]
         if fx is None:
             fx = operator_batch(xa, active)
         ref = np.clip(xa - config.gamma * fx, la, ua)
         res = _norm_rows(xa - ref)
+        if not np.isfinite(fx).all():
+            # the clip hides an infinite F; such rows get a NaN residual
+            res[~np.isfinite(fx).all(axis=1)] = np.nan
         done = res <= config.tolerance
         lost = ~np.isfinite(res)
         leave = done | lost
@@ -352,7 +335,9 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
             fy = operator_batch(y, rows)
             df = _norm_rows(fx - fy)
             dx = _norm_rows(xa - y)
-            bad = (st * df > _BACKTRACK_RATIO * dx) & (dx > 0.0)
+            # a row whose F(y) is not finite never shrinks its step
+            bad = ((st * df > _BACKTRACK_RATIO * dx) & (dx > 0.0)
+                   & np.isfinite(df))
             if not bad.any():
                 break
             st = np.where(bad, st * config.step_shrink, st)
@@ -360,6 +345,14 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
         step[rows] = st
         x[rows] = np.clip(xa - st[:, None] * fy, la, ua)
         fx = None
+        if not np.isfinite(fy).all():
+            # never step to, or evaluate the operator at, a non-finite point
+            idx = rows[~np.isfinite(fy).all(axis=1)]
+            x[idx] = residuals[idx] = np.nan
+            iterations[idx] = it
+            active = active[~np.isin(active, idx)]
+            if active.size == 0:
+                return out
 
     return out
 
@@ -395,10 +388,8 @@ def check_monotone(operator, set, num_pairs, seed):
             skipped += 1
             continue
         ratio = float((np.asarray(operator(q)) - np.asarray(operator(qp))) @ d) / nd2
-        if ratio < min_ratio:
-            min_ratio = ratio
+        min_ratio = min(min_ratio, ratio)
     if skipped == num_pairs:
-        return MonotoneReport(min_ratio=np.nan, passed=False,
-                              num_pairs=num_pairs, skipped_pairs=skipped)
+        min_ratio = np.nan
     return MonotoneReport(min_ratio=min_ratio, passed=min_ratio > 0.0,
                           num_pairs=num_pairs, skipped_pairs=skipped)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately primitive: bisection, adaptive and
 Gauss-Legendre quadrature, central differences, brute-force active-set
-enumeration, and best-response iteration written with the math module.
+enumeration, a one-problem extragradient loop, and best-response
+iteration written with the math module.
 None of it imports the package under test, so agreement between the two
 is meaningful evidence.
 
@@ -115,6 +116,50 @@ def active_set_box_vi(M, d, lo, hi, slack=1e-9):
             continue
         return np.clip(x, lo, hi)
     raise RuntimeError("no active-set pattern satisfied the KKT conditions")
+
+
+# ---------------------------------------------------------------------------
+# box VI by the extragradient method, one problem at a time
+
+def _distance(u, v):
+    d = u - v
+    return float(np.sqrt((d ** 2).sum()))
+
+
+def extragradient_box_vi(F, lo, hi, start, tolerance, max_iterations,
+                         initial_step=1.0, step_shrink=0.5, gamma=1.0):
+    """Solve VI(F, [lo, hi]) by Korpelevich's extragradient method.
+
+    F maps an (m,) point to its (m,) value. Each iteration shrinks the
+    step by step_shrink until step * ||F(x) - F(y)|| <= 0.9 * ||x - y||
+    at the trial point y = clip(x - step F(x)), then moves to
+    clip(x - step F(y)). It stops once the natural residual
+    ||x - clip(x - gamma F(x))|| is at most tolerance, or after
+    max_iterations steps.
+
+    Returns:
+        (x, residual, iterations, backtracks); the residual exceeds the
+        tolerance only when the iterations ran out.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    x = np.clip(np.asarray(start, dtype=float), lo, hi)
+    step = initial_step
+    backtracks = 0
+    for it in range(max_iterations + 1):
+        fx = F(x)
+        res = _distance(x, np.clip(x - gamma * fx, lo, hi))
+        if res <= tolerance or it == max_iterations:
+            return x, res, it, backtracks
+        while True:
+            y = np.clip(x - step * fx, lo, hi)
+            fy = F(y)
+            dx = _distance(x, y)
+            if dx == 0.0 or step * _distance(fx, fy) <= 0.9 * dx:
+                break
+            step *= step_shrink
+            backtracks += 1
+        x = np.clip(x - step * fy, lo, hi)
 
 
 # ---------------------------------------------------------------------------

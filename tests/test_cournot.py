@@ -19,6 +19,14 @@ def test_firm_params_validation():
         FirmParams(c=1.0, k=0.0, b=1.0, q_bar=ok)
     with pytest.raises(ValueError):
         FirmParams(c=1.0, k=5.0, b=-0.5, q_bar=ok)
+    # NaN fails every check, not just the ones it compares false against
+    nan = float("nan")
+    with pytest.raises(ValueError, match="c must be"):
+        FirmParams(c=nan, k=5.0, b=1.0, q_bar=ok)
+    with pytest.raises(ValueError, match="k must be"):
+        FirmParams(c=1.0, k=nan, b=1.0, q_bar=ok)
+    with pytest.raises(ValueError, match="b must be"):
+        FirmParams(c=1.0, k=5.0, b=nan, q_bar=ok)
 
 
 def test_instance_validation():
@@ -38,6 +46,9 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         CournotInstance(firms=firms, a=0.5, e=1e-4, r_factor=r, s_factor=s,
                         beta_factors=(RandomFactor.constant(1.0),) * 2)
+    with pytest.raises(ValueError, match="e must be"):
+        CournotInstance(firms=firms, a=0.5, e=float("nan"), r_factor=r,
+                        s_factor=s)
 
 
 def test_price_and_cost_match_reference_formulas():
@@ -273,6 +284,19 @@ def test_welfare_matches_reference_and_validates():
         assert got == pytest.approx(want, rel=1e-12)
     with pytest.raises(IndexError):
         welfare(inst, 5, q, 0.0, 5000.0)
+    # NaN inputs raise instead of returning NaN
+    nan = float("nan")
+    for i in (0, 1):
+        with pytest.raises(ValueError, match="quantities"):
+            welfare(inst, i, [nan, 10.0, 10.0, 10.0, 10.0], 0.0, 5000.0)
+    with pytest.raises(ValueError, match="quantity"):
+        cost(inst.firms[0], nan, 0.0)
+    with pytest.raises(ValueError, match="beta"):
+        cost(inst.firms[0], 1.0, 0.0, beta=nan)
+    with pytest.raises(ValueError, match="total quantity"):
+        price(inst, nan, 5000.0)
+    with pytest.raises(ValueError, match="price scale"):
+        price(inst, 10.0, nan)
 
 
 def test_operator_is_minus_welfare_gradient():
@@ -305,6 +329,14 @@ def test_quadratic_form_matches_fd_jacobian_of_price_part():
         got = jacobian_form_test(inst, q, h, s)
         assert got == pytest.approx(want, rel=1e-5)
         assert got > 0.0
+    nan = float("nan")
+    q = np.array([nan, 1.0, 1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="quantities"):
+        jacobian_form_test(inst, q, np.ones(5), 5000.0)
+    with pytest.raises(ValueError, match="h must be"):
+        jacobian_form_test(inst, np.ones(5), q, 5000.0)
+    with pytest.raises(ValueError, match="price scale"):
+        jacobian_form_test(inst, np.ones(5), np.ones(5), nan)
 
 
 def test_operator_is_strictly_monotone_on_the_box():

@@ -1,18 +1,46 @@
 import csv
 import math
+from collections import namedtuple
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from nashgrid import (BoxSet, CournotInstance, FirmParams, FlaggedCellsError,
-                      RandomFactor, SolverConfig, VIProblem, build_cell_problem,
-                      cell_conditional_mean, discretize, enumerate_cells,
-                      expectation, make_grid, make_partition, mean_truncation,
+                      RandomFactor, SolverConfig, VIProblem,
+                      cell_conditional_mean, discretize, expectation,
+                      make_grid, make_partition, mean_truncation,
                       natural_residual, operator_eval, solve_all, solve_vi,
                       write_cells_csv)
 
 import _oracles as o
 from conftest import five_firm_instance, randomized_instance
+
+Cell = namedtuple("Cell", "idx r s upper beta alpha weight")
+
+
+def grid_cells(grid):
+    """Every cell of the grid in lexicographic order, read off grid.parts().
+
+    This is the tests' own enumeration, independent of the sweep: each
+    cell carries its index tuple, its representatives and its weight,
+    the per-factor probabilities multiplied in factor order.
+    """
+    parts = [p for _, p in grid.parts()]
+    m = grid.m
+    for idx in np.ndindex(grid.shape):
+        reps = [float(p.representatives[i]) for p, i in zip(parts, idx)]
+        weight = 1.0
+        for p, i in zip(parts, idx):
+            weight = weight * float(p.probabilities[i])
+        yield Cell(idx, reps[0], reps[1], np.array(reps[2:2 + m]),
+                   np.array(reps[2 + m:2 + 2 * m]), reps[-1], weight)
+
+
+def cell_operator(inst, cell):
+    """The cell's VI operator, F(q) with its factors frozen."""
+    return lambda q: operator_eval(inst, q, cell.r, cell.s, cell.beta,
+                                   cell.alpha)
 
 
 def test_grid_factor_order_and_cell_count():
@@ -38,14 +66,26 @@ def test_constant_factors_collapse_to_one_cell():
 
 
 def test_enumeration_is_lexicographic_with_product_weights():
+    # the sweep stores cell c at lexicographic position c: every stored
+    # solution solves the cell at that position, and r and s move the
+    # solution far more than the tolerance
     inst = five_firm_instance(r_factor=RandomFactor.uniform(0.0, 1.0),
                               s_factor=RandomFactor.uniform(4950.0, 5050.0))
     g = make_grid(inst, n_r=2, n_s=3)
-    cells = list(enumerate_cells(g))
-    assert len(cells) == 6
-    order = [(idx.r_index, idx.s_index) for idx, _ in cells]
-    assert order == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    w = [cell.weight for _, cell in cells]
+    cfg = SolverConfig(tolerance=1e-10)
+    sol = solve_all(inst, g, cfg)
+    cells = list(grid_cells(g))
+    assert sol.n_cells == len(cells) == 6
+    assert [c.idx[:2] for c in cells] == [(0, 0), (0, 1), (0, 2), (1, 0),
+                                          (1, 1), (1, 2)]
+    lo = np.zeros(5)
+    for c, cell in enumerate(cells):
+        x, res, _, _ = o.extragradient_box_vi(
+            cell_operator(inst, cell), lo, cell.upper,
+            0.5 * (lo + cell.upper), **asdict(cfg))
+        assert res <= cfg.tolerance
+        np.testing.assert_allclose(sol.solutions[c], x, atol=1e-8)
+    w = sol.weights
     assert all(v == pytest.approx(1.0 / 6.0, abs=1e-13) for v in w)
     assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
 
@@ -53,12 +93,13 @@ def test_enumeration_is_lexicographic_with_product_weights():
 def test_enumeration_weights_match_factor_probabilities():
     inst = randomized_instance()
     g = make_grid(inst, n_r=4, n_s=5)
-    r_part = g.r
-    s_part = g.s
-    for idx, cell in enumerate_cells(g):
-        want = float(r_part.probabilities[idx.r_index]) \
-            * float(s_part.probabilities[idx.s_index])
-        assert cell.weight == pytest.approx(want, rel=1e-15)
+    sol = solve_all(inst, g, SolverConfig())
+    for c, cell in enumerate(grid_cells(g)):
+        want = float(g.r.probabilities[cell.idx[0]]) \
+            * float(g.s.probabilities[cell.idx[1]])
+        assert sol.weights[c] == pytest.approx(want, rel=1e-15)
+        # the sweep multiplies in factor order too
+        assert sol.weights[c] == cell.weight
 
 
 def test_cell_cap_enforced():
@@ -66,22 +107,7 @@ def test_cell_cap_enforced():
                               s_factor=RandomFactor.uniform(0.5, 1.5))
     g = make_grid(inst, n_r=4, n_s=4)
     with pytest.raises(ValueError):
-        list(enumerate_cells(g, cell_cap=10))
-    with pytest.raises(ValueError):
         solve_all(inst, g, SolverConfig(), cell_cap=10)
-
-
-def test_cell_problem_carries_shift_exactly():
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=3, n_s=2)
-    for idx, cell in enumerate_cells(g):
-        prob = build_cell_problem(inst, cell)
-        want = np.full(5, cell.alpha_rep - cell.r_rep)
-        assert prob.constant_shift.tolist() == want.tolist()
-        # the operator itself is evaluated with the shift at zero
-        x = np.full(5, 10.0)
-        direct = operator_eval(inst, x, 0.0, cell.s_rep, beta=cell.beta_rep)
-        np.testing.assert_array_equal(prob.operator(x), direct)
 
 
 def test_single_cell_grid_reproduces_direct_solve():
@@ -117,8 +143,10 @@ def test_every_cell_residual_rechecks_below_tolerance():
     g = make_grid(inst, n_r=6, n_s=40)
     sol = solve_all(inst, g, cfg)
     assert sol.flagged_cells == 0
-    for flat, (idx, cell) in enumerate(enumerate_cells(g)):
-        prob = build_cell_problem(inst, cell)
+    for flat, cell in enumerate(grid_cells(g)):
+        prob = VIProblem(operator=cell_operator(inst, cell),
+                         constant_shift=np.zeros(5),
+                         set=BoxSet(np.zeros(5), cell.upper))
         res = natural_residual(prob, sol.solutions[flat], cfg.gamma)
         assert res <= cfg.tolerance
         # the stored residual is the same number the recheck produces
@@ -146,30 +174,32 @@ def three_firm_instance():
 
 
 def reference_chain(inst, grid, cfg):
-    """solve_vi cell by cell along each r-block, seeded as the sweep seeds.
+    """Each r-block's cells solved one at a time, seeded as the sweep seeds.
 
-    The first inner cell starts at its box midpoint, the second at the
-    previous solution, every later one at the clipped secant
-    extrapolation of the two previous solutions.
+    The cells come from grid_cells and each is solved by the tests' own
+    extragradient loop, so the sweep is compared with code it shares
+    nothing with but the operator. The first inner cell starts at its
+    box midpoint, the second at the previous solution, every later one
+    at the clipped secant extrapolation of the two previous solutions.
     """
-    cells = [cell for _, cell in enumerate_cells(grid)]
+    cells = list(grid_cells(grid))
     inner = len(cells) // grid.r.n_cells
+    lo = np.zeros(grid.m)
     out = {"solutions": [], "residuals": [], "iterations": [], "weights": []}
     for start in range(0, len(cells), inner):
         x0 = x1 = None
         for ii, cell in enumerate(cells[start:start + inner]):
-            box = cell.box
             if ii == 0:
-                seed = box.midpoint()
+                seed = 0.5 * (lo + cell.upper)
             elif ii == 1:
                 seed = x1
             else:
-                seed = np.clip(2.0 * x1 - x0, box.lower, box.upper)
-            x, rep = solve_vi(build_cell_problem(inst, cell), cfg,
-                              warm_start=seed)
+                seed = np.clip(2.0 * x1 - x0, lo, cell.upper)
+            x, res, its, _ = o.extragradient_box_vi(
+                cell_operator(inst, cell), lo, cell.upper, seed, **asdict(cfg))
             out["solutions"].append(x)
-            out["residuals"].append(rep.residual)
-            out["iterations"].append(rep.iterations)
+            out["residuals"].append(res)
+            out["iterations"].append(its)
             out["weights"].append(cell.weight)
             x0, x1 = x1, x
     return {k: np.array(v) for k, v in out.items()}
@@ -266,12 +296,12 @@ def test_cells_csv_round_trip(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6
-    cells = list(enumerate_cells(g))
+    cells = list(grid_cells(g))
     for flat, row in enumerate(rows):
-        idx, cell = cells[flat]
-        assert int(row["idx_r"]) == idx.r_index
-        assert int(row["idx_s"]) == idx.s_index
-        assert float(row["rep_s"]) == cell.s_rep
+        cell = cells[flat]
+        assert int(row["idx_r"]) == cell.idx[0]
+        assert int(row["idx_s"]) == cell.idx[1]
+        assert float(row["rep_s"]) == cell.s
         assert float(row["weight"]) == cell.weight
         assert float(row["residual"]) == sol.residuals[flat]
         got = [float(row[f"u_{i + 1}"]) for i in range(5)]

@@ -26,6 +26,15 @@ def test_factor_constructors_validate():
         RandomFactor.truncated_normal(0.0, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         RandomFactor("weibull", (1.0,))
+    # non-finite parameters are refused, whatever their place
+    for bad in (RandomFactor.constant, lambda v: RandomFactor.uniform(0.0, v),
+                lambda v: RandomFactor.truncated_normal(v, 1.0, 0.0, 1.0),
+                lambda v: RandomFactor.truncated_normal(0.0, v, 0.0, 1.0)):
+        for v in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                bad(v)
+    with pytest.raises(ValueError, match="finite"):
+        RandomFactor.uniform(-math.inf, 0.0)
 
 
 def test_support_and_means():
@@ -156,3 +165,21 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition1D(np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.7]),
                     np.array([0.9, 0.9]))
+    # NaN anywhere is refused, not waved through by a NaN comparison
+    nan = math.nan
+    for pr in ([nan, nan], [nan, 1.0]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Partition1D(np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.7]),
+                        np.array(pr))
+    with pytest.raises(ValueError, match="sum to 1"):
+        Partition1D(np.array([0.0, 0.5, 1.0]), np.array([0.1, 0.7]),
+                    np.array([math.inf, 0.0]))
+    with pytest.raises(ValueError, match="within its cell"):
+        Partition1D(np.array([0.0, 0.5, 1.0]), np.array([nan, 0.7]),
+                    np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="within its cell"):
+        Partition1D(np.array([2.0, 2.0]), np.array([nan]), np.array([1.0]))
+    for bp in ([0.0, nan, 1.0], [nan, nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            Partition1D(np.array(bp), np.full(len(bp) - 1, 0.0),
+                        np.full(len(bp) - 1, 1.0 / (len(bp) - 1)))

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from nashgrid import (BoxSet, NonConvergenceError, SolverConfig, VIProblem,
                       check_monotone, natural_residual, project, solve_vi,
                       solve_box_vi_batch)
 
-from _oracles import active_set_box_vi
+from _oracles import active_set_box_vi, extragradient_box_vi
 
 
 def affine_problem(M, d, lo, hi, shift=None):
@@ -48,6 +50,9 @@ def test_solver_config_validation():
         SolverConfig(step_shrink=1.0)
     with pytest.raises(ValueError):
         SolverConfig(gamma=-1.0)
+    for key in ("tolerance", "initial_step", "step_shrink", "gamma"):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(**{key: float("nan")})
 
 
 def test_scalar_quadratic_solution_clipped():
@@ -103,8 +108,10 @@ def test_backtracking_handles_stiff_operator():
     M = np.diag([1.0, 50.0])
     prob = affine_problem(M, [-1.0, -25.0], [0.0, 0.0], [10.0, 10.0])
     cfg = SolverConfig(initial_step=1.0, max_iterations=5000)
-    x, report = solve_vi(prob, cfg)
-    assert report.converged
+    x, res, _, backtracks = extragradient_box_vi(
+        prob.eval_shifted, prob.set.lower, prob.set.upper,
+        prob.set.midpoint(), **asdict(cfg))
+    assert res <= cfg.tolerance
     assert np.abs(x - np.array([1.0, 0.5])).max() < 1e-7
     # the batch solver counts the same shrinks, per row; the second row
     # starts at its solution and never steps
@@ -112,8 +119,9 @@ def test_backtracking_handles_stiff_operator():
                              [0.0, 0.0], [10.0, 10.0], cfg,
                              seeds=[[5.0, 5.0], [1.0, 0.5]])
     assert out["converged"].all()
-    assert out["backtracks"].tolist() == [report.backtracks, 0]
-    assert report.backtracks > 0
+    np.testing.assert_allclose(out["solutions"][0], [1.0, 0.5], atol=1e-7)
+    assert out["backtracks"].tolist() == [backtracks, 0]
+    assert backtracks > 0
 
 
 def test_nonconvergence_raises_with_report():
@@ -140,6 +148,27 @@ def test_nan_from_operator_raises():
                      set=BoxSet(np.zeros(1), np.ones(1)))
     with pytest.raises(FloatingPointError):
         solve_vi(prob)
+    # an infinite value clips to a finite residual; it must raise too
+    prob = VIProblem(operator=lambda x: np.full(1, np.inf),
+                     constant_shift=np.zeros(1),
+                     set=BoxSet(np.zeros(1), np.ones(1)))
+    with pytest.raises(FloatingPointError):
+        solve_vi(prob, warm_start=[0.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_trial_value_raises(bad):
+    # F(x) = 10 (x - 0.2) on [0, 1] is non-finite below 0.5: from 0.9
+    # the first trial point is 0, where it is NaN or infinite
+    def op(x):
+        if not np.isfinite(x).all():
+            raise ValueError("operator called at a non-finite point")
+        return np.where(x < 0.5, bad, 10.0 * (x - 0.2))
+
+    prob = VIProblem(operator=op, constant_shift=np.zeros(1),
+                     set=BoxSet(np.zeros(1), np.ones(1)))
+    with pytest.raises(FloatingPointError):
+        solve_vi(prob, warm_start=[0.9])
 
 
 def test_batch_matches_sequential_scalar_solves():
@@ -160,7 +189,9 @@ def test_batch_matches_sequential_scalar_solves():
     assert out["converged"].all()
     for i in range(40):
         prob = affine_problem(M, shifts[i], lo, hi)
-        x, _ = solve_vi(prob, cfg)
+        x, res, _, _ = extragradient_box_vi(prob.eval_shifted, lo, hi,
+                                            np.full(m, 1.0), **asdict(cfg))
+        assert res <= cfg.tolerance
         assert np.abs(out["solutions"][i] - x).max() < 1e-7
         assert natural_residual(prob, out["solutions"][i], cfg.gamma) <= cfg.tolerance
 
@@ -200,6 +231,31 @@ def test_batch_freezes_non_finite_rows():
     np.testing.assert_allclose(out["solutions"][1], 0.3, atol=1e-8)
     assert calls[0] == 2 and set(calls[1:]) == {1}
     assert len(calls) < 2 * cfg.max_iterations
+
+
+def test_batch_freezes_rows_whose_trial_value_is_non_finite():
+    # row 0: F(x) = 10 (x - 0.2) on [0, 1], NaN below 0.5, so from 0.9
+    # the first trial point 0 has a NaN value; row 1 is the same F
+    # without the NaN. Like the market operator, op refuses non-finite
+    # points, so stepping row 0 to its NaN image would raise.
+    def op(x, rows):
+        if not np.isfinite(x).all():
+            raise ValueError("operator called at a non-finite point")
+        return np.where((rows[:, None] == 0) & (x < 0.5), np.nan,
+                        10.0 * (x - 0.2))
+
+    cfg = SolverConfig()
+    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((2, 1), 0.9))
+    assert bool(out["converged"][0]) is False
+    assert out["iterations"][0] == 0
+    assert np.isnan(out["residuals"][0])
+    assert np.isnan(out["solutions"][0]).all()
+    # the finite row keeps the bits it has alone
+    alone = solve_box_vi_batch(lambda x, rows: 10.0 * (x - 0.2), 0.0, 1.0,
+                               cfg, seeds=np.full((1, 1), 0.9))
+    assert bool(out["converged"][1]) is True
+    for key in ("solutions", "residuals", "iterations", "backtracks"):
+        assert out[key][1].tobytes() == alone[key][0].tobytes(), key
 
 
 def test_newton_rows_do_not_depend_on_their_neighbours():
