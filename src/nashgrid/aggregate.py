@@ -18,12 +18,15 @@ def neumaier_add(total, comp, term):
     """One compensated-summation step, elementwise on arrays.
 
     Returns the updated (total, comp); total + comp carries the running
-    sum to roughly double the working precision.
+    sum to roughly double the working precision. comp gains the exact
+    rounding error of total + term, computed branch-free (Knuth's
+    TwoSum); for finite values that is bit for bit Neumaier's
+    (total - t) + term or (term - t) + total, whichever of total and
+    term is larger in magnitude.
     """
     t = total + term
-    swap = np.abs(total) >= np.abs(term)
-    comp = comp + np.where(swap, (total - t) + term, (term - t) + total)
-    return t, comp
+    z = t - total
+    return t, comp + ((total - (t - z)) + (term - z))
 
 
 class RunningMoments:
@@ -32,43 +35,40 @@ class RunningMoments:
     ``lead`` adds leading axes so one object can hold many independent
     accumulators updated in lockstep (one per block of a sweep); the
     elementwise updates keep each accumulator's history independent of
-    how many neighbors share the object.
+    how many neighbors share the object. Each accumulator keeps one
+    compensated sum (``total`` + ``comp``) of the vector
+    [w, w*x_1..w*x_dim, w*x_1^2..w*x_dim^2].
     """
 
     def __init__(self, dim, lead=()):
         lead = tuple(lead)
         self.dim = int(dim)
         self.lead = lead
-        self.w_s = np.zeros(lead)
-        self.w_c = np.zeros(lead)
-        self.mean_s = np.zeros(lead + (dim,))
-        self.mean_c = np.zeros(lead + (dim,))
-        self.m2_s = np.zeros(lead + (dim,))
-        self.m2_c = np.zeros(lead + (dim,))
+        self.total = np.zeros(lead + (1 + 2 * self.dim,))
+        self.comp = np.zeros(lead + (1 + 2 * self.dim,))
 
     def add(self, weight, values):
-        """Fold one weighted observation per accumulator.
+        """Fold one or k weighted observations per accumulator, in order.
 
-        weight: array of shape ``lead``; values: shape ``lead + (dim,)``.
+        weight: shape ``lead`` or ``(k,) + lead``; values: the weight's
+        shape + ``(dim,)``. k stacked observations are k single adds, one
+        compensated step per observation. A zero weight with finite
+        values is a no-op, so an accumulator can sit out some of the k
+        slots.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
-        self.w_s, self.w_c = neumaier_add(self.w_s, self.w_c, w)
-        wx = w[..., None] * x
-        self.mean_s, self.mean_c = neumaier_add(self.mean_s, self.mean_c, wx)
-        self.m2_s, self.m2_c = neumaier_add(self.m2_s, self.m2_c, wx * x)
+        if w.ndim == len(self.lead):
+            w, x = w[None], x[None]
+        for wj, xj in zip(w, x):
+            wx = wj[..., None] * xj
+            term = np.concatenate([wj[..., None], wx, wx * xj], axis=-1)
+            self.total, self.comp = neumaier_add(self.total, self.comp, term)
 
     def rows(self):
-        """Yield per-accumulator compensated partials in leading order."""
-        n_rows = int(np.prod(self.lead)) if self.lead else 1
-        w_s = self.w_s.reshape(n_rows)
-        w_c = self.w_c.reshape(n_rows)
-        mean_s = self.mean_s.reshape(n_rows, self.dim)
-        mean_c = self.mean_c.reshape(n_rows, self.dim)
-        m2_s = self.m2_s.reshape(n_rows, self.dim)
-        m2_c = self.m2_c.reshape(n_rows, self.dim)
-        for i in range(n_rows):
-            yield (w_s[i], w_c[i], mean_s[i], mean_c[i], m2_s[i], m2_c[i])
+        """Yield per-accumulator (total, comp) vectors in leading order."""
+        flat = (-1, 1 + 2 * self.dim)
+        yield from zip(self.total.reshape(flat), self.comp.reshape(flat))
 
 
 def fold_moments(parts, dim):
@@ -81,11 +81,9 @@ def fold_moments(parts, dim):
     for part in parts:
         if part.dim != dim:
             raise ValueError("accumulator dimensions do not match")
-        for w_s, w_c, mean_s, mean_c, m2_s, m2_c in part.rows():
-            out.w_s, out.w_c = neumaier_add(out.w_s, out.w_c, w_s + w_c)
-            out.mean_s, out.mean_c = neumaier_add(out.mean_s, out.mean_c,
-                                                  mean_s + mean_c)
-            out.m2_s, out.m2_c = neumaier_add(out.m2_s, out.m2_c, m2_s + m2_c)
+        for total, comp in part.rows():
+            out.total, out.comp = neumaier_add(out.total, out.comp,
+                                               total + comp)
     return out
 
 
@@ -110,13 +108,14 @@ def moment_report(acc, flagged_cells=0):
     """Finalize a lead-free RunningMoments into a MomentReport."""
     if acc.lead:
         raise ValueError("fold accumulator rows before reporting")
-    mean = acc.mean_s + acc.mean_c
-    m2 = acc.m2_s + acc.m2_c
+    sums = acc.total + acc.comp
+    mean = sums[1:1 + acc.dim]
+    m2 = sums[1 + acc.dim:]
     return MomentReport(
         mean=mean,
         second_moment=m2,
         variance=np.maximum(m2 - mean ** 2, 0.0),
-        total_weight=float(acc.w_s + acc.w_c),
+        total_weight=float(sums[0]),
         flagged_cells=int(flagged_cells),
     )
 

@@ -192,7 +192,7 @@ def _checked(instance, q, s, beta):
     return q, beta
 
 
-def operator_eval(instance, q, r, s, beta=None, alpha=0.0):
+def operator_eval(instance, q, r, s, beta=None, alpha=0.0, *, s_pow=None):
     """Equilibrium operator F(q; r, s, beta, alpha), the negative welfare gradient.
 
     Args:
@@ -202,6 +202,10 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0):
         beta: per-firm cost multipliers > 0, shape (m,) or (B, m),
             default all ones.
         alpha: additive price shift, scalar or shape (B,).
+        s_pow: optional s**a, scalar or shape (B,), used in place of the
+            pow of s. A caller with a different s per row passes the
+            Python-float pow of each s here, so each row gets the bits
+            of a call with that s as a Python float.
 
     Returns:
         F with the shape of q. The random additive parts enter through
@@ -214,7 +218,7 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0):
     # pow, np.float64.__pow__ and the ndarray pow loop can round
     # transcendentals differently, and single-point evaluations must
     # agree bitwise with the batched sweep
-    sa = s ** a
+    sa = s ** a if s_pow is None else s_pow
     Qe = np.asarray(_total(q) + instance.e)
     dens = Qe ** a
     marginal = beta * instance._cost_scale * np.power(q, instance._inv_b)

@@ -7,17 +7,21 @@ finite-dimensional box VI per cell, and the weighted family of cell
 solutions is a step-function approximation of the random equilibrium.
 
 The sweep exploits two kinds of structure. First, only the additive
-cost shift depends on the outermost factor (r), so all cells that share
-the inner indices differ by a constant shift and can be solved together
-as one batched VI ("front"). Second, neighboring fronts have nearly
-identical solutions, so each front is seeded by extrapolating the two
-previous solutions, which cuts iteration counts to nearly one.
+cost shift depends on the outermost factor (r), so the cells of one
+r-cell form a chain over the inner cells, and all chains can be solved
+together as rows of one batched VI. Second, neighboring cells of a
+chain have nearly identical solutions, so each cell is seeded by
+extrapolating the chain's two previous solutions, and most seeds pass
+the tolerance as they are.
 
-The sweep solves every r-block in one front, in the calling thread.
-Rows of a front are frozen individually the moment they converge and
-all elementwise arithmetic is position-stable, so each cell lands
-exactly where a single-cell solve from the same seed would; per-block
-moment accumulators are merged in canonical block order.
+The sweep therefore runs in rounds: every chain seeds a window of its
+next cells as if each were accepted at its seed, one operator call
+screens all windows, and each chain's first miss goes into one batched
+solve. Rows of a batch are frozen individually the moment they
+converge and all elementwise arithmetic is position-stable, so each
+cell lands exactly where a single-cell solve from the same seed would,
+whatever the window length; per-block moment accumulators fold each
+chain in order and are merged in canonical block order.
 """
 from __future__ import annotations
 
@@ -33,11 +37,16 @@ import numpy as np
 from .aggregate import RunningMoments, fold_moments, moment_report
 from .cournot import operator_eval
 from .distributions import Partition1D, make_partition
-from .vi import SolverConfig, solve_box_vi_batch
+from .vi import SolverConfig, residual_rows, solve_box_vi_batch
 
 CELL_CAP_DEFAULT = 100_000_000
 # above this many cells, per-cell arrays are not stored by default
 STORE_CELL_LIMIT = 2_000_000
+# the longest window of cells a sweep round screens per r-block, and the
+# most cells a round screens in all: a (cells, m) float array under
+# 128 KiB stays on the allocator's heap instead of fresh mapped pages
+_WINDOW_CAP = 32
+_WINDOW_CELLS = 3200
 
 DEFAULT_RULES = {
     "r": "lower_endpoint",
@@ -153,12 +162,24 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
               cell_cap=CELL_CAP_DEFAULT, max_flagged_fraction=0.0):
     """Solve every cell problem of the grid.
 
-    Cells are organized into one block per r-cell; each front (one cell
-    per block at equal inner position) is solved as one batched VI over
-    all blocks, with extrapolated warm starts along the inner sweep.
-    The sweep runs in the calling thread. Once a front has frozen a
-    non-finite row, any row whose extrapolated seed is non-finite starts
-    from its box midpoint instead.
+    Cells are organized into one chain per r-cell (an r-block) over the
+    inner cells in lexicographic order. Each cell is seeded from its
+    chain's two previous solutions: the first at its box midpoint, the
+    second at the first solution, every later one at the clipped secant
+    extrapolation 2*x1 - x0; once a cell has frozen a non-finite row, a
+    non-finite seed becomes the box midpoint.
+
+    The sweep runs in rounds, in the calling thread. In each round every
+    unfinished r-block seeds its next k cells as if each were solved at
+    its seed, and one operator call screens all of them. A block keeps
+    its leading run of cells whose natural residual at the seed passes
+    tolerance (solved at their seed, after 0 iterations), sends its
+    first miss to one batched solve shared by all blocks, which takes
+    the screened operator values, and drops the rest of its window. k is
+    twice the previous round's median accepted run, between 1 and
+    _WINDOW_CAP, and at most _WINDOW_CELLS cells a round. At k = 1 a
+    round is one front of the old per-cell sweep: every block's cell
+    goes straight to the solver, whose iteration-0 test screens it.
 
     Args:
         instance: the market model.
@@ -192,14 +213,68 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
     inner_count = math.prod(inner_shape)
     n_blocks = grid.r.n_cells
     s_reps = grid.s.representatives
-    s_probs = grid.s.probabilities
-    bound_reps = [p.representatives for p in grid.bounds]
-    bound_probs = [p.probabilities for p in grid.bounds]
-    beta_reps = [p.representatives for p in grid.betas]
-    beta_probs = [p.probabilities for p in grid.betas]
-    alpha_reps = grid.alpha.representatives
-    alpha_probs = grid.alpha.probabilities
+    # the pow a scalar s gets in operator_eval, once per s-cell
+    s_pows = np.fromiter((float(s) ** instance.a for s in s_reps), float,
+                         count=s_reps.size)
     lower = np.zeros(m)
+    # inner factors with more than one cell, with their index strides;
+    # the others hold one value, of probability 1, in every cell
+    strides = np.cumprod((1,) + inner_shape[:0:-1])[::-1]
+    varying = [(d, int(strides[d])) for d, p in enumerate(inner_parts)
+               if p.n_cells > 1]
+    # bounds and betas where none of a firm's factors has several cells
+    fixed = [None if any(1 + g * m <= d <= (g + 1) * m for d, _ in varying)
+             else np.array([p.representatives[0]
+                            for p in inner_parts[1 + g * m:1 + (g + 1) * m]])
+             for g in (0, 1)]
+
+    def cell_factors(ii, blocks):
+        """Factors and weights of inner cells ii (1-d) of r-blocks blocks.
+
+        Returns operator_eval's factor arguments (r, s, beta, alpha,
+        s_pow), the upper bounds and the weights. A factor that differs
+        between the cells comes as one entry per cell, one they share as
+        a scalar (an (m,) vector for bounds and betas), the form the
+        operator and the solver broadcast.
+        """
+        idx = [0] * len(inner_parts)
+        # weights multiply in canonical factor order (r first); skipping
+        # a single-cell factor's probability of 1 is exact
+        w = r_probs[blocks]
+        for d, stride in varying:
+            p = inner_parts[d]
+            i = ii // stride if stride > 1 else ii
+            i = i % p.n_cells if d else i
+            shared = np.minimum.reduce(i) == np.maximum.reduce(i)
+            idx[d] = int(i[0]) if shared else i
+            w = w * p.probabilities[idx[d]]
+        reps = [p.representatives[i] for p, i in zip(inner_parts, idx)]
+        upper, beta = (
+            np.stack(np.broadcast_arrays(*reps[1 + g * m:1 + (g + 1) * m]),
+                     axis=-1) if fixed[g] is None else fixed[g]
+            for g in (0, 1))
+        return ((r_reps[blocks], reps[0], beta, reps[-1], s_pows[idx[0]]),
+                upper, w)
+
+    def take(factors, cells):
+        """The factors of the given cells; shared factors stay whole."""
+        # one cell's r, s, beta, alpha and s_pow have ranks 0, 0, 1, 0, 0
+        return [v[cells] if getattr(v, "ndim", 0) > rank else v
+                for v, rank in zip(factors, (0, 0, 1, 0, 0))]
+
+    def kernel(factors):
+        """The operator at rows of given cells, their factors frozen."""
+        r, s, beta, alpha, s_pow = factors
+        vs, va = (getattr(v, "ndim", 0) for v in (s, alpha))
+        vb = beta.ndim > 1
+
+        def op(q, rows):
+            # r differs between r-blocks; s_pow varies with s
+            return operator_eval(
+                instance, q, r[rows], s[rows] if vs else s,
+                beta[rows] if vb else beta, alpha[rows] if va else alpha,
+                s_pow=s_pow[rows] if vs else s_pow)
+        return op
 
     if keep_cells:
         solutions = np.empty((n, m))
@@ -207,7 +282,6 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         residuals = np.empty(n)
         iterations = np.empty(n, dtype=np.int64)
         converged = np.empty(n, dtype=bool)
-        block_ids = np.arange(n_blocks) * inner_count
     else:
         solutions = weights = residuals = iterations = converged = None
 
@@ -215,55 +289,133 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
     flagged = 0
     worst = 0.0
     lost = False
-    x1 = x0 = None
-    for ii in range(inner_count):
-        idx = np.unravel_index(ii, inner_shape)
-        k = idx[0]
-        s_rep = float(s_reps[k])
-        upper = np.array([bound_reps[f][idx[1 + f]] for f in range(m)])
-        beta = np.array([beta_reps[f][idx[1 + m + f]] for f in range(m)])
-        alpha = float(alpha_reps[idx[-1]])
-        # cell weights, multiplied in canonical factor order (r first)
-        w = r_probs * float(s_probs[k])
-        for f in range(m):
-            w = w * float(bound_probs[f][idx[1 + f]])
-        for f in range(m):
-            w = w * float(beta_probs[f][idx[1 + m + f]])
-        w = w * float(alpha_probs[idx[-1]])
+    # the unfinished r-blocks, each with its next inner cell and its last
+    # two solutions
+    blocks = np.arange(n_blocks)
+    pos = np.zeros(n_blocks, dtype=np.int64)
+    x0 = np.zeros((n_blocks, m))
+    x1 = np.zeros((n_blocks, m))
+    offsets = np.arange(_WINDOW_CAP)[:, None]
+    grow = 1
+    # every block advances at least one cell a round, so after two rounds
+    # no block is at its first two cells
+    rounds = 0
+    while blocks.size:
+        na = blocks.size
+        k = max(1, min(grow, _WINDOW_CAP, _WINDOW_CELLS // na))
+        # the window's cells, j-major: cell (j, b) is entry j*na + b
+        ii = pos + offsets[:k]
+        if k > 1:
+            valid = ii < inner_count
+            ii = np.minimum(ii, inner_count - 1)
+        ii = ii.ravel()
+        cell_blocks = np.tile(blocks, k) if k > 1 else blocks
+        factors, upper, w = cell_factors(ii, cell_blocks)
 
-        if ii == 0:
-            seeds = np.broadcast_to(0.5 * (lower + upper), (n_blocks, m))
-        elif ii == 1:
-            seeds = x1
+        # chain[2 + j] is window cell j's seed, made as if every earlier
+        # cell were accepted at its seed, and clipped as the solver would
+        # clip it: the cell's solution if it is accepted
+        chain = np.empty((k + 2, na, m))
+        chain[0], chain[1] = x0, x1
+        X = chain[2:]
+        upper_w = upper.reshape(k, na, m) if upper.ndim > 1 else [upper] * k
+        for j in range(k):
+            a0, a1, seed = chain[j], chain[j + 1], X[j]
+            np.subtract(np.multiply(2.0, a1), a0, out=seed)
+            if rounds + j < 2:
+                np.copyto(seed, a1, where=(pos + j == 1)[:, None])
+            np.clip(seed, lower, upper_w[j], out=seed)
+            if rounds + j == 0:
+                np.copyto(seed, 0.5 * (lower + upper_w[j]),
+                          where=(pos == 0)[:, None])
+            if lost:
+                # a frozen non-finite row must not seed the operator with NaN
+                np.copyto(seed, 0.5 * (lower + upper_w[j]),
+                          where=~np.isfinite(seed).all(axis=1, keepdims=True))
+
+        x = X.reshape(k * na, m)
+        if k > 1:
+            # screen the window: one operator call for all its cells
+            F = kernel(factors)(x, slice(None))
+            res = residual_rows(x, F, lower, upper, config.gamma)
+            ok = (res <= config.tolerance).reshape(k, na) & valid
+            run = np.where(ok.all(axis=0), k, ok.argmin(axis=0))
+            # a row's first miss, unless its window ran past its chain
+            hit = valid[np.minimum(run, k - 1), np.arange(na)] & (run < k)
+            missed = np.flatnonzero(hit)
+            cells = run[missed] * na + missed
+            batch = (take(factors, cells),
+                     upper[cells] if upper.ndim > 1 else upper, x[cells],
+                     F[cells]) if missed.size else None
         else:
-            seeds = np.clip(2.0 * x1 - x0, lower, upper)
-        if lost:
-            # a frozen non-finite row must not seed the operator with NaN
-            finite = np.isfinite(seeds).all(axis=1, keepdims=True)
-            seeds = np.where(finite, seeds, 0.5 * (lower + upper))
-
-        def op(x, rows, _s=s_rep, _b=beta, _a=alpha):
-            return operator_eval(instance, x, r_reps[rows], _s, _b, _a)
-
-        out = solve_box_vi_batch(op, lower, upper, config, seeds)
-        sols = out["solutions"]
-        conv = out["converged"]
-        if not conv.all():
-            bad = out["residuals"][~conv]
-            flagged += bad.size
-            lost = lost or not np.isfinite(bad).all()
-            # a non-finite residual must not vanish from the report
-            worst = max(worst, float(
-                np.where(np.isfinite(bad), bad, np.inf).max()))
-        acc.add(w, sols)
+            # a one-cell window: the solver's iteration-0 test screens it
+            res = np.empty(na) if keep_cells else None
+            run = np.zeros(na, dtype=np.int64)
+            hit = True
+            cells = slice(None)
+            batch = factors, upper, x, None
         if keep_cells:
-            ids = block_ids + ii
-            solutions[ids] = sols
-            weights[ids] = w
-            residuals[ids] = out["residuals"]
-            iterations[ids] = out["iterations"]
-            converged[ids] = conv
-        x0, x1 = x1, sols
+            its = np.zeros(k * na, dtype=np.int64)
+            conv = np.ones(k * na, dtype=bool)
+        if batch is not None:
+            b_factors, b_upper, b_seeds, b_values = batch
+            out = solve_box_vi_batch(kernel(b_factors), lower, b_upper,
+                                     config, b_seeds, values=b_values)
+            x[cells] = out["solutions"]
+            if keep_cells:
+                res[cells] = out["residuals"]
+                its[cells] = out["iterations"]
+                conv[cells] = out["converged"]
+            if not out["converged"].all():
+                bad = out["residuals"][~out["converged"]]
+                flagged += bad.size
+                lost = lost or not np.isfinite(bad).all()
+                # a non-finite residual must not vanish from the report
+                worst = max(worst, float(
+                    np.where(np.isfinite(bad), bad, np.inf).max()))
+
+        took = run + hit
+        if k == 1:
+            run = (out["iterations"] == 0) & out["converged"]
+        # fold the used cells; every other slot holds a finite seed and
+        # gets weight zero, which makes its terms no-ops
+        full = k == 1 or took.min() == k
+        if full:
+            kk, wf, sel = k, w.reshape(k, na), slice(None)
+        else:
+            used = offsets[:k] < took
+            kk = int(took.max())
+            wf = np.where(used, w.reshape(k, na), 0.0)[:kk]
+            sel = used.ravel()
+        xf = X[:kk]
+        if na < n_blocks:
+            # finished blocks sit out with zero terms
+            wf_all = np.zeros((kk, n_blocks))
+            xf_all = np.zeros((kk, n_blocks, m))
+            wf_all[:, blocks], xf_all[:, blocks] = wf, xf
+            wf, xf = wf_all, xf_all
+        acc.add(wf, xf)
+        if keep_cells:
+            ids = (cell_blocks * inner_count + ii)[sel]
+            solutions[ids] = x[sel]
+            weights[ids] = w[sel]
+            residuals[ids] = res[sel]
+            iterations[ids] = its[sel]
+            converged[ids] = conv[sel]
+
+        if full:
+            x0, x1 = chain[k], chain[k + 1]
+        else:
+            cols = np.arange(na)
+            x0, x1 = chain[took, cols], chain[took + 1, cols]
+        pos = pos + took
+        if np.maximum.reduce(pos) >= inner_count:
+            going = pos < inner_count
+            blocks, pos, x0, x1 = (v[going] for v in (blocks, pos, x0, x1))
+        # twice the (upper) median accepted run
+        run.sort()
+        grow = 2 * int(run[na // 2])
+        rounds += 1
 
     report = moment_report(fold_moments([acc], m), flagged_cells=flagged)
     if flagged > max_flagged_fraction * n:

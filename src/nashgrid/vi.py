@@ -143,6 +143,20 @@ def _norm_rows(d):
     return np.sqrt((d ** 2).sum(axis=-1))
 
 
+def residual_rows(x, fx, lower, upper, gamma):
+    """Natural residual of each row of x, given fx = F(x) rowwise.
+
+    ||x - clip(x - gamma*fx, lower, upper)||_2 per row. The clip would
+    hide an infinite F, so a row whose fx is not finite gets NaN. This
+    is the solver's convergence test, shared with callers that screen
+    points before solving.
+    """
+    res = _norm_rows(x - np.clip(x - gamma * fx, lower, upper))
+    if not np.isfinite(fx).all():
+        res[~np.isfinite(fx).all(axis=1)] = np.nan
+    return res
+
+
 def natural_residual(problem, point, gamma):
     """||x - P_K(x - gamma*(F(x) - shift))||_2; zero exactly at solutions."""
     if gamma <= 0:
@@ -241,7 +255,7 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows,
 
 
 def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
-                       jacobian_batch=None):
+                       jacobian_batch=None, values=None):
     """Solve a batch of box VIs sharing one vectorized operator.
 
     Each row of ``seeds`` is an independent VI; row i uses the operator
@@ -268,6 +282,8 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
         seeds: (n, m) start points, projected onto the box first.
         jacobian_batch: optional callable (x: (B, m), rows: (B,) int)
             -> (B, m, m), the operator's Jacobian rowwise.
+        values: optional (n, m) operator values at the seeds projected
+            onto the box; given, the operator is not called there again.
 
     Returns:
         dict with keys ``solutions`` (n, m), ``residuals`` (n,),
@@ -288,17 +304,13 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
     active = np.arange(n)
     out = {"solutions": x, "residuals": residuals, "iterations": iterations,
            "converged": converged, "backtracks": backtracks}
-    fx = None
+    fx = None if values is None else np.asarray(values, dtype=float)
 
     for it in range(config.max_iterations + 1):
         xa, la, ua = x[active], lo[active], up[active]
         if fx is None:
             fx = operator_batch(xa, active)
-        ref = np.clip(xa - config.gamma * fx, la, ua)
-        res = _norm_rows(xa - ref)
-        if not np.isfinite(fx).all():
-            # the clip hides an infinite F; such rows get a NaN residual
-            res[~np.isfinite(fx).all(axis=1)] = np.nan
+        res = residual_rows(xa, fx, la, ua, config.gamma)
         done = res <= config.tolerance
         lost = ~np.isfinite(res)
         leave = done | lost
@@ -370,8 +382,9 @@ def check_monotone(operator, set, num_pairs, seed):
 
     Samples num_pairs point pairs (q, q') uniformly in the box and
     computes <F(q) - F(q'), q - q'> / ||q - q'||^2. Returns the minimum
-    ratio and a pass flag for strict positivity. Pairs with q = q'
-    (possible on degenerate boxes) are skipped and counted.
+    ratio and a pass flag for strict positivity. A NaN ratio makes the
+    minimum NaN, so the check fails. Pairs with q = q' (possible on
+    degenerate boxes) are skipped and counted.
     """
     if num_pairs < 1:
         raise ValueError("num_pairs must be >= 1")
@@ -388,7 +401,8 @@ def check_monotone(operator, set, num_pairs, seed):
             skipped += 1
             continue
         ratio = float((np.asarray(operator(q)) - np.asarray(operator(qp))) @ d) / nd2
-        min_ratio = min(min_ratio, ratio)
+        # np.minimum propagates NaN, where min() would drop it
+        min_ratio = float(np.minimum(min_ratio, ratio))
     if skipped == num_pairs:
         min_ratio = np.nan
     return MonotoneReport(min_ratio=min_ratio, passed=min_ratio > 0.0,

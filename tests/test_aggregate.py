@@ -37,6 +37,34 @@ def test_running_moments_match_fsum():
     assert rep.total_weight == pytest.approx(1.0, abs=1e-14)
 
 
+def test_stacked_add_equals_single_adds_bitwise():
+    # k observations for each of 4 accumulators, stacked on a leading
+    # axis; masked slots (weight 0, finite values) sit out
+    rng = np.random.default_rng(5)
+    k, lead, dim = 9, 4, 3
+    w = rng.random((k, lead))
+    x = rng.standard_normal((k, lead, dim)) * 30.0
+    w[:, 0] *= 1e12  # a wide range of magnitudes exercises compensation
+    mask = rng.random((k, lead)) < 0.3
+    w[mask] = 0.0
+    stacked = RunningMoments(dim, lead=(lead,))
+    stacked.add(w[:4], x[:4])
+    stacked.add(w[4:], x[4:])
+    single = RunningMoments(dim, lead=(lead,))
+    for j in range(k):
+        single.add(w[j], x[j])
+    assert stacked.total.tobytes() == single.total.tobytes()
+    assert stacked.comp.tobytes() == single.comp.tobytes()
+    # a masked slot is a no-op: each accumulator matches adds of its
+    # unmasked observations alone
+    for b in range(lead):
+        alone = RunningMoments(dim)
+        for j in np.flatnonzero(~mask[:, b]):
+            alone.add(w[j, b], x[j, b])
+        assert alone.total.tobytes() == stacked.total[b].tobytes()
+        assert alone.comp.tobytes() == stacked.comp[b].tobytes()
+
+
 def test_fold_moments_is_order_invariant_to_tolerance():
     rng = np.random.default_rng(8)
     w = rng.random(300)

@@ -2,6 +2,7 @@ import csv
 import math
 from collections import namedtuple
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from nashgrid import (BoxSet, CournotInstance, FirmParams, FlaggedCellsError,
                       make_grid, make_partition, mean_truncation,
                       natural_residual, operator_eval, solve_all, solve_vi,
                       write_cells_csv)
+from nashgrid.cli import load_config
 
 import _oracles as o
 from conftest import five_firm_instance, randomized_instance
 
 Cell = namedtuple("Cell", "idx r s upper beta alpha weight")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def grid_cells(grid):
@@ -272,8 +275,8 @@ def test_non_finite_residual_reports_infinite_worst(monkeypatch):
     poisoned_r = g.r.representatives[0]
     real = discretize.operator_eval
 
-    def poisoned(instance, x, r, *args):
-        out = real(instance, x, r, *args)
+    def poisoned(instance, x, r, *args, **kwargs):
+        out = real(instance, x, r, *args, **kwargs)
         out[np.asarray(r) == poisoned_r] = np.nan
         return out
 
@@ -286,6 +289,94 @@ def test_non_finite_residual_reports_infinite_worst(monkeypatch):
     sol = solve_all(inst, g, cfg, max_flagged_fraction=1.0)
     assert np.isnan(sol.residuals[:2]).all()
     assert sol.converged.tolist() == [False, False, True, True]
+
+
+STEP_FIELDS = ("solutions", "weights", "residuals", "iterations",
+               "converged", "flagged_cells")
+
+
+def assert_same_sweep(got, want):
+    """Stored cells and report of two sweeps agree bit for bit."""
+    for key in STEP_FIELDS:
+        np.testing.assert_array_equal(getattr(got, key), getattr(want, key),
+                                      err_msg=key)
+    for key in ("mean", "second_moment", "variance", "total_weight",
+                "flagged_cells"):
+        assert (np.asarray(getattr(got.report, key)).tobytes()
+                == np.asarray(getattr(want.report, key)).tobytes()), key
+
+
+def sweep_twice(monkeypatch, inst, grid, cfg, **kwargs):
+    """The sweep as shipped, and with its windows cut to one cell.
+
+    Also returns the largest number of cells one operator call
+    evaluated in the windowed sweep.
+    """
+    real = discretize.operator_eval
+    rows = []
+
+    def counting(instance, q, *args, **kw):
+        rows.append(len(q))
+        return real(instance, q, *args, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(discretize, "operator_eval", counting)
+        windowed = solve_all(inst, grid, cfg, keep_cells=True, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(discretize, "_WINDOW_CAP", 1)
+        one_cell = solve_all(inst, grid, cfg, keep_cells=True, **kwargs)
+    return windowed, one_cell, max(rows)
+
+
+def test_window_sweep_matches_one_cell_windows_on_shipped_market(monkeypatch):
+    config = load_config(ROOT / "configs" / "expectation_grid.json")
+    g = make_grid(config.instance, n_r=8, n_s=4000)
+    windowed, one_cell, widest = sweep_twice(monkeypatch, config.instance,
+                                             g, config.solver)
+    # some round screened several cells per r-block in one call
+    assert widest > 2 * g.r.n_cells
+    assert windowed.converged.all()
+    assert_same_sweep(windowed, one_cell)
+
+
+def test_window_sweep_matches_one_cell_windows_across_bound_cells(
+        monkeypatch):
+    # the bound index changes every 16 inner cells; windows run longer
+    inst = three_firm_instance()
+    g = make_grid(inst, n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)
+    windowed, one_cell, widest = sweep_twice(
+        monkeypatch, inst, g, SolverConfig(initial_step=1.4))
+    assert widest > 16 * g.r.n_cells
+    assert_same_sweep(windowed, one_cell)
+
+
+def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=3, n_s=3000)
+    poisoned_r = g.r.representatives[1]
+    poisoned_s = g.s.representatives[1500]
+    real = discretize.operator_eval
+
+    def poisoned(instance, x, r, s, *args, **kwargs):
+        out = real(instance, x, r, s, *args, **kwargs)
+        hit = (np.asarray(r) == poisoned_r) & (np.asarray(s) == poisoned_s)
+        out[np.broadcast_to(hit, out.shape[:1])] = np.nan
+        return out
+
+    monkeypatch.setattr(discretize, "operator_eval", poisoned)
+    windowed, one_cell, widest = sweep_twice(
+        monkeypatch, inst, g, SolverConfig(initial_step=1.4),
+        max_flagged_fraction=1.0)
+    assert widest > 2 * g.r.n_cells
+    assert_same_sweep(windowed, one_cell)
+    bad = 3000 + 1500
+    assert windowed.flagged_cells == 1
+    assert np.isnan(windowed.solutions[bad]).all()
+    assert not windowed.converged[bad]
+    # the next cell starts over from its box midpoint and converges
+    assert windowed.converged[bad + 1:2 * 3000].all()
+    assert np.isfinite(windowed.solutions[bad + 1]).all()
+    assert np.isnan(windowed.report.mean).all()
 
 
 def test_cells_csv_round_trip(tmp_path):

@@ -310,3 +310,9 @@ def test_check_monotone_classifies_operators():
     bad = check_monotone(lambda x: -x, box, num_pairs=200, seed=1)
     assert not bad.passed
     assert bad.min_ratio < -0.9
+    # a NaN ratio fails the check, also when finite ratios come after it
+    nan = check_monotone(lambda x: x * np.nan, box, num_pairs=10, seed=1)
+    assert np.isnan(nan.min_ratio) and not nan.passed
+    partly = check_monotone(lambda x: x if x[0] < 0.5 else x * np.nan, box,
+                            num_pairs=200, seed=1)
+    assert np.isnan(partly.min_ratio) and not partly.passed
