@@ -50,16 +50,18 @@ class RunningMoments:
     def add(self, weight, values):
         """Fold one or k weighted observations per accumulator, in order.
 
-        weight: shape ``lead`` or ``(k,) + lead``; values: the weight's
-        shape + ``(dim,)``. k stacked observations are k single adds, one
-        compensated step per observation. A zero weight with finite
-        values is a no-op, so an accumulator can sit out some of the k
-        slots.
+        One observation per accumulator: weight broadcastable to
+        ``lead``, values to ``lead + (dim,)``. k stacked observations:
+        weight of shape ``(k,) + lead``, values ``(k,) + lead + (dim,)``;
+        they are k single adds, one compensated step per observation. A
+        zero weight with finite values is a no-op, so an accumulator can
+        sit out some of the k slots.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
-        if w.ndim == len(self.lead):
-            w, x = w[None], x[None]
+        if w.ndim <= len(self.lead):
+            w = np.broadcast_to(w, self.lead)[None]
+            x = np.broadcast_to(x, self.lead + (self.dim,))[None]
         for wj, xj in zip(w, x):
             wx = wj[..., None] * xj
             term = np.concatenate([wj[..., None], wx, wx * xj], axis=-1)

@@ -202,10 +202,12 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0, *, s_pow=None):
         beta: per-firm cost multipliers > 0, shape (m,) or (B, m),
             default all ones.
         alpha: additive price shift, scalar or shape (B,).
-        s_pow: optional s**a, scalar or shape (B,), used in place of the
-            pow of s. A caller with a different s per row passes the
-            Python-float pow of each s here, so each row gets the bits
-            of a call with that s as a Python float.
+        s_pow: internal, unchecked: s**a, scalar or shape (B,), used in
+            place of the pow of s. The grid sweep, which evaluates a
+            different s per row, passes the Python-float pow of each s
+            here, so each row gets the bits of a call with that s as a
+            Python float. A table that does not match s gives a wrong
+            operator without an error.
 
     Returns:
         F with the shape of q. The random additive parts enter through

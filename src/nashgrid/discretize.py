@@ -178,8 +178,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
     the screened operator values, and drops the rest of its window. k is
     twice the previous round's median accepted run, between 1 and
     _WINDOW_CAP, and at most _WINDOW_CELLS cells a round. At k = 1 a
-    round is one front of the old per-cell sweep: every block's cell
-    goes straight to the solver, whose iteration-0 test screens it.
+    round is one front of a per-cell sweep: the screen applies the
+    solver's iteration-0 test, and the solver takes the misses' screened
+    values, so no cell's operator value is computed twice.
 
     Args:
         instance: the market model.
@@ -303,13 +304,12 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
     while blocks.size:
         na = blocks.size
         k = max(1, min(grow, _WINDOW_CAP, _WINDOW_CELLS // na))
-        # the window's cells, j-major: cell (j, b) is entry j*na + b
-        ii = pos + offsets[:k]
-        if k > 1:
-            valid = ii < inner_count
-            ii = np.minimum(ii, inner_count - 1)
-        ii = ii.ravel()
-        cell_blocks = np.tile(blocks, k) if k > 1 else blocks
+        # the window's cells, j-major: cell (j, b) is entry j*na + b; a
+        # window that runs past its chain repeats the chain's last cell,
+        # and only its first `real` cells are cells of the chain
+        real = np.minimum(inner_count - pos, k)
+        ii = np.minimum(pos + offsets[:k], inner_count - 1).ravel()
+        cell_blocks = np.tile(blocks, k)
         factors, upper, w = cell_factors(ii, cell_blocks)
 
         # chain[2 + j] is window cell j's seed, made as if every earlier
@@ -333,34 +333,26 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
                 np.copyto(seed, 0.5 * (lower + upper_w[j]),
                           where=~np.isfinite(seed).all(axis=1, keepdims=True))
 
+        # screen the window: one operator call for all its cells
         x = X.reshape(k * na, m)
-        if k > 1:
-            # screen the window: one operator call for all its cells
-            F = kernel(factors)(x, slice(None))
-            res = residual_rows(x, F, lower, upper, config.gamma)
-            ok = (res <= config.tolerance).reshape(k, na) & valid
-            run = np.where(ok.all(axis=0), k, ok.argmin(axis=0))
-            # a row's first miss, unless its window ran past its chain
-            hit = valid[np.minimum(run, k - 1), np.arange(na)] & (run < k)
-            missed = np.flatnonzero(hit)
-            cells = run[missed] * na + missed
-            batch = (take(factors, cells),
-                     upper[cells] if upper.ndim > 1 else upper, x[cells],
-                     F[cells]) if missed.size else None
-        else:
-            # a one-cell window: the solver's iteration-0 test screens it
-            res = np.empty(na) if keep_cells else None
-            run = np.zeros(na, dtype=np.int64)
-            hit = True
-            cells = slice(None)
-            batch = factors, upper, x, None
+        F = kernel(factors)(x, slice(None))
+        res = residual_rows(x, F, lower, upper, config.gamma)
+        # a row's accepted run ends at its first miss or its chain's end
+        ok = np.zeros((k + 1, na), dtype=bool)
+        np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
+        run = np.minimum(ok.argmin(axis=0), real)
+        hit = run < real
+        missed = np.flatnonzero(hit)
         if keep_cells:
             its = np.zeros(k * na, dtype=np.int64)
             conv = np.ones(k * na, dtype=bool)
-        if batch is not None:
-            b_factors, b_upper, b_seeds, b_values = batch
-            out = solve_box_vi_batch(kernel(b_factors), lower, b_upper,
-                                     config, b_seeds, values=b_values)
+        if missed.size:
+            # the misses, solved from their seeds with the screened values
+            cells = run[missed] * na + missed
+            out = solve_box_vi_batch(
+                kernel(take(factors, cells)), lower,
+                upper[cells] if upper.ndim > 1 else upper, config, x[cells],
+                values=F[cells])
             x[cells] = out["solutions"]
             if keep_cells:
                 res[cells] = out["residuals"]
@@ -375,11 +367,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
                     np.where(np.isfinite(bad), bad, np.inf).max()))
 
         took = run + hit
-        if k == 1:
-            run = (out["iterations"] == 0) & out["converged"]
         # fold the used cells; every other slot holds a finite seed and
         # gets weight zero, which makes its terms no-ops
-        full = k == 1 or took.min() == k
+        full = took.min() == k
         if full:
             kk, wf, sel = k, w.reshape(k, na), slice(None)
         else:

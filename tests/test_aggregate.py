@@ -65,6 +65,16 @@ def test_stacked_add_equals_single_adds_bitwise():
         assert alone.comp.tobytes() == stacked.comp[b].tobytes()
 
 
+def test_single_add_broadcasts_weight_and_values_over_lead():
+    x = np.array([1.5, -2.0])
+    shared = RunningMoments(2, lead=(3,))
+    shared.add(0.25, x)
+    full = RunningMoments(2, lead=(3,))
+    full.add(np.full(3, 0.25), np.tile(x, (3, 1)))
+    assert shared.total.tobytes() == full.total.tobytes()
+    assert shared.comp.tobytes() == full.comp.tobytes()
+
+
 def test_fold_moments_is_order_invariant_to_tolerance():
     rng = np.random.default_rng(8)
     w = rng.random(300)
