@@ -67,25 +67,18 @@ class RunningMoments:
             term = np.concatenate([wj[..., None], wx, wx * xj], axis=-1)
             self.total, self.comp = neumaier_add(self.total, self.comp, term)
 
-    def rows(self):
-        """Yield per-accumulator (total, comp) vectors in leading order."""
-        flat = (-1, 1 + 2 * self.dim)
-        yield from zip(self.total.reshape(flat), self.comp.reshape(flat))
 
+def fold_moments(acc):
+    """Fold an accumulator's rows, in leading order, into a lead-free one.
 
-def fold_moments(parts, dim):
-    """Merge accumulators row by row, in the order given.
-
-    The order must be the canonical one (ascending block index), so the
-    result does not depend on how the cells were split into partials.
+    Each row's compensated sum enters one compensated step of its own;
+    folding in the fixed leading order (ascending block index for the
+    sweep) makes the result reproducible bit for bit.
     """
-    out = RunningMoments(dim)
-    for part in parts:
-        if part.dim != dim:
-            raise ValueError("accumulator dimensions do not match")
-        for total, comp in part.rows():
-            out.total, out.comp = neumaier_add(out.total, out.comp,
-                                               total + comp)
+    out = RunningMoments(acc.dim)
+    flat = (-1, 1 + 2 * acc.dim)
+    for total, comp in zip(acc.total.reshape(flat), acc.comp.reshape(flat)):
+        out.total, out.comp = neumaier_add(out.total, out.comp, total + comp)
     return out
 
 

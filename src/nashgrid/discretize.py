@@ -180,7 +180,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
     _WINDOW_CAP, and at most _WINDOW_CELLS cells a round. At k = 1 a
     round is one front of a per-cell sweep: the screen applies the
     solver's iteration-0 test, and the solver takes the misses' screened
-    values, so no cell's operator value is computed twice.
+    values, so no cell's operator value is computed twice. Every kernel
+    call takes a factor with one cell in the grid as a scalar (an (m,)
+    vector for bounds and betas) and every other factor per row.
 
     Args:
         instance: the market model.
@@ -233,10 +235,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         """Factors and weights of inner cells ii (1-d) of r-blocks blocks.
 
         Returns operator_eval's factor arguments (r, s, beta, alpha,
-        s_pow), the upper bounds and the weights. A factor that differs
-        between the cells comes as one entry per cell, one they share as
-        a scalar (an (m,) vector for bounds and betas), the form the
-        operator and the solver broadcast.
+        s_pow), the upper bounds and the weights. A factor with one cell
+        in the grid comes as a scalar (an (m,) vector for bounds and
+        betas); every other factor comes as one entry per cell.
         """
         idx = [0] * len(inner_parts)
         # weights multiply in canonical factor order (r first); skipping
@@ -245,9 +246,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         for d, stride in varying:
             p = inner_parts[d]
             i = ii // stride if stride > 1 else ii
-            i = i % p.n_cells if d else i
-            shared = np.minimum.reduce(i) == np.maximum.reduce(i)
-            idx[d] = int(i[0]) if shared else i
+            idx[d] = i % p.n_cells if d else i
             w = w * p.probabilities[idx[d]]
         reps = [p.representatives[i] for p, i in zip(inner_parts, idx)]
         upper, beta = (
@@ -258,23 +257,16 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
                 upper, w)
 
     def take(factors, cells):
-        """The factors of the given cells; shared factors stay whole."""
+        """The factors of the given cells; single-cell factors stay whole."""
         # one cell's r, s, beta, alpha and s_pow have ranks 0, 0, 1, 0, 0
         return [v[cells] if getattr(v, "ndim", 0) > rank else v
                 for v, rank in zip(factors, (0, 0, 1, 0, 0))]
 
     def kernel(factors):
         """The operator at rows of given cells, their factors frozen."""
-        r, s, beta, alpha, s_pow = factors
-        vs, va = (getattr(v, "ndim", 0) for v in (s, alpha))
-        vb = beta.ndim > 1
-
         def op(q, rows):
-            # r differs between r-blocks; s_pow varies with s
-            return operator_eval(
-                instance, q, r[rows], s[rows] if vs else s,
-                beta[rows] if vb else beta, alpha[rows] if va else alpha,
-                s_pow=s_pow[rows] if vs else s_pow)
+            r, s, beta, alpha, s_pow = take(factors, rows)
+            return operator_eval(instance, q, r, s, beta, alpha, s_pow=s_pow)
         return op
 
     if keep_cells:
@@ -298,9 +290,6 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
     x1 = np.zeros((n_blocks, m))
     offsets = np.arange(_WINDOW_CAP)[:, None]
     grow = 1
-    # every block advances at least one cell a round, so after two rounds
-    # no block is at its first two cells
-    rounds = 0
     while blocks.size:
         na = blocks.size
         k = max(1, min(grow, _WINDOW_CAP, _WINDOW_CELLS // na))
@@ -319,13 +308,15 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         chain[0], chain[1] = x0, x1
         X = chain[2:]
         upper_w = upper.reshape(k, na, m) if upper.ndim > 1 else [upper] * k
+        # the first-two-cells rules touch no block once first + j >= 2
+        first = int(pos.min())
         for j in range(k):
             a0, a1, seed = chain[j], chain[j + 1], X[j]
             np.subtract(np.multiply(2.0, a1), a0, out=seed)
-            if rounds + j < 2:
+            if first + j < 2:
                 np.copyto(seed, a1, where=(pos + j == 1)[:, None])
             np.clip(seed, lower, upper_w[j], out=seed)
-            if rounds + j == 0:
+            if first + j == 0:
                 np.copyto(seed, 0.5 * (lower + upper_w[j]),
                           where=(pos == 0)[:, None])
             if lost:
@@ -369,14 +360,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         took = run + hit
         # fold the used cells; every other slot holds a finite seed and
         # gets weight zero, which makes its terms no-ops
-        full = took.min() == k
-        if full:
-            kk, wf, sel = k, w.reshape(k, na), slice(None)
-        else:
-            used = offsets[:k] < took
-            kk = int(took.max())
-            wf = np.where(used, w.reshape(k, na), 0.0)[:kk]
-            sel = used.ravel()
+        used = offsets[:k] < took
+        kk = int(took.max())
+        wf = np.where(used, w.reshape(k, na), 0.0)[:kk]
         xf = X[:kk]
         if na < n_blocks:
             # finished blocks sit out with zero terms
@@ -386,6 +372,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
             wf, xf = wf_all, xf_all
         acc.add(wf, xf)
         if keep_cells:
+            sel = used.ravel()
             ids = (cell_blocks * inner_count + ii)[sel]
             solutions[ids] = x[sel]
             weights[ids] = w[sel]
@@ -393,11 +380,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
             iterations[ids] = its[sel]
             converged[ids] = conv[sel]
 
-        if full:
-            x0, x1 = chain[k], chain[k + 1]
-        else:
-            cols = np.arange(na)
-            x0, x1 = chain[took, cols], chain[took + 1, cols]
+        cols = np.arange(na)
+        x0, x1 = chain[took, cols], chain[took + 1, cols]
         pos = pos + took
         if np.maximum.reduce(pos) >= inner_count:
             going = pos < inner_count
@@ -405,9 +389,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         # twice the (upper) median accepted run
         run.sort()
         grow = 2 * int(run[na // 2])
-        rounds += 1
 
-    report = moment_report(fold_moments([acc], m), flagged_cells=flagged)
+    report = moment_report(fold_moments(acc), flagged_cells=flagged)
     if flagged > max_flagged_fraction * n:
         raise FlaggedCellsError(flagged, n, worst)
     if abs(report.total_weight - 1.0) > 1e-9:

@@ -50,6 +50,9 @@ class RandomFactor:
             raise ValueError("truncated_normal requires sigma > 0")
         if self.kind != "constant" and not params[-2] < params[-1]:
             raise ValueError(f"{self.kind} factor requires lo < hi")
+        if self.kind == "truncated_normal" and not self._tn_state()[-1] > 0:
+            raise ValueError("truncated_normal requires representable mass "
+                             "on [lo, hi)")
 
     @staticmethod
     def constant(value):

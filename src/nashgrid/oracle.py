@@ -105,9 +105,9 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
                                  jacobian_batch=jac)
         sols = out["solutions"]
         failed = int(nc - out["converged"].sum())
-        s1 = np.array([math.fsum(sols[:, i]) for i in range(m)])
-        s2 = np.array([math.fsum(sols[:, i] ** 2) for i in range(m)])
-        return s1, s2, failed
+        sums = np.array([[math.fsum(col) for col in v.T]
+                         for v in (sols, sols ** 2)])
+        return sums, failed
 
     chunks = range(n_chunks)
     if parallelism <= 1 or n_chunks == 1:
@@ -117,17 +117,11 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
             results = list(pool.map(run_chunk, chunks))
 
     # merge chunk partials in chunk order, compensated
-    s1 = np.zeros(m)
-    s1_c = np.zeros(m)
-    s2 = np.zeros(m)
-    s2_c = np.zeros(m)
-    failed = 0
-    for c1, c2, cf in results:
-        s1, s1_c = neumaier_add(s1, s1_c, c1)
-        s2, s2_c = neumaier_add(s2, s2_c, c2)
-        failed += cf
-    s1 = s1 + s1_c
-    s2 = s2 + s2_c
+    sums, comp = np.zeros((2, 2, m))
+    for chunk_sums, _ in results:
+        sums, comp = neumaier_add(sums, comp, chunk_sums)
+    s1, s2 = sums + comp
+    failed = sum(cf for _, cf in results)
 
     mean = s1 / n_samples
     if n_samples > 1:

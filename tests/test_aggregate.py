@@ -82,14 +82,15 @@ def test_fold_moments_is_order_invariant_to_tolerance():
     x = rng.standard_normal((300, 2)) * 25.0
 
     def run(split_points):
-        parts = []
+        # each row of one accumulator folds one contiguous run of cells
         bounds = [0] + split_points + [300]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            acc = RunningMoments(2)
+        acc = RunningMoments(2, lead=(len(bounds) - 1,))
+        for row, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             for i in range(lo, hi):
-                acc.add(w[i], x[i])
-            parts.append(acc)
-        return moment_report(fold_moments(parts, 2))
+                wi = np.zeros(acc.lead)
+                wi[row] = w[i]
+                acc.add(wi, x[i])
+        return moment_report(fold_moments(acc))
 
     one = run([150])
     other = run([37, 101, 211, 288])

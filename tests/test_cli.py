@@ -308,6 +308,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_massless_truncated_normal_exits_2(tmp_path, capsys):
+    doc = json.loads((CONFIGS / "monte_carlo.json").read_text())
+    doc["factors"]["s"] = {"kind": "truncated_normal", "mu": 0.0,
+                           "sigma": 1.0, "lo": 40.0, "hi": 41.0}
+    doc["run"].update(n_samples=4096, out_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match=r"factors\.s: .*mass"):
+        load_config(path)
+    assert main(["solve", "--config", path]) == 2
+    assert "factors.s" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_thread_count(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     assert main(["solve", "--config", path, "--threads", "0"]) == 2

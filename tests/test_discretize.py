@@ -212,7 +212,11 @@ def reference_chain(inst, grid, cfg):
     (randomized_instance(), dict(n_r=6, n_s=40)),
     (three_firm_instance(),
      dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)),
-], ids=["five_firm_6x40", "three_firm_random_box"])
+    # long windows: up to 10 cells per r-block, and up to the cap of 32
+    (randomized_instance(), dict(n_r=2, n_s=4000)),
+    (randomized_instance(), dict(n_r=1, n_s=20000)),
+], ids=["five_firm_6x40", "three_firm_random_box", "five_firm_2x4000",
+        "five_firm_1x20000"])
 def test_sweep_matches_single_cell_reference_chain(inst, counts):
     cfg = SolverConfig(initial_step=1.4)
     g = make_grid(inst, **counts)

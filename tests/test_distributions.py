@@ -35,6 +35,21 @@ def test_factor_constructors_validate():
                 bad(v)
     with pytest.raises(ValueError, match="finite"):
         RandomFactor.uniform(-math.inf, 0.0)
+    # the normal mass on [lo, hi) rounds to 0.0: the mean would be NaN or
+    # inf, and every sample would land on one endpoint
+    for params in ((0.0, 1.0, 40.0, 41.0), (0.0, 1.0, 9.0, 10.0)):
+        with pytest.raises(ValueError, match="mass"):
+            RandomFactor.truncated_normal(*params)
+
+
+def test_truncated_normal_with_tiny_lower_tail_mass_still_works():
+    f = RandomFactor.truncated_normal(0.0, 1.0, -10.0, -9.0)
+    assert 0.0 < f._tn_state()[-1] < 1e-18
+    assert -10.0 < f.mean() < -9.0
+    x = ppf(f, np.linspace(0.0, 1.0, 11))
+    assert np.isfinite(x).all()
+    assert (np.diff(x) >= 0).all()
+    assert x[0] == -10.0 and x[-1] == -9.0
 
 
 def test_support_and_means():
