@@ -342,7 +342,7 @@ def run_config(config, stdout=None):
                          n_bounds=disc.n_bounds, n_betas=disc.n_betas,
                          n_alpha=disc.n_alpha, rules=disc.rules_dict())
         solution = solve_all(config.instance, grid, config.solver,
-                             keep_cells=True if run.dump_cells else None,
+                             keep_cells=run.dump_cells,
                              max_flagged_fraction=run.max_flagged_fraction)
         report = expectation(solution)
         path = write_summary_csv(report, out_path("summary.csv"))
@@ -379,7 +379,6 @@ def run_config(config, stdout=None):
                          n_bounds=disc.n_bounds, n_betas=disc.n_betas,
                          n_alpha=disc.n_alpha, rules=disc.rules_dict())
         solution = solve_all(config.instance, grid, config.solver,
-                             keep_cells=False,
                              max_flagged_fraction=run.max_flagged_fraction)
         flagged += solution.flagged_cells
         entries.append(((n_r, n_s), solution.report))

@@ -20,12 +20,13 @@ F is strictly monotone on the nonnegative orthant for 0 < a < 1, which
 makes every boxed equilibrium problem uniquely solvable.
 
 One kernel, operator_eval, evaluates F at a point (m,) or a batch
-(B, m), with the factors shared by the batch or given per row
-(operator_eval_sampled). It runs the same numpy expression sequence
-either way, so a batched solve and a pointwise recheck with the same
-scalar factors produce bitwise-equal values. operator_jacobian gives
-its closed-form derivative in q, with the same argument shapes and
-input checks.
+(B, m), with each factor shared by the batch or given per row (the grid
+sweep passes every factor that varies over the grid per row;
+operator_eval_sampled gives every factor per row). It runs the same
+numpy expression sequence either way, so a batched solve and a
+pointwise recheck with the same scalar factors produce bitwise-equal
+values. operator_jacobian gives its closed-form derivative in q, with
+the same argument shapes and input checks.
 """
 from __future__ import annotations
 
@@ -234,8 +235,8 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0, *, s_pow=None):
 def operator_eval_sampled(instance, q, r, s, beta, alpha):
     """Batched operator where every row has its own factor realization.
 
-    Unlike operator_eval, which freezes (s, beta, alpha) across the
-    batch, here all factors vary per row.
+    operator_eval with every factor given per row and q checked to be
+    (B, m); it computes s**a per row instead of taking s_pow.
 
     Args:
         q: (B, m) quantities, componentwise >= 0.

@@ -40,8 +40,6 @@ from .distributions import Partition1D, make_partition
 from .vi import SolverConfig, residual_rows, solve_box_vi_batch
 
 CELL_CAP_DEFAULT = 100_000_000
-# above this many cells, per-cell arrays are not stored by default
-STORE_CELL_LIMIT = 2_000_000
 # the longest window of cells a sweep round screens per r-block, and the
 # most cells a round screens in all: a (cells, m) float array under
 # 128 KiB stays on the allocator's heap instead of fresh mapped pages
@@ -139,11 +137,16 @@ class StepSolution:
     weights: Optional[np.ndarray] = None
     residuals: Optional[np.ndarray] = None
     iterations: Optional[np.ndarray] = None
-    converged: Optional[np.ndarray] = None
 
     @property
     def stored(self):
         return self.solutions is not None
+
+    @property
+    def converged(self):
+        """Per-cell residual <= tolerance (NaN fails); None if streamed."""
+        return (self.residuals <= self.solver_config.tolerance
+                if self.stored else None)
 
 
 class FlaggedCellsError(RuntimeError):
@@ -158,7 +161,7 @@ class FlaggedCellsError(RuntimeError):
         self.worst_residual = worst_residual
 
 
-def solve_all(instance, grid, solver_config=None, keep_cells=None,
+def solve_all(instance, grid, solver_config=None, keep_cells=False,
               cell_cap=CELL_CAP_DEFAULT, max_flagged_fraction=0.0):
     """Solve every cell problem of the grid.
 
@@ -188,8 +191,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         instance: the market model.
         grid: FactorGrid from make_grid (factor counts must match).
         solver_config: SolverConfig, defaults if omitted.
-        keep_cells: force storing (True) or streaming (False) per-cell
-            arrays; default stores grids up to 2e6 cells.
+        keep_cells: store per-cell arrays (True) or only fold the
+            cells into the moments (False, the default).
         cell_cap: refuse grids larger than this.
         max_flagged_fraction: tolerated fraction of non-converged cells
             before FlaggedCellsError (default: none).
@@ -205,8 +208,6 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         raise ValueError(
             f"grid has {n} cells, exceeding the cap of {cell_cap}; lower the "
             f"per-factor resolution or raise cell_cap")
-    if keep_cells is None:
-        keep_cells = n <= STORE_CELL_LIMIT
     m = instance.m
 
     r_reps = grid.r.representatives
@@ -269,14 +270,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
             return operator_eval(instance, q, r, s, beta, alpha, s_pow=s_pow)
         return op
 
-    if keep_cells:
-        solutions = np.empty((n, m))
-        weights = np.empty(n)
-        residuals = np.empty(n)
-        iterations = np.empty(n, dtype=np.int64)
-        converged = np.empty(n, dtype=bool)
-    else:
-        solutions = weights = residuals = iterations = converged = None
+    kept = {"solutions": np.empty((n, m)), "weights": np.empty(n),
+            "residuals": np.empty(n),
+            "iterations": np.empty(n, dtype=np.int64)} if keep_cells else {}
 
     acc = RunningMoments(m, lead=(n_blocks,))
     flagged = 0
@@ -334,9 +330,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
         run = np.minimum(ok.argmin(axis=0), real)
         hit = run < real
         missed = np.flatnonzero(hit)
-        if keep_cells:
-            its = np.zeros(k * na, dtype=np.int64)
-            conv = np.ones(k * na, dtype=bool)
+        its = np.zeros(k * na, dtype=np.int64)
         if missed.size:
             # the misses, solved from their seeds with the screened values
             cells = run[missed] * na + missed
@@ -345,10 +339,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
                 upper[cells] if upper.ndim > 1 else upper, config, x[cells],
                 values=F[cells])
             x[cells] = out["solutions"]
-            if keep_cells:
-                res[cells] = out["residuals"]
-                its[cells] = out["iterations"]
-                conv[cells] = out["converged"]
+            res[cells] = out["residuals"]
+            its[cells] = out["iterations"]
             if not out["converged"].all():
                 bad = out["residuals"][~out["converged"]]
                 flagged += bad.size
@@ -371,14 +363,11 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
             wf_all[:, blocks], xf_all[:, blocks] = wf, xf
             wf, xf = wf_all, xf_all
         acc.add(wf, xf)
-        if keep_cells:
+        if kept:
             sel = used.ravel()
             ids = (cell_blocks * inner_count + ii)[sel]
-            solutions[ids] = x[sel]
-            weights[ids] = w[sel]
-            residuals[ids] = res[sel]
-            iterations[ids] = its[sel]
-            converged[ids] = conv[sel]
+            for stored, v in zip(kept.values(), (x, w, res, its)):
+                stored[ids] = v[sel]
 
         cols = np.arange(na)
         x0, x1 = chain[took, cols], chain[took + 1, cols]
@@ -396,24 +385,19 @@ def solve_all(instance, grid, solver_config=None, keep_cells=None,
     if abs(report.total_weight - 1.0) > 1e-9:
         raise RuntimeError(
             f"cell weights sum to {report.total_weight!r}, not 1")
-    return StepSolution(
-        grid=grid, report=report, solver_config=config, n_cells=n,
-        flagged_cells=flagged, solutions=solutions, weights=weights,
-        residuals=residuals, iterations=iterations, converged=converged,
-    )
+    return StepSolution(grid=grid, report=report, solver_config=config,
+                        n_cells=n, flagged_cells=flagged, **kept)
 
 
 def write_cells_csv(solution, path):
     """Dump per-cell indices, representatives, weight, solution, residual.
 
     One row per cell, in the lexicographic order of StepSolution's
-    arrays. Requires a run that stored its cells (small grids or
-    keep_cells=True).
+    arrays. Requires a run that stored its cells (keep_cells=True).
     """
     if not solution.stored:
         raise ValueError(
-            "cell dump requires stored cells; rerun with keep_cells=True "
-            "on a grid under the storage limit")
+            "cell dump requires stored cells; rerun with keep_cells=True")
     grid = solution.grid
     names = [name for name, _ in grid.parts()]
     reps = [p.representatives for _, p in grid.parts()]

@@ -91,8 +91,15 @@ class RandomFactor:
         mu, sigma, lo, hi = self.params
         za = (lo - mu) / sigma
         zb = (hi - mu) / sigma
-        mass = ndtr(zb) - ndtr(za)
-        return mu, sigma, za, zb, mass
+        return mu, sigma, za, zb, _normal_mass(za, zb)
+
+
+def _normal_mass(za, zb):
+    """P(za <= Z < zb) for standard normal Z, vectorized in zb.
+
+    From the upper tail when za >= 0, where ndtr(zb) - ndtr(za) cancels.
+    """
+    return ndtr(-za) - ndtr(-zb) if za >= 0 else ndtr(zb) - ndtr(za)
 
 
 def cdf(factor, x):
@@ -109,7 +116,7 @@ def cdf(factor, x):
         out = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
     else:
         mu, sigma, za, zb, mass = factor._tn_state()
-        out = np.clip((ndtr((x - mu) / sigma) - ndtr(za)) / mass, 0.0, 1.0)
+        out = np.clip(_normal_mass(za, (x - mu) / sigma) / mass, 0.0, 1.0)
         lo, hi = factor.support
         out = np.where(x <= lo, 0.0, out)
         out = np.where(x >= hi, 1.0, out)
@@ -166,8 +173,7 @@ def cell_conditional_mean(factor, a, b):
     zcb = min((cb - mu) / sigma, zb)
     phi_a = np.exp(-0.5 * zca * zca) / _SQRT_2PI
     phi_b = np.exp(-0.5 * zcb * zcb) / _SQRT_2PI
-    denom = ndtr(zcb) - ndtr(zca)
-    return mu + sigma * (phi_a - phi_b) / denom
+    return mu + sigma * (phi_a - phi_b) / _normal_mass(zca, zcb)
 
 
 def ppf(factor, u):
@@ -182,8 +188,10 @@ def ppf(factor, u):
         out = lo + u * (hi - lo)
     else:
         mu, sigma, za, zb, mass = factor._tn_state()
-        fa = ndtr(za)
-        out = mu + sigma * ndtri(fa + u * mass)
+        if za >= 0:
+            out = mu - sigma * ndtri(ndtr(-za) - u * mass)
+        else:
+            out = mu + sigma * ndtri(ndtr(za) + u * mass)
         lo, hi = factor.support
         out = np.clip(out, lo, hi)
     if out.ndim == 0:

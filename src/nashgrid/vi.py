@@ -138,8 +138,6 @@ def project(point, box):
 
 
 def _norm_rows(d):
-    # sqrt of the last-axis sum of squares; one expression shared by the
-    # solver and natural_residual so their residuals agree bitwise
     return np.sqrt((d ** 2).sum(axis=-1))
 
 
@@ -148,8 +146,9 @@ def residual_rows(x, fx, lower, upper, gamma):
 
     ||x - clip(x - gamma*fx, lower, upper)||_2 per row. The clip would
     hide an infinite F, so a row whose fx is not finite gets NaN. This
-    is the solver's convergence test, shared with callers that screen
-    points before solving.
+    is the one natural-residual expression: the solver's convergence
+    and Newton tests, natural_residual, and callers that screen points
+    before solving all use it, so their residuals agree bitwise.
     """
     res = _norm_rows(x - np.clip(x - gamma * fx, lower, upper))
     if not np.isfinite(fx).all():
@@ -158,12 +157,18 @@ def residual_rows(x, fx, lower, upper, gamma):
 
 
 def natural_residual(problem, point, gamma):
-    """||x - P_K(x - gamma*(F(x) - shift))||_2; zero exactly at solutions."""
+    """||x - P_K(x - gamma*(F(x) - shift))||_2; zero exactly at solutions.
+
+    NaN where F(x) is not finite, which the projection would hide.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     x = np.asarray(point, dtype=float)
-    step = project(x - gamma * problem.eval_shifted(x), problem.set)
-    return float(_norm_rows(x - step))
+    box = problem.set
+    if x.shape != (box.dim,):
+        raise ValueError("dimension mismatch between point and box")
+    return float(residual_rows(x[None], problem.eval_shifted(x)[None],
+                               box.lower, box.upper, gamma)[0])
 
 
 def solve_vi(problem, config=None, warm_start=None):
@@ -227,7 +232,8 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows,
     e_i for clipped ones. A row whose matrix or direction is not finite
     gets no trial point. A trial point, the Newton point projected onto
     the box, is taken when its natural residual is at most
-    _NEWTON_DECREASE times the current one.
+    _NEWTON_DECREASE times the current one; one whose operator value is
+    not finite has a NaN residual and is not taken.
 
     Returns:
         (take, x_new, f_new): a mask over the rows, and the taken points
@@ -248,7 +254,7 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows,
         return take, xa[idx], fx[idx]
     xn = np.clip(xa[idx] + d[idx], la[idx], ua[idx])
     fn = operator_batch(xn, rows[idx])
-    resn = _norm_rows(xn - np.clip(xn - gamma * fn, la[idx], ua[idx]))
+    resn = residual_rows(xn, fn, la[idx], ua[idx], gamma)
     kept = resn <= _NEWTON_DECREASE * res[idx]
     take[idx[kept]] = True
     return take, xn[kept], fn[kept]

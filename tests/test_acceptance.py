@@ -86,7 +86,7 @@ def test_criterion_01_deterministic_golden_under_one_second():
     rules = {k: "conditional_mean" for k in ("r", "s", "bounds", "betas",
                                              "alpha")}
     grid = make_grid(inst, rules=rules)
-    solution = solve_all(inst, grid, SolverConfig())
+    solution = solve_all(inst, grid, SolverConfig(), keep_cells=True)
     elapsed = time.perf_counter() - start
     dev = np.abs(solution.solutions[0] - np.array(GOLDEN_DETERMINISTIC))
     assert dev.max() <= 5e-3

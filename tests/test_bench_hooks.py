@@ -32,10 +32,12 @@ def test_tracer_instruments_and_restores_every_hook():
 
 
 def test_traced_stored_grid_records_every_layer(tmp_path):
-    # 4 x 50 = 200 cells: the CLI stores them and calls expectation()
+    # 4 x 50 = 200 cells: a cell dump makes the CLI store them, and it
+    # calls expectation()
     out = worker.measure({"config": "configs/expectation_grid.json",
                           "discretization": {"n_r": 4, "n_s": 50},
-                          "run": {"out_dir": str(tmp_path)}}, trace=True)
+                          "run": {"out_dir": str(tmp_path),
+                                  "dump_cells": True}}, trace=True)
     assert out["rc"] == 0 and out["failed"] == 0
     layers = out["layers"]
     for key in ("cournot.calls", "vi.batches", "aggregate.add_calls",

@@ -1,5 +1,6 @@
 import csv
 import importlib.metadata
+import io
 import json
 import re
 import shutil
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nashgrid import SolverConfig
+from nashgrid import SolverConfig, cli
 from nashgrid.cli import (ConfigError, DiscretizationConfig, RunSettings,
                           config_to_json, load_config, main, parse_config)
 
@@ -237,6 +238,25 @@ def test_cli_discretize_mode_with_cell_dump(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12  # 3 r-cells x 4 s-cells
     assert all(float(r["residual"]) <= 1e-8 for r in rows)
+
+
+@pytest.mark.parametrize("mode, dump_cells", [("discretize", False),
+                                              ("discretize", True),
+                                              ("deterministic", False)])
+def test_run_config_stores_cells_only_for_a_dump(tmp_path, monkeypatch, mode,
+                                                 dump_cells):
+    solutions = []
+    solve_all = cli.solve_all
+
+    def spy(*args, **kwargs):
+        solutions.append(solve_all(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(cli, "solve_all", spy)
+    config = parse_config(small_config(mode=mode, dump_cells=dump_cells,
+                                       out_dir=str(tmp_path)))
+    assert cli.run_config(config, stdout=io.StringIO()) == 0
+    assert [s.stored for s in solutions] == [dump_cells]
 
 
 def test_cli_mode_override_and_threads(tmp_path, capsys):

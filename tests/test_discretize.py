@@ -76,7 +76,7 @@ def test_enumeration_is_lexicographic_with_product_weights():
                               s_factor=RandomFactor.uniform(4950.0, 5050.0))
     g = make_grid(inst, n_r=2, n_s=3)
     cfg = SolverConfig(tolerance=1e-10)
-    sol = solve_all(inst, g, cfg)
+    sol = solve_all(inst, g, cfg, keep_cells=True)
     cells = list(grid_cells(g))
     assert sol.n_cells == len(cells) == 6
     assert [c.idx[:2] for c in cells] == [(0, 0), (0, 1), (0, 2), (1, 0),
@@ -96,7 +96,7 @@ def test_enumeration_is_lexicographic_with_product_weights():
 def test_enumeration_weights_match_factor_probabilities():
     inst = randomized_instance()
     g = make_grid(inst, n_r=4, n_s=5)
-    sol = solve_all(inst, g, SolverConfig())
+    sol = solve_all(inst, g, SolverConfig(), keep_cells=True)
     for c, cell in enumerate(grid_cells(g)):
         want = float(g.r.probabilities[cell.idx[0]]) \
             * float(g.s.probabilities[cell.idx[1]])
@@ -116,7 +116,7 @@ def test_cell_cap_enforced():
 def test_single_cell_grid_reproduces_direct_solve():
     inst = five_firm_instance()
     g = make_grid(inst, n_r=1, n_s=1)
-    sol = solve_all(inst, g, SolverConfig())
+    sol = solve_all(inst, g, SolverConfig(), keep_cells=True)
     assert sol.n_cells == 1 and sol.stored
     assert sol.flagged_cells == 0
     np.testing.assert_allclose(sol.solutions[0],
@@ -144,7 +144,7 @@ def test_every_cell_residual_rechecks_below_tolerance():
     inst = randomized_instance()
     cfg = SolverConfig()
     g = make_grid(inst, n_r=6, n_s=40)
-    sol = solve_all(inst, g, cfg)
+    sol = solve_all(inst, g, cfg, keep_cells=True)
     assert sol.flagged_cells == 0
     for flat, cell in enumerate(grid_cells(g)):
         prob = VIProblem(operator=cell_operator(inst, cell),
@@ -267,7 +267,8 @@ def test_flagged_cells_raise_or_count(tmp_path):
     starved = SolverConfig(max_iterations=1, initial_step=1e-9)
     with pytest.raises(FlaggedCellsError) as err:
         solve_all(inst, g, starved)
-    sol = solve_all(inst, g, starved, max_flagged_fraction=1.0)
+    sol = solve_all(inst, g, starved, keep_cells=True,
+                    max_flagged_fraction=1.0)
     assert sol.flagged_cells == 4
     assert not sol.converged.any()
     assert err.value.worst_residual == sol.residuals.max()
@@ -290,7 +291,7 @@ def test_non_finite_residual_reports_infinite_worst(monkeypatch):
         solve_all(inst, g, cfg)
     assert err.value.flagged == 2
     assert err.value.worst_residual == math.inf
-    sol = solve_all(inst, g, cfg, max_flagged_fraction=1.0)
+    sol = solve_all(inst, g, cfg, keep_cells=True, max_flagged_fraction=1.0)
     assert np.isnan(sol.residuals[:2]).all()
     assert sol.converged.tolist() == [False, False, True, True]
 
@@ -386,7 +387,7 @@ def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
 def test_cells_csv_round_trip(tmp_path):
     inst = randomized_instance()
     g = make_grid(inst, n_r=2, n_s=3)
-    sol = solve_all(inst, g, SolverConfig())
+    sol = solve_all(inst, g, SolverConfig(), keep_cells=True)
     path = write_cells_csv(sol, tmp_path / "cells.csv")
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))

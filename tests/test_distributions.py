@@ -35,11 +35,30 @@ def test_factor_constructors_validate():
                 bad(v)
     with pytest.raises(ValueError, match="finite"):
         RandomFactor.uniform(-math.inf, 0.0)
-    # the normal mass on [lo, hi) rounds to 0.0: the mean would be NaN or
-    # inf, and every sample would land on one endpoint
-    for params in ((0.0, 1.0, 40.0, 41.0), (0.0, 1.0, 9.0, 10.0)):
-        with pytest.raises(ValueError, match="mass"):
-            RandomFactor.truncated_normal(*params)
+    # the normal mass on [lo, hi) rounds to 0.0: the mean would be NaN,
+    # and every sample would land on one endpoint
+    with pytest.raises(ValueError, match="mass"):
+        RandomFactor.truncated_normal(0.0, 1.0, 40.0, 41.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(8.0, 9.0), (9.0, 10.0)])
+def test_upper_tail_truncated_normal_mirrors_lower_tail(lo, hi):
+    # above the mean, ndtr(hi) - ndtr(lo) would cancel: the mass of
+    # (0, 1, 9, 10) to zero and that of (0, 1, 8, 9) to a few digits
+    up = RandomFactor.truncated_normal(0.0, 1.0, lo, hi)
+    down = RandomFactor.truncated_normal(0.0, 1.0, -hi, -lo)
+    assert up.mean() == pytest.approx(-down.mean(), rel=1e-12)
+    assert ppf(up, 0.5) == pytest.approx(-ppf(down, 0.5), rel=1e-12)
+    x = lo + (hi - lo) * np.array([0.01, 0.25, 0.5, 0.9])
+    np.testing.assert_allclose(cdf(up, x), 1.0 - cdf(down, -x), rtol=1e-12)
+
+
+def test_cell_mean_above_the_mean_mirrors_lower_tail():
+    # a cell whose lower end lies above the mean of a wider support
+    wide = RandomFactor.truncated_normal(0.0, 1.0, -1.0, 10.0)
+    want = -RandomFactor.truncated_normal(0.0, 1.0, -9.0, -8.0).mean()
+    assert cell_conditional_mean(wide, 8.0, 9.0) == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_truncated_normal_with_tiny_lower_tail_mass_still_works():

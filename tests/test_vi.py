@@ -82,6 +82,28 @@ def test_natural_residual_zero_at_solution_and_positive_off():
         natural_residual(prob, x, 0.0)
 
 
+def test_natural_residual_is_nan_where_the_operator_is_not_finite():
+    # at x = 1 the clip maps x - (-inf) back onto x, which would read 0.0
+    prob = VIProblem(operator=lambda x: np.full(1, -np.inf),
+                     constant_shift=np.zeros(1),
+                     set=BoxSet(np.zeros(1), np.ones(1)))
+    assert np.isnan(natural_residual(prob, np.ones(1), 1.0))
+
+
+def test_newton_point_with_non_finite_value_is_not_taken():
+    # F(x) = x - 0.5 on [0, 1] except F(1) = -inf; the understated
+    # Jacobian sends the Newton step from 0 to the clipped point 1, where
+    # the clip would hide the -inf. The extragradient step solves it.
+    def op(x, rows):
+        return np.where(x == 1.0, -np.inf, x - 0.5)
+
+    out = solve_box_vi_batch(op, 0.0, 1.0, SolverConfig(), np.zeros((1, 1)),
+                             jacobian_batch=lambda x, rows: np.full(
+                                 (len(rows), 1, 1), 0.1))
+    assert bool(out["converged"][0]) is True
+    np.testing.assert_allclose(out["solutions"][0], 0.5, atol=1e-8)
+
+
 def test_affine_solutions_match_active_set_enumeration():
     rng = np.random.default_rng(7)
     cfg = SolverConfig(tolerance=1e-10)
