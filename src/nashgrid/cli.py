@@ -3,7 +3,7 @@
 One subcommand, ``solve``, reads a JSON run configuration and executes
 one of four modes:
 
-    deterministic   replace every factor by its mean, solve once
+    deterministic   replace every factor by its mean: a one-cell grid
     discretize      solve the full cell grid, write moment summary
     oracle          Monte Carlo sample average with standard errors
     ladder          run a refinement sequence, write mean differences
@@ -323,21 +323,16 @@ def run_config(config, stdout=None):
         stdout = sys.stdout
     run = config.run
     disc = config.discretization
+    if run.mode == "deterministic":
+        # one cell, every factor frozen at its mean
+        disc = DiscretizationConfig(
+            rules=tuple((k, "conditional_mean") for k in RULE_GROUPS))
     os.makedirs(run.out_dir, exist_ok=True)
 
     def out_path(name):
         return os.path.join(run.out_dir, name)
 
-    if run.mode == "deterministic":
-        rules = {k: "conditional_mean" for k in RULE_GROUPS}
-        grid = make_grid(config.instance, rules=rules)
-        solution = solve_all(config.instance, grid, config.solver)
-        path = write_summary_csv(solution.report, out_path("summary.csv"))
-        _print_mean("solution", solution.report.mean, stdout)
-        print(f"wrote {path}", file=stdout)
-        return 0
-
-    if run.mode == "discretize":
+    if run.mode in ("deterministic", "discretize"):
         grid = make_grid(config.instance, n_r=disc.n_r, n_s=disc.n_s,
                          n_bounds=disc.n_bounds, n_betas=disc.n_betas,
                          n_alpha=disc.n_alpha, rules=disc.rules_dict())
@@ -386,7 +381,10 @@ def run_config(config, stdout=None):
     rows = convergence_report(entries)
     path = write_convergence_csv(rows, out_path("ladder.csv"))
     print(f"wrote {path}", file=stdout)
-    return 1 if flagged else 0
+    if flagged:
+        print(f"{flagged} cells flagged", file=sys.stderr)
+        return 1
+    return 0
 
 
 def main(argv=None):

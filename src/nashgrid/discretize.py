@@ -39,7 +39,8 @@ from .cournot import operator_eval
 from .distributions import Partition1D, make_partition
 from .vi import SolverConfig, residual_rows, solve_box_vi_batch
 
-CELL_CAP_DEFAULT = 100_000_000
+# solve_all refuses grids with more cells than this
+CELL_CAP = 100_000_000
 # the longest window of cells a sweep round screens per r-block, and the
 # most cells a round screens in all: a (cells, m) float array under
 # 128 KiB stays on the allocator's heap instead of fresh mapped pages
@@ -162,7 +163,7 @@ class FlaggedCellsError(RuntimeError):
 
 
 def solve_all(instance, grid, solver_config=None, keep_cells=False,
-              cell_cap=CELL_CAP_DEFAULT, max_flagged_fraction=0.0):
+              max_flagged_fraction=0.0):
     """Solve every cell problem of the grid.
 
     Cells are organized into one chain per r-cell (an r-block) over the
@@ -193,21 +194,23 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         solver_config: SolverConfig, defaults if omitted.
         keep_cells: store per-cell arrays (True) or only fold the
             cells into the moments (False, the default).
-        cell_cap: refuse grids larger than this.
-        max_flagged_fraction: tolerated fraction of non-converged cells
-            before FlaggedCellsError (default: none).
+        max_flagged_fraction: tolerated fraction of non-converged cells,
+            in [0, 1], before FlaggedCellsError (default: none).
 
     Returns:
         StepSolution; its report carries the weighted moments.
     """
     if grid.m != instance.m:
         raise ValueError("grid and instance have different firm counts")
+    # the ``not`` form refuses NaN as well
+    if not 0.0 <= max_flagged_fraction <= 1.0:
+        raise ValueError("max_flagged_fraction must lie in [0, 1]")
     config = solver_config or SolverConfig()
     n = grid.n_cells
-    if n > cell_cap:
+    if n > CELL_CAP:
         raise ValueError(
-            f"grid has {n} cells, exceeding the cap of {cell_cap}; lower the "
-            f"per-factor resolution or raise cell_cap")
+            f"grid has {n} cells, exceeding the cap of {CELL_CAP}; lower the "
+            f"per-factor resolution")
     m = instance.m
 
     r_reps = grid.r.representatives
@@ -402,9 +405,6 @@ def write_cells_csv(solution, path):
     names = [name for name, _ in grid.parts()]
     reps = [p.representatives for _, p in grid.parts()]
     m = grid.m
-    n = solution.n_cells
-    idx_arrays = np.unravel_index(np.arange(n), grid.shape)
-    rep_arrays = [reps[d][idx_arrays[d]] for d in range(len(names))]
 
     def fmt(v):
         return repr(float(v))
@@ -414,9 +414,10 @@ def write_cells_csv(solution, path):
                      + [f"rep_{nm}" for nm in names] + ["weight"]
                      + [f"u_{i + 1}" for i in range(m)]
                      + ["residual", "iterations"])
-        for c in range(n):
-            row = [int(idx_arrays[d][c]) for d in range(len(names))]
-            row += [fmt(rep_arrays[d][c]) for d in range(len(names))]
+        # ndindex walks the cells in the arrays' lexicographic order
+        for c, idx in enumerate(np.ndindex(grid.shape)):
+            row = list(idx)
+            row += [fmt(rep[i]) for rep, i in zip(reps, idx)]
             row.append(fmt(solution.weights[c]))
             row += [fmt(v) for v in solution.solutions[c]]
             row.append(fmt(solution.residuals[c]))

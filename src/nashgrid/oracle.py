@@ -60,7 +60,8 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
         n_samples: number of i.i.d. factor realizations, >= 1.
         seed: nonnegative integer keying the sample stream.
         solver_config: SolverConfig for the per-sample solves.
-        parallelism: worker count; never changes the results.
+        parallelism: worker threads for the chunks, >= 1; never changes
+            the results.
 
     Returns:
         OracleReport. standard_error is sample stddev / sqrt(n);
@@ -109,12 +110,9 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
                          for v in (sols, sols ** 2)])
         return sums, failed
 
-    chunks = range(n_chunks)
-    if parallelism <= 1 or n_chunks == 1:
-        results = [run_chunk(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run_chunk, chunks))
+    # map yields in chunk order, so one worker is the serial run
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        results = list(pool.map(run_chunk, range(n_chunks)))
 
     # merge chunk partials in chunk order, compensated
     sums, comp = np.zeros((2, 2, m))

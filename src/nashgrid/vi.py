@@ -161,7 +161,7 @@ def natural_residual(problem, point, gamma):
 
     NaN where F(x) is not finite, which the projection would hide.
     """
-    if gamma <= 0:
+    if not gamma > 0:  # refuses NaN as well
         raise ValueError("gamma must be > 0")
     x = np.asarray(point, dtype=float)
     box = problem.set
@@ -295,6 +295,12 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
         dict with keys ``solutions`` (n, m), ``residuals`` (n,),
         ``iterations`` (n,), ``converged`` (n,) bool and ``backtracks``
         (n,), the number of extragradient step shrinks per row.
+
+        A row's residual is its status. At most ``config.tolerance``:
+        converged, and ``converged`` is exactly ``residuals <=
+        config.tolerance``. Finite and above tolerance: the row ran out
+        of iterations, and ``iterations`` is ``config.max_iterations``.
+        Not finite: the row was frozen, with an all-NaN solution.
     """
     x = np.asarray(seeds, dtype=float).copy()
     n, m = x.shape
@@ -304,36 +310,30 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
 
     residuals = np.zeros(n)
     iterations = np.zeros(n, dtype=np.int64)
-    converged = np.zeros(n, dtype=bool)
     backtracks = np.zeros(n, dtype=np.int64)
     step = np.full(n, config.initial_step)
     active = np.arange(n)
-    out = {"solutions": x, "residuals": residuals, "iterations": iterations,
-           "converged": converged, "backtracks": backtracks}
     fx = None if values is None else np.asarray(values, dtype=float)
 
     for it in range(config.max_iterations + 1):
         xa, la, ua = x[active], lo[active], up[active]
         if fx is None:
-            fx = operator_batch(xa, active)
+            # a batch emptied by trial-point freezes needs no call
+            fx = operator_batch(xa, active) if active.size else xa
         res = residual_rows(xa, fx, la, ua, config.gamma)
-        done = res <= config.tolerance
         lost = ~np.isfinite(res)
-        leave = done | lost
+        # converged, non-finite and out-of-iterations rows all leave here
+        leave = ((res <= config.tolerance) | lost
+                 | (it == config.max_iterations))
         if leave.any():
             idx = active[leave]
             residuals[idx] = res[leave]
             iterations[idx] = it
-            converged[idx] = done[leave]
             x[active[lost]] = np.nan
             keep = ~leave
             active = active[keep]
-            if active.size == 0:
-                return out
             xa, la, ua, fx, res = xa[keep], la[keep], ua[keep], fx[keep], res[keep]
-        if it == config.max_iterations:
-            residuals[active] = res
-            iterations[active] = it
+        if active.size == 0:
             break
         rows = active
         if jacobian_batch is not None:
@@ -369,10 +369,10 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
             x[idx] = residuals[idx] = np.nan
             iterations[idx] = it
             active = active[~np.isin(active, idx)]
-            if active.size == 0:
-                return out
 
-    return out
+    return {"solutions": x, "residuals": residuals, "iterations": iterations,
+            "converged": residuals <= config.tolerance,
+            "backtracks": backtracks}
 
 
 @dataclass

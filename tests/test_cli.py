@@ -316,6 +316,23 @@ def test_cli_flagged_cells_exit_code(tmp_path, capsys):
     assert main(["solve", "--config", path, "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("mode, flagged", [("deterministic", 1),
+                                           ("discretize", 12),
+                                           ("ladder", 4 + 8)])
+def test_cli_flagged_cells_end_alike_in_every_grid_mode(tmp_path, capsys,
+                                                        mode, flagged):
+    # a starved solver flags every cell and the budget tolerates them:
+    # each grid mode writes its output, reports the count and exits 1
+    doc = small_config(mode=mode, max_flagged_fraction=1.0,
+                       ladder=[[2, 2], [4, 2]])
+    doc["solver"] = {"max_iterations": 1, "initial_step": 1e-9}
+    out = tmp_path / "out"
+    path = write_config(tmp_path, doc)
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"{flagged} cells flagged\n"
+    assert (out / ("ladder.csv" if mode == "ladder" else "summary.csv")).exists()
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     doc = small_config()
     doc["model"]["a"] = 1.5

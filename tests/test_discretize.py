@@ -105,12 +105,13 @@ def test_enumeration_weights_match_factor_probabilities():
         assert sol.weights[c] == cell.weight
 
 
-def test_cell_cap_enforced():
+def test_cell_cap_enforced(monkeypatch):
     inst = five_firm_instance(r_factor=RandomFactor.uniform(0.0, 1.0),
                               s_factor=RandomFactor.uniform(0.5, 1.5))
     g = make_grid(inst, n_r=4, n_s=4)
-    with pytest.raises(ValueError):
-        solve_all(inst, g, SolverConfig(), cell_cap=10)
+    monkeypatch.setattr(discretize, "CELL_CAP", 10)
+    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+        solve_all(inst, g, SolverConfig())
 
 
 def test_single_cell_grid_reproduces_direct_solve():
@@ -272,6 +273,10 @@ def test_flagged_cells_raise_or_count(tmp_path):
     assert sol.flagged_cells == 4
     assert not sol.converged.any()
     assert err.value.worst_residual == sol.residuals.max()
+    # a fraction outside [0, 1], NaN included, is refused up front
+    for bad in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="max_flagged_fraction"):
+            solve_all(inst, g, starved, max_flagged_fraction=bad)
 
 
 def test_non_finite_residual_reports_infinite_worst(monkeypatch):
@@ -385,23 +390,34 @@ def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
 
 
 def test_cells_csv_round_trip(tmp_path):
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=2, n_s=3)
-    sol = solve_all(inst, g, SolverConfig(), keep_cells=True)
-    path = write_cells_csv(sol, tmp_path / "cells.csv")
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 6
-    cells = list(grid_cells(g))
-    for flat, row in enumerate(rows):
-        cell = cells[flat]
-        assert int(row["idx_r"]) == cell.idx[0]
-        assert int(row["idx_s"]) == cell.idx[1]
-        assert float(row["rep_s"]) == cell.s
-        assert float(row["weight"]) == cell.weight
-        assert float(row["residual"]) == sol.residuals[flat]
-        got = [float(row[f"u_{i + 1}"]) for i in range(5)]
-        assert got == sol.solutions[flat].tolist()
+    # on the three-firm grid every factor has several cells, so every
+    # idx_* column varies
+    for inst, counts in [
+            (randomized_instance(), dict(n_r=2, n_s=3)),
+            (three_firm_instance(),
+             dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2))]:
+        g = make_grid(inst, **counts)
+        sol = solve_all(inst, g, SolverConfig(), keep_cells=True)
+        path = write_cells_csv(sol, tmp_path / "cells.csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        names = [name for name, _ in g.parts()]
+        cells = list(grid_cells(g))
+        assert len(rows) == len(cells) == g.n_cells
+        for flat, (row, cell) in enumerate(zip(rows, cells)):
+            assert tuple(int(row[f"idx_{nm}"]) for nm in names) == cell.idx
+            reps = [float(row[f"rep_{nm}"]) for nm in names]
+            assert reps == [cell.r, cell.s, *cell.upper, *cell.beta,
+                            cell.alpha]
+            assert float(row["weight"]) == cell.weight
+            assert float(row["residual"]) == sol.residuals[flat]
+            assert int(row["iterations"]) == sol.iterations[flat]
+            got = [float(row[f"u_{i + 1}"]) for i in range(inst.m)]
+            assert got == sol.solutions[flat].tolist()
+        varying = [nm for nm in names
+                   if len({row[f"idx_{nm}"] for row in rows}) > 1]
+        assert varying == [nm for nm, p in g.parts() if p.n_cells > 1]
+    assert varying == names
 
 
 def test_mean_truncation_constant_function():

@@ -154,6 +154,8 @@ def test_validation():
         monte_carlo_mean(inst, 0, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_mean(inst, 10, seed=-1)
+    with pytest.raises(ValueError):
+        monte_carlo_mean(inst, 10, seed=0, parallelism=0)
 
 
 def test_oracle_csv_round_trip(tmp_path):

@@ -78,8 +78,9 @@ def test_natural_residual_zero_at_solution_and_positive_off():
     x, _ = solve_vi(prob)
     assert natural_residual(prob, x, 1.0) <= 1e-8
     assert natural_residual(prob, x + 0.1, 1.0) > 1e-3
-    with pytest.raises(ValueError):
-        natural_residual(prob, x, 0.0)
+    for gamma in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            natural_residual(prob, x, gamma)
 
 
 def test_natural_residual_is_nan_where_the_operator_is_not_finite():
@@ -219,18 +220,37 @@ def test_batch_matches_sequential_scalar_solves():
 
 
 def test_batch_rows_converge_independently():
-    # row 0 starts at its solution; row 1 cannot finish in 3 iterations
+    # one row per outcome, and the residual alone tells them apart: row
+    # 0 is accepted at its seed, row 1 converges later, row 2 runs out
+    # of iterations, row 3's operator is NaN at its iterate and row 4's
+    # at its first trial point (NaN below 0.5, as in the test below)
     def op(x, rows):
-        easy = rows[:, None] == 0
-        return np.where(easy, x - 0.9, 4000.0 * x - 1.0)
+        if not np.isfinite(x).all():
+            raise ValueError("operator called at a non-finite point")
+        r = rows[:, None]
+        return np.select([r == 0, r == 1, r == 2, r == 3],
+                         [x - 0.9, 0.5 * (x - 0.3), 1e-3 * (x - 0.5),
+                          x + np.nan],
+                         np.where(x < 0.5, np.nan, 10.0 * (x - 0.2)))
 
-    cfg = SolverConfig(max_iterations=3, initial_step=1.0)
-    out = solve_box_vi_batch(op, np.zeros((2, 1)), np.ones((2, 1)), cfg,
-                             seeds=np.full((2, 1), 0.9))
-    assert bool(out["converged"][0]) is True
-    assert bool(out["converged"][1]) is False
-    assert out["iterations"][0] == 0
-    assert out["residuals"][0] <= cfg.tolerance
+    cfg = SolverConfig(max_iterations=100)
+    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((5, 1), 0.9))
+    res, its, sol = out["residuals"], out["iterations"], out["solutions"][:, 0]
+    assert out["converged"].tolist() == (res <= cfg.tolerance).tolist()
+    assert out["converged"].tolist() == [True, True, False, False, False]
+    assert its.tolist() == [0, 60, cfg.max_iterations, 0, 0]
+    assert res[0] == 0.0 and sol[0] == 0.9
+    assert 0.0 < res[1] <= cfg.tolerance
+    assert abs(sol[1] - 0.3) < 1e-7
+    assert cfg.tolerance < res[2] < np.inf
+    assert 0.5 < sol[2] < 0.9
+    assert np.isnan(res[3:]).all() and np.isnan(sol[3:]).all()
+    # each row keeps the bits it has alone
+    for i in range(5):
+        alone = solve_box_vi_batch(lambda x, rows: op(x, rows + i), 0.0, 1.0,
+                                   cfg, seeds=np.full((1, 1), 0.9))
+        for key in out:
+            assert out[key][i].tobytes() == alone[key][0].tobytes(), (i, key)
 
 
 def test_batch_freezes_non_finite_rows():
