@@ -40,7 +40,7 @@ def main():
         print(f"  firm {i}: {v:10.5f}")
     print(f"converged in {report.iterations} iterations, "
           f"residual {report.residual:.2e}")
-    print(f"residual recheck: {natural_residual(problem, q, 1.0):.2e}")
+    print(f"residual recheck: {natural_residual(problem, q):.2e}")
 
     total = float(q.sum())
     print(f"\ntotal supply {total:.4f}, "

@@ -96,10 +96,9 @@ class MomentReport:
     second_moment: np.ndarray
     variance: np.ndarray
     total_weight: float
-    flagged_cells: int = 0
 
 
-def moment_report(acc, flagged_cells=0):
+def moment_report(acc):
     """Finalize a lead-free RunningMoments into a MomentReport."""
     if acc.lead:
         raise ValueError("fold accumulator rows before reporting")
@@ -111,7 +110,6 @@ def moment_report(acc, flagged_cells=0):
         second_moment=m2,
         variance=np.maximum(m2 - mean ** 2, 0.0),
         total_weight=float(sums[0]),
-        flagged_cells=int(flagged_cells),
     )
 
 

@@ -159,6 +159,8 @@ class RunSettings:
         for pair in self.ladder:
             if len(pair) != 2 or any(int(v) < 1 for v in pair):
                 raise ConfigError("run.ladder: entries must be [n_r, n_s] pairs")
+        if self.mode == "ladder" and len(self.ladder) < 2:
+            raise ConfigError("run.ladder: ladder mode needs at least two levels")
 
 
 @dataclass(frozen=True)
@@ -365,8 +367,6 @@ def run_config(config, stdout=None):
         return 0
 
     # ladder
-    if len(run.ladder) < 2:
-        raise ConfigError("run.ladder: ladder mode needs at least two levels")
     entries = []
     flagged = 0
     for n_r, n_s in run.ladder:
@@ -430,9 +430,6 @@ def main(argv=None):
 
     try:
         return run_config(config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except FlaggedCellsError as err:
         print(f"solve failed: {err}", file=sys.stderr)
         return 1

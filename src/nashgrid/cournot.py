@@ -229,7 +229,7 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0, *, s_pow=None):
             + np.asarray(a * sa)[..., None] * q / (dens * Qe)[..., None]
             - (sa / dens)[..., None])
     shift = np.asarray(r, dtype=float) - alpha
-    return base + shift[..., None] if shift.ndim else base + float(shift)
+    return base + shift[..., None]
 
 
 def operator_eval_sampled(instance, q, r, s, beta, alpha):

@@ -46,6 +46,8 @@ CELL_CAP = 100_000_000
 # 128 KiB stays on the allocator's heap instead of fresh mapped pages
 _WINDOW_CAP = 32
 _WINDOW_CELLS = 3200
+# Gauss-Legendre points per cell per dimension in mean_truncation
+_TRUNCATION_NODES = 16
 
 DEFAULT_RULES = {
     "r": "lower_endpoint",
@@ -326,7 +328,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         # screen the window: one operator call for all its cells
         x = X.reshape(k * na, m)
         F = kernel(factors)(x, slice(None))
-        res = residual_rows(x, F, lower, upper, config.gamma)
+        res = residual_rows(x, F, lower, upper)
         # a row's accepted run ends at its first miss or its chain's end
         ok = np.zeros((k + 1, na), dtype=bool)
         np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
@@ -382,7 +384,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         run.sort()
         grow = 2 * int(run[na // 2])
 
-    report = moment_report(fold_moments(acc), flagged_cells=flagged)
+    report = moment_report(fold_moments(acc))
     if flagged > max_flagged_fraction * n:
         raise FlaggedCellsError(flagged, n, worst)
     if abs(report.total_weight - 1.0) > 1e-9:
@@ -426,21 +428,20 @@ def write_cells_csv(solution, path):
     return path
 
 
-def mean_truncation(target, factors, partitions, nodes=16):
+def mean_truncation(target, factors, partitions):
     """Per-cell conditional means of a function of the random factors.
 
     For each cell of the product partition, returns
     E[target(X) | X in cell], computed by per-cell Gauss-Legendre
-    quadrature against the factor densities; cells of probability zero
-    get the value 0. Cells on which the sampled values are all equal
-    return that value unchanged, so cell-constant functions are
-    reproduced exactly.
+    quadrature (_TRUNCATION_NODES points per dimension) against the
+    factor densities; cells of probability zero get the value 0. Cells
+    on which the sampled values are all equal return that value
+    unchanged, so cell-constant functions are reproduced exactly.
 
     Args:
         target: vectorized callable of len(factors) coordinate arrays.
         factors: the random factors, one per argument of target.
         partitions: matching Partition1D per factor.
-        nodes: Gauss-Legendre points per cell per dimension.
 
     Returns:
         ndarray of shape (n_cells_1, ..., n_cells_d).
@@ -450,7 +451,7 @@ def mean_truncation(target, factors, partitions, nodes=16):
     if len(factors) != len(partitions) or not factors:
         raise ValueError("need one partition per factor")
     shape = tuple(p.n_cells for p in partitions)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(nodes)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_TRUNCATION_NODES)
     out = np.empty(shape)
     for idx in np.ndindex(shape):
         coords = []

@@ -12,9 +12,11 @@ implementation: it iterates many independent VIs as rows of a batch,
 and solve_vi is its one-row call for a single VIProblem. Termination
 uses the natural residual
 
-    ||x - P_K(x - gamma * (F(x) - shift))||_2
+    ||x - P_K(x - (F(x) - shift))||_2
 
-which vanishes exactly at solutions.
+which vanishes exactly at solutions. Any positive multiple of F in
+this map has the same zeros (Facchinei & Pang 2003, sec. 1.5), so the
+unit multiple is the only one used.
 
 Given the operator's Jacobian, the batch solver first tries a
 semismooth Newton step on that natural map (Qi & Sun 1993; Facchinei &
@@ -31,6 +33,9 @@ import numpy as np
 # Backtracking acceptance ratio: a trial step tau is kept when
 # tau * ||F(x) - F(y)|| <= _BACKTRACK_RATIO * ||x - y||.
 _BACKTRACK_RATIO = 0.9
+
+# Factor that shrinks a trial step failing the backtracking test.
+_STEP_SHRINK = 0.5
 
 # A semismooth Newton point is taken when its natural residual is at
 # most this fraction of the current one.
@@ -88,8 +93,6 @@ class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 1000
     initial_step: float = 1.0
-    step_shrink: float = 0.5
-    gamma: float = 1.0
 
     def __post_init__(self):
         # the ``not (x > 0)`` form refuses NaN as well
@@ -99,10 +102,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if not self.initial_step > 0:
             raise ValueError("initial_step must be > 0")
-        if not 0 < self.step_shrink < 1:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be > 0")
 
 
 @dataclass
@@ -141,34 +140,32 @@ def _norm_rows(d):
     return np.sqrt((d ** 2).sum(axis=-1))
 
 
-def residual_rows(x, fx, lower, upper, gamma):
+def residual_rows(x, fx, lower, upper):
     """Natural residual of each row of x, given fx = F(x) rowwise.
 
-    ||x - clip(x - gamma*fx, lower, upper)||_2 per row. The clip would
+    ||x - clip(x - fx, lower, upper)||_2 per row. The clip would
     hide an infinite F, so a row whose fx is not finite gets NaN. This
     is the one natural-residual expression: the solver's convergence
     and Newton tests, natural_residual, and callers that screen points
     before solving all use it, so their residuals agree bitwise.
     """
-    res = _norm_rows(x - np.clip(x - gamma * fx, lower, upper))
+    res = _norm_rows(x - np.clip(x - fx, lower, upper))
     if not np.isfinite(fx).all():
         res[~np.isfinite(fx).all(axis=1)] = np.nan
     return res
 
 
-def natural_residual(problem, point, gamma):
-    """||x - P_K(x - gamma*(F(x) - shift))||_2; zero exactly at solutions.
+def natural_residual(problem, point):
+    """||x - P_K(x - (F(x) - shift))||_2; zero exactly at solutions.
 
     NaN where F(x) is not finite, which the projection would hide.
     """
-    if not gamma > 0:  # refuses NaN as well
-        raise ValueError("gamma must be > 0")
     x = np.asarray(point, dtype=float)
     box = problem.set
     if x.shape != (box.dim,):
         raise ValueError("dimension mismatch between point and box")
     return float(residual_rows(x[None], problem.eval_shifted(x)[None],
-                               box.lower, box.upper, gamma)[0])
+                               box.lower, box.upper)[0])
 
 
 def solve_vi(problem, config=None, warm_start=None):
@@ -177,14 +174,17 @@ def solve_vi(problem, config=None, warm_start=None):
     Args:
         problem: VIProblem with a continuous monotone operator.
         config: SolverConfig; defaults are used when omitted.
-        warm_start: optional start point, projected onto the box first.
-            Defaults to the box midpoint.
+        warm_start: optional start point, projected onto the box first
+            (an infinite component lands on its bound). Defaults to the
+            box midpoint.
 
     Returns:
         (solution, SolveReport). The solution satisfies
-        natural_residual(problem, solution, config.gamma) <= config.tolerance.
+        natural_residual(problem, solution) <= config.tolerance.
 
     Raises:
+        ValueError: if warm_start has a NaN component; the operator is
+            not called.
         FloatingPointError: if the operator returns NaN/Inf.
         NonConvergenceError: if max_iterations is exhausted; the error
             carries the last iterate and its report.
@@ -192,6 +192,8 @@ def solve_vi(problem, config=None, warm_start=None):
     config = config or SolverConfig()
     box = problem.set
     seed = box.midpoint() if warm_start is None else project(warm_start, box)
+    if np.isnan(seed).any():
+        raise ValueError("warm_start must not contain NaN")
     out = solve_box_vi_batch(lambda x, rows: problem.eval_shifted(x[0])[None],
                              box.lower, box.upper, config, seed[None])
     x = out["solutions"][0]
@@ -223,14 +225,13 @@ def _solve_stack(V, rhs):
         return out
 
 
-def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows,
-                  gamma):
-    """One semismooth Newton step on Phi(x) = x - P_K(x - gamma*F(x)) per row.
+def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
+    """One semismooth Newton step on Phi(x) = x - P_K(x - F(x)) per row.
 
-    The generalized Jacobian of Phi takes row gamma*J_i for components
-    the projection leaves free (lo < x - gamma*F < up) and the unit row
-    e_i for clipped ones. A row whose matrix or direction is not finite
-    gets no trial point. A trial point, the Newton point projected onto
+    The generalized Jacobian of Phi takes row J_i for components the
+    projection leaves free (lo < x - F < up) and the unit row e_i for
+    clipped ones. A row whose matrix or direction is not finite gets no
+    trial point. A trial point, the Newton point projected onto
     the box, is taken when its natural residual is at most
     _NEWTON_DECREASE times the current one; one whose operator value is
     not finite has a NaN residual and is not taken.
@@ -239,10 +240,10 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows,
         (take, x_new, f_new): a mask over the rows, and the taken points
         with their operator values, in row order.
     """
-    z = xa - gamma * fx
+    z = xa - fx
     ref = np.clip(z, la, ua)
     free = (la < z) & (z < ua)
-    V = np.where(free[:, :, None], gamma * jacobian_batch(xa, rows),
+    V = np.where(free[:, :, None], jacobian_batch(xa, rows),
                  np.eye(xa.shape[1]))
     ok = np.isfinite(V).all(axis=(1, 2))
     d = np.full(xa.shape, np.nan)
@@ -254,7 +255,7 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows,
         return take, xa[idx], fx[idx]
     xn = np.clip(xa[idx] + d[idx], la[idx], ua[idx])
     fn = operator_batch(xn, rows[idx])
-    resn = residual_rows(xn, fn, la[idx], ua[idx], gamma)
+    resn = residual_rows(xn, fn, la[idx], ua[idx])
     kept = resn <= _NEWTON_DECREASE * res[idx]
     take[idx[kept]] = True
     return take, xn[kept], fn[kept]
@@ -320,7 +321,7 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
         if fx is None:
             # a batch emptied by trial-point freezes needs no call
             fx = operator_batch(xa, active) if active.size else xa
-        res = residual_rows(xa, fx, la, ua, config.gamma)
+        res = residual_rows(xa, fx, la, ua)
         lost = ~np.isfinite(res)
         # converged, non-finite and out-of-iterations rows all leave here
         leave = ((res <= config.tolerance) | lost
@@ -338,8 +339,7 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
         rows = active
         if jacobian_batch is not None:
             take, xn, fn = _newton_trial(operator_batch, jacobian_batch, xa,
-                                         la, ua, fx, res, active,
-                                         config.gamma)
+                                         la, ua, fx, res, active)
             x[active[take]] = xn
             if take.all():
                 # F at the taken points is next iteration's fx
@@ -358,7 +358,7 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
                    & np.isfinite(df))
             if not bad.any():
                 break
-            st = np.where(bad, st * config.step_shrink, st)
+            st = np.where(bad, st * _STEP_SHRINK, st)
             backtracks[rows] += bad
         step[rows] = st
         x[rows] = np.clip(xa - st[:, None] * fy, la, ua)

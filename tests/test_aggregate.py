@@ -107,18 +107,11 @@ def test_variance_never_negative():
     assert rep.variance[0] == 0.0
 
 
-def test_moment_report_carries_flag_count():
-    acc = RunningMoments(2)
-    acc.add(1.0, np.array([1.0, 2.0]))
-    rep = moment_report(acc, flagged_cells=3)
-    assert rep.flagged_cells == 3
-
-
 def test_summary_csv_round_trips_full_precision(tmp_path):
     mean = np.array([36.94373931731612, 41.8275507837207])
     var = np.array([0.3084770781676981, 0.2652451143783311])
     rep = MomentReport(mean=mean, second_moment=mean ** 2 + var,
-                       variance=var, total_weight=1.0, flagged_cells=0)
+                       variance=var, total_weight=1.0)
     path = write_summary_csv(rep, tmp_path / "summary.csv")
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -135,8 +128,7 @@ def test_convergence_report_and_csv(tmp_path):
     reports = []
     for m in (m0, m1, m2):
         reports.append(MomentReport(mean=m, second_moment=m ** 2,
-                                    variance=np.zeros(2), total_weight=1.0,
-                                    flagged_cells=0))
+                                    variance=np.zeros(2), total_weight=1.0))
     rows = convergence_report([((10, 100), reports[0]),
                                ((20, 200), reports[1]),
                                ((40, 400), reports[2])])
@@ -157,6 +149,6 @@ def test_convergence_report_and_csv(tmp_path):
 
 def test_convergence_report_needs_two_levels():
     rep = MomentReport(mean=np.zeros(1), second_moment=np.zeros(1),
-                       variance=np.zeros(1), total_weight=1.0, flagged_cells=0)
+                       variance=np.zeros(1), total_weight=1.0)
     with pytest.raises(ValueError):
         convergence_report([((10, 10), rep)])

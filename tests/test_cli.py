@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from nashgrid import SolverConfig, cli
-from nashgrid.cli import (ConfigError, DiscretizationConfig, RunSettings,
-                          config_to_json, load_config, main, parse_config)
+from nashgrid.cli import (BLOCKS, ConfigError, DiscretizationConfig,
+                          RunSettings, config_to_json, load_config, main,
+                          parse_config)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -79,19 +80,29 @@ def test_flat_blocks_accept_exactly_the_dataclass_fields(block, cls):
         parse_config(doc)
 
 
-def test_unknown_keys_rejected():
-    doc = small_config()
-    doc["extra"] = 1
-    with pytest.raises(ConfigError, match="unknown keys"):
-        parse_config(doc)
-    doc = small_config()
-    doc["model"]["markup"] = 2.0
-    with pytest.raises(ConfigError, match="model"):
-        parse_config(doc)
-    doc = small_config()
-    doc["run"]["threads"] = 4
-    with pytest.raises(ConfigError, match="run"):
-        parse_config(doc)
+def test_readme_schema_example_lists_exactly_the_dataclass_fields():
+    text = (CONFIGS.parent / "README.md").read_text()
+    example = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+    example = re.sub(r"//[^\n]*", "", example)
+    for block, cls in BLOCKS.items():
+        body = re.search(rf'"{block}": \{{(.*?)\n  \}}', example, re.S).group(1)
+        # only the block's own keys: drop nested objects such as rules
+        body = re.sub(r"\{[^{}]*\}", "", body)
+        assert set(re.findall(r'"(\w+)"\s*:', body)) == \
+            {f.name for f in fields(cls)}, block
+
+
+def test_unknown_keys_rejected(tmp_path, capsys):
+    for where, key in [("top level", "extra"), ("model", "markup"),
+                       ("run", "threads"),
+                       ("solver", "gamma"), ("solver", "step_shrink")]:
+        doc = small_config()
+        (doc if where == "top level" else doc[where])[key] = 1.0
+        with pytest.raises(ConfigError,
+                           match=rf"{where}: unknown keys \['{key}'\]"):
+            parse_config(doc)
+        assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_model_invariants_surface_as_config_errors():
@@ -132,7 +143,6 @@ BAD_NUMBERS = [
     (("solver", "max_iterations"), 2.7),
     (("run", "seed"), 1.9),
     (("solver", "tolerance"), float("nan")),
-    (("solver", "gamma"), float("nan")),
     (("solver", "initial_step"), float("inf")),
     (("model", "e"), float("inf")),
     (("model", "firms", 0, "c"), float("nan")),
@@ -298,9 +308,20 @@ def test_cli_ladder_mode(tmp_path, capsys):
 
 
 def test_cli_ladder_needs_two_levels(tmp_path, capsys):
-    path = write_config(tmp_path, small_config(mode="ladder", ladder=[[2, 2]]))
+    out = tmp_path / "out"
+    doc = small_config(mode="ladder", ladder=[[2, 2]], out_dir=str(out))
+    with pytest.raises(ConfigError, match="two levels"):
+        parse_config(doc)
+    path = write_config(tmp_path, doc)
+    assert main(["solve", "--config", path, "--dump-config"]) == 2
+    assert "ladder" in capsys.readouterr().err
     assert main(["solve", "--config", path]) == 2
     assert "ladder" in capsys.readouterr().err
+    # the same check holds when the mode comes from the command line
+    doc["run"]["mode"] = "discretize"
+    path = write_config(tmp_path, doc)
+    assert main(["solve", "--config", path, "--mode", "ladder"]) == 2
+    assert not out.exists()
 
 
 def test_cli_flagged_cells_exit_code(tmp_path, capsys):

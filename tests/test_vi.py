@@ -46,11 +46,7 @@ def test_solver_config_validation():
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_shrink=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(gamma=-1.0)
-    for key in ("tolerance", "initial_step", "step_shrink", "gamma"):
+    for key in ("tolerance", "initial_step"):
         with pytest.raises(ValueError, match=key):
             SolverConfig(**{key: float("nan")})
 
@@ -76,11 +72,8 @@ def test_natural_residual_zero_at_solution_and_positive_off():
     prob = affine_problem([[2.0, 0.3], [0.3, 1.0]], [-1.0, 0.5],
                           [0.0, 0.0], [1.0, 1.0])
     x, _ = solve_vi(prob)
-    assert natural_residual(prob, x, 1.0) <= 1e-8
-    assert natural_residual(prob, x + 0.1, 1.0) > 1e-3
-    for gamma in (0.0, np.nan):
-        with pytest.raises(ValueError):
-            natural_residual(prob, x, gamma)
+    assert natural_residual(prob, x) <= 1e-8
+    assert natural_residual(prob, x + 0.1) > 1e-3
 
 
 def test_natural_residual_is_nan_where_the_operator_is_not_finite():
@@ -88,7 +81,7 @@ def test_natural_residual_is_nan_where_the_operator_is_not_finite():
     prob = VIProblem(operator=lambda x: np.full(1, -np.inf),
                      constant_shift=np.zeros(1),
                      set=BoxSet(np.zeros(1), np.ones(1)))
-    assert np.isnan(natural_residual(prob, np.ones(1), 1.0))
+    assert np.isnan(natural_residual(prob, np.ones(1)))
 
 
 def test_newton_point_with_non_finite_value_is_not_taken():
@@ -165,6 +158,24 @@ def test_warm_start_is_used():
     assert np.abs(x_warm - x_cold).max() < 1e-10
 
 
+def test_nan_warm_start_is_refused_before_any_operator_call():
+    calls = []
+
+    def op(x):
+        calls.append(np.array(x))
+        return x - np.array([0.3, 0.7])
+
+    prob = VIProblem(operator=op, constant_shift=np.zeros(2),
+                     set=BoxSet(np.zeros(2), np.ones(2)))
+    with pytest.raises(ValueError, match="warm_start"):
+        solve_vi(prob, warm_start=[np.nan, 0.5])
+    assert calls == []
+    # an infinite component still projects onto its bound
+    x, _ = solve_vi(prob, warm_start=[np.inf, -np.inf])
+    assert calls[0].tolist() == [1.0, 0.0]
+    assert np.abs(x - [0.3, 0.7]).max() < 1e-8
+
+
 def test_nan_from_operator_raises():
     prob = VIProblem(operator=lambda x: x * np.nan,
                      constant_shift=np.zeros(1),
@@ -216,7 +227,7 @@ def test_batch_matches_sequential_scalar_solves():
                                             np.full(m, 1.0), **asdict(cfg))
         assert res <= cfg.tolerance
         assert np.abs(out["solutions"][i] - x).max() < 1e-7
-        assert natural_residual(prob, out["solutions"][i], cfg.gamma) <= cfg.tolerance
+        assert natural_residual(prob, out["solutions"][i]) <= cfg.tolerance
 
 
 def test_batch_rows_converge_independently():
