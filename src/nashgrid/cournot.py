@@ -26,11 +26,12 @@ operator_eval_sampled gives every factor per row). It runs the same
 numpy expression sequence either way, so a batched solve and a
 pointwise recheck with the same scalar factors produce bitwise-equal
 values. operator_jacobian gives its closed-form derivative in q, with
-the same argument shapes and input checks.
+the same argument shapes and input checks, as a diagonal plus a
+rank-one term: F_i depends on q only through q_i and the total Q.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -254,33 +255,30 @@ def operator_eval_sampled(instance, q, r, s, beta, alpha):
 
 
 def operator_jacobian(instance, q, r, s, beta=None, alpha=0.0):
-    """Closed-form Jacobian dF/dq of operator_eval, rowwise.
+    """Closed-form Jacobian dF/dq of operator_eval as J = diag(diag) + col 1^T.
 
-    J = diag(d) + g (I + 11^T) - h q 1^T with, per row,
+    Per row, diag_i = d_i + g and col_i = g - h q_i with
     g = a s^a/(Q+e)^{a+1}, h = (a+1) g/(Q+e) and
-    d_i = beta_i k_i^{-1/b_i} (1/b_i) q_i^{1/b_i - 1}. The price part is
+    d_i = beta_i k_i^{-1/b_i} (1/b_i) q_i^{1/b_i - 1}, so
+    J = diag(d) + g (I + 11^T) - h q 1^T; its price part is
     -p'(Q)(I + 11^T) - p''(Q) q 1^T, the matrix jacobian_form_test
-    evaluates. For b_i > 1, d_i is +inf at q_i = 0.
+    evaluates. For b_i > 1, diag_i is +inf at q_i = 0.
 
     Takes the arguments and applies the checks of operator_eval; r and
     alpha shift F by a constant and do not enter J.
 
     Returns:
-        (m, m) for q of shape (m,), (B, m, m) for q of shape (B, m).
+        (diag, col), each with the shape of q.
     """
     q, beta = _checked(instance, q, s, beta)
     a = instance.a
     Qe = np.asarray(_total(q) + instance.e)
-    g = a * np.asarray(s, dtype=float) ** a / Qe ** (a + 1.0)
-    h = (a + 1.0) * g / Qe
+    g = (a * np.asarray(s, dtype=float) ** a / Qe ** (a + 1.0))[..., None]
+    h = (a + 1.0) * g / Qe[..., None]
     with np.errstate(divide="ignore"):
         slope = np.power(q, instance._inv_b - 1.0)
     d = beta * instance._cost_scale * instance._inv_b * slope
-    m = instance.m
-    J = (g[..., None, None] * (np.eye(m) + 1.0)
-         - h[..., None, None] * q[..., :, None])
-    J[..., np.arange(m), np.arange(m)] += d
-    return J
+    return d + g, g - h * q
 
 
 def welfare(instance, i, q, r, s, beta=None, alpha=0.0):

@@ -48,6 +48,8 @@ _WINDOW_CAP = 32
 _WINDOW_CELLS = 3200
 # Gauss-Legendre points per cell per dimension in mean_truncation
 _TRUNCATION_NODES = 16
+# cells write_cells_csv turns into Python lists at a time
+_DUMP_BLOCK = 4096
 
 DEFAULT_RULES = {
     "r": "lower_endpoint",
@@ -405,26 +407,27 @@ def write_cells_csv(solution, path):
             "cell dump requires stored cells; rerun with keep_cells=True")
     grid = solution.grid
     names = [name for name, _ in grid.parts()]
-    reps = [p.representatives for _, p in grid.parts()]
-    m = grid.m
-
-    def fmt(v):
-        return repr(float(v))
+    # each factor's representatives formatted once; csv writes a float
+    # as its repr, so the per-cell columns go out as Python floats
+    reps = [[repr(v) for v in p.representatives.tolist()]
+            for _, p in grid.parts()]
+    arrays = (solution.weights, solution.solutions, solution.residuals,
+              solution.iterations)
+    # ndindex walks the cells in the arrays' lexicographic order
+    cells = np.ndindex(grid.shape)
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow([f"idx_{nm}" for nm in names]
                      + [f"rep_{nm}" for nm in names] + ["weight"]
-                     + [f"u_{i + 1}" for i in range(m)]
+                     + [f"u_{i + 1}" for i in range(grid.m)]
                      + ["residual", "iterations"])
-        # ndindex walks the cells in the arrays' lexicographic order
-        for c, idx in enumerate(np.ndindex(grid.shape)):
-            row = list(idx)
-            row += [fmt(rep[i]) for rep, i in zip(reps, idx)]
-            row.append(fmt(solution.weights[c]))
-            row += [fmt(v) for v in solution.solutions[c]]
-            row.append(fmt(solution.residuals[c]))
-            row.append(int(solution.iterations[c]))
-            out.writerow(row)
+        # blocks bound the Python lists; cells comes last in zip, so
+        # the end of a block takes no cell index from it
+        for lo in range(0, grid.n_cells, _DUMP_BLOCK):
+            block = [v[lo:lo + _DUMP_BLOCK].tolist() for v in arrays]
+            out.writerows([*idx, *(rep[i] for rep, i in zip(reps, idx)),
+                           w, *u, res, it]
+                          for w, u, res, it, idx in zip(*block, cells))
     return path
 
 

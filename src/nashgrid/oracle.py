@@ -8,10 +8,11 @@ representatives, warm starts or moment accumulators, so agreement
 between the two is a meaningful check of the discretization.
 
 Each sample is solved from its box midpoint by semismooth Newton steps
-with the closed-form Jacobian (cournot.operator_jacobian), falling back
-to extragradient steps where a Newton step does not pay; on the shipped
-market that takes 4 iterations per sample where extragradient alone
-takes about 175. The grid sweep keeps pure extragradient: its pinned
+with the closed-form Jacobian (cournot.operator_jacobian, a diagonal
+plus a rank-one term, so each Newton direction costs O(m)), falling
+back to extragradient steps where a Newton step does not pay; on the
+shipped market that takes 4 iterations per sample where extragradient
+alone takes about 175. The grid sweep keeps pure extragradient: its pinned
 mean depends on the iteration path, not only on the tolerance.
 
 Sampling is counter-based: sample i lives in chunk i // 4096, and each

@@ -22,6 +22,8 @@ Given the operator's Jacobian, the batch solver first tries a
 semismooth Newton step on that natural map (Qi & Sun 1993; Facchinei &
 Pang 2003, ch. 7-9) in every iteration and falls back to the
 extragradient step for rows where it does not cut the residual enough.
+The Jacobian comes as a diagonal plus a rank-one term, diag(diag) +
+col 1^T, so each Newton direction costs O(m) by Sherman-Morrison.
 """
 from __future__ import annotations
 
@@ -206,35 +208,35 @@ def solve_vi(problem, config=None, warm_start=None):
     return x, report
 
 
-def _solve_stack(V, rhs):
-    """Solve V[i] d_i = rhs[i] for a (k, m, m) stack; singular rows get NaN.
+def _newton_direction(diag, col, free, rhs):
+    """Solve (diag(dv) + uv 1^T) d = rhs rowwise by Sherman-Morrison, O(m).
 
-    One singular matrix makes np.linalg.solve reject the whole stack, so
-    the stack is then solved as k stacks of one, which gives every other
-    row the bits the stacked call would have.
+    dv = where(free, diag, 1), uv = where(free, col, 0); with a = rhs/dv
+    and c = uv/dv, d = a - c sum(a)/(1 + sum(c)). A row with a non-finite
+    dv or uv gets NaN, and a singular row a non-finite direction.
     """
-    try:
-        return np.linalg.solve(V, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        for i in range(len(V)):
-            try:
-                out[i] = np.linalg.solve(V[i:i + 1], rhs[i:i + 1, :, None])[0, :, 0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    dv = np.where(free, diag, 1.0)
+    uv = np.where(free, col, 0.0)
+    with np.errstate(all="ignore"):
+        a = rhs / dv
+        c = uv / dv
+        d = a - c * (a.sum(axis=1) / (1.0 + c.sum(axis=1)))[:, None]
+    d[~(np.isfinite(dv) & np.isfinite(uv)).all(axis=1)] = np.nan
+    return d
 
 
 def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
     """One semismooth Newton step on Phi(x) = x - P_K(x - F(x)) per row.
 
-    The generalized Jacobian of Phi takes row J_i for components the
-    projection leaves free (lo < x - F < up) and the unit row e_i for
-    clipped ones. A row whose matrix or direction is not finite gets no
-    trial point. A trial point, the Newton point projected onto
-    the box, is taken when its natural residual is at most
-    _NEWTON_DECREASE times the current one; one whose operator value is
-    not finite has a NaN residual and is not taken.
+    The generalized Jacobian of Phi takes row i of J = diag(diag) +
+    col 1^T for components the projection leaves free (lo < x - F < up)
+    and the unit row e_i for clipped ones, which _newton_direction
+    solves in closed form. A row whose Jacobian entries or direction are
+    not finite, a singular one included, gets no trial point. A trial
+    point, the Newton point projected onto the box, is taken when its
+    natural residual is at most _NEWTON_DECREASE times the current one;
+    one whose operator value is not finite has a NaN residual and is
+    not taken.
 
     Returns:
         (take, x_new, f_new): a mask over the rows, and the taken points
@@ -243,12 +245,7 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
     z = xa - fx
     ref = np.clip(z, la, ua)
     free = (la < z) & (z < ua)
-    V = np.where(free[:, :, None], jacobian_batch(xa, rows),
-                 np.eye(xa.shape[1]))
-    ok = np.isfinite(V).all(axis=(1, 2))
-    d = np.full(xa.shape, np.nan)
-    if ok.any():
-        d[ok] = _solve_stack(V[ok], ref[ok] - xa[ok])
+    d = _newton_direction(*jacobian_batch(xa, rows), free, ref - xa)
     idx = np.flatnonzero(np.isfinite(d).all(axis=1))
     take = np.zeros(rows.size, dtype=bool)
     if idx.size == 0:
@@ -288,7 +285,8 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
         config: SolverConfig.
         seeds: (n, m) start points, projected onto the box first.
         jacobian_batch: optional callable (x: (B, m), rows: (B,) int)
-            -> (B, m, m), the operator's Jacobian rowwise.
+            -> (diag, col), each (B, m): the operator's Jacobian rowwise
+            in aggregative form, J = diag(diag) + col 1^T.
         values: optional (n, m) operator values at the seeds projected
             onto the box; given, the operator is not called there again.
 

@@ -86,6 +86,19 @@ def fd_jacobian(F, x, h=1e-6):
     return J
 
 
+def dense_jacobian(diag, col):
+    """Assemble J = diag(diag) + col 1^T from its aggregative form, rowwise.
+
+    diag and col have shape (..., m); J has shape (..., m, m). The
+    diagonal is placed by np.where, so an infinite entry does not turn
+    its row's off-diagonal zeros into NaN.
+    """
+    diag = np.asarray(diag, dtype=float)
+    col = np.asarray(col, dtype=float)
+    eye = np.eye(diag.shape[-1], dtype=bool)
+    return np.where(eye, diag[..., :, None], 0.0) + col[..., :, None]
+
+
 # ---------------------------------------------------------------------------
 # affine box VI by active-set enumeration
 

@@ -388,9 +388,10 @@ def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
     assert np.isnan(windowed.report.mean).all()
 
 
-def test_cells_csv_round_trip(tmp_path):
+def test_cells_csv_round_trip(tmp_path, monkeypatch):
     # on the three-firm grid every factor has several cells, so every
-    # idx_* column varies
+    # idx_* column varies; 7-cell blocks put block ends inside both grids
+    monkeypatch.setattr(discretize, "_DUMP_BLOCK", 7)
     for inst, counts in [
             (randomized_instance(), dict(n_r=2, n_s=3)),
             (three_firm_instance(),

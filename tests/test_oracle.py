@@ -79,7 +79,8 @@ def assert_newton_matches_extragradient(newton, plain, jac, config):
     assert (newton["residuals"] <= config.tolerance).all()
     rows = np.arange(len(newton["solutions"]))
     x1, x2 = newton["solutions"], plain["solutions"]
-    bound = solution_gap_bound(jac(x1, rows), jac(x2, rows), x1, x2,
+    bound = solution_gap_bound(o.dense_jacobian(*jac(x1, rows)),
+                               o.dense_jacobian(*jac(x2, rows)), x1, x2,
                                newton["residuals"], plain["residuals"], 1.0)
     gap = np.linalg.norm(x1 - x2, axis=1)
     assert (gap <= bound).all(), (gap / np.where(bound > 0, bound, 1)).max()

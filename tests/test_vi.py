@@ -3,11 +3,13 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from nashgrid import (BoxSet, NonConvergenceError, SolverConfig, VIProblem,
-                      check_monotone, natural_residual, project, solve_vi,
+from nashgrid import (BoxSet, CournotInstance, FirmParams, NonConvergenceError,
+                      RandomFactor, SolverConfig, VIProblem, check_monotone,
+                      natural_residual, operator_jacobian, project, solve_vi,
                       solve_box_vi_batch)
+from nashgrid.vi import _newton_direction, _newton_trial, residual_rows
 
-from _oracles import active_set_box_vi, extragradient_box_vi
+from _oracles import active_set_box_vi, dense_jacobian, extragradient_box_vi
 
 
 def affine_problem(M, d, lo, hi, shift=None):
@@ -22,6 +24,16 @@ def affine_problem(M, d, lo, hi, shift=None):
 def random_spd(rng, m, strength=0.5):
     A = rng.standard_normal((m, m))
     return A @ A.T + strength * np.eye(m)
+
+
+def random_aggregative(rng, m):
+    """(delta, c) with M = diag(delta) + c 1^T strongly monotone."""
+    while True:
+        delta = rng.uniform(0.5, 3.0, m)
+        c = rng.uniform(-1.0, 1.0, m)
+        M = np.diag(delta) + c[:, None]
+        if np.linalg.eigvalsh(0.5 * (M + M.T))[0] > 0.1:
+            return delta, c
 
 
 def test_box_set_validation():
@@ -92,8 +104,9 @@ def test_newton_point_with_non_finite_value_is_not_taken():
         return np.where(x == 1.0, -np.inf, x - 0.5)
 
     out = solve_box_vi_batch(op, 0.0, 1.0, SolverConfig(), np.zeros((1, 1)),
-                             jacobian_batch=lambda x, rows: np.full(
-                                 (len(rows), 1, 1), 0.1))
+                             jacobian_batch=lambda x, rows: (
+                                 np.full((len(rows), 1), 0.1),
+                                 np.zeros((len(rows), 1))))
     assert bool(out["converged"][0]) is True
     np.testing.assert_allclose(out["solutions"][0], 0.5, atol=1e-8)
 
@@ -103,7 +116,8 @@ def test_affine_solutions_match_active_set_enumeration():
     cfg = SolverConfig(tolerance=1e-10)
     for _ in range(25):
         m = int(rng.integers(1, 5))
-        M = random_spd(rng, m)
+        delta, c = random_aggregative(rng, m)
+        M = np.diag(delta) + c[:, None]
         d = rng.standard_normal(m) * 3.0
         lo = rng.uniform(-2.0, 0.0, m)
         hi = lo + rng.uniform(0.5, 3.0, m)
@@ -114,7 +128,8 @@ def test_affine_solutions_match_active_set_enumeration():
         assert np.abs(x - ref).max() < 1e-8
         newton = solve_box_vi_batch(
             lambda x, rows: x @ M.T + d, lo, hi, cfg, seeds=[0.5 * (lo + hi)],
-            jacobian_batch=lambda x, rows: np.broadcast_to(M, (len(x), m, m)))
+            jacobian_batch=lambda x, rows: (np.broadcast_to(delta, x.shape),
+                                            np.broadcast_to(c, x.shape)))
         assert newton["converged"][0]
         assert np.abs(newton["solutions"][0] - ref).max() < 1e-8
 
@@ -312,25 +327,27 @@ def test_batch_freezes_rows_whose_trial_value_is_non_finite():
 
 
 def test_newton_rows_do_not_depend_on_their_neighbours():
-    # F(x) = M x + x**3 + d is strictly monotone with Jacobian
-    # M + diag(3 x**2). Row 0 is the Newton row under test; row 1's
-    # operator is NaN, row 2's Jacobian is NaN so it only takes
-    # extragradient steps and runs out of iterations, and row 3's
-    # Jacobian is singular, which makes the stacked linear solve fail.
-    # M x is summed column by column: a BLAS matmul may round a 1-row
-    # and a 4-row product differently.
-    M = np.array([[2.0, 0.5, 0.0], [-0.5, 1.5, 0.3], [0.0, -0.3, 1.0]])
+    # F(x) = diag(delta) x + c sum(x) + x**3 + d is strictly monotone
+    # with Jacobian diag(delta + 3 x**2) + c 1^T. Row 0 is the Newton
+    # row under test; row 1's operator is NaN, row 2's Jacobian is NaN
+    # so it only takes extragradient steps and runs out of iterations,
+    # and row 3's Jacobian is zero, so its Newton matrix is singular.
+    # sum(x) is taken column by column: an axis sum may round a 1-row
+    # and a 4-row batch differently.
+    delta = np.array([2.0, 1.5, 1.0])
+    c = np.array([0.5, -0.3, 0.2])
     d = np.array([[-3.0, 0.5, -1.0], [1.0, 1.0, 1.0], [-4.0, -2.0, 3.0],
                   [-1.0, -1.0, 0.5]])
 
     def op(x, rows):
-        out = sum(x[:, j:j + 1] * M[:, j] for j in range(3)) + x ** 3 + d[rows]
+        total = x[:, 0] + x[:, 1] + x[:, 2]
+        out = delta * x + c * total[:, None] + x ** 3 + d[rows]
         return np.where(rows[:, None] == 1, np.nan, out)
 
     def jac(x, rows):
-        out = M + 3.0 * x[:, None, :] ** 2 * np.eye(3)
-        out = np.where(rows[:, None, None] == 2, np.nan, out)
-        return np.where(rows[:, None, None] == 3, 0.0, out)
+        diag = np.where(rows[:, None] == 2, np.nan, delta + 3.0 * x ** 2)
+        zero = rows[:, None] == 3
+        return np.where(zero, 0.0, diag), np.where(zero, 0.0, c)
 
     cfg = SolverConfig(max_iterations=12, tolerance=1e-12)
     lo, hi = np.full(3, -2.0), np.full(3, 2.0)
@@ -348,6 +365,61 @@ def test_newton_rows_do_not_depend_on_their_neighbours():
     for key in ("solutions", "residuals", "iterations", "converged",
                 "backtracks"):
         assert batch[key][0].tobytes() == alone[key][0].tobytes(), key
+
+
+def test_newton_direction_matches_dense_solve():
+    # random markets at random points, with random free masks: the
+    # closed form solves the assembled generalized Jacobian
+    rng = np.random.default_rng(31)
+    B = 64
+    for _ in range(20):
+        m = int(rng.integers(1, 7))
+        firms = tuple(FirmParams(c=rng.uniform(0.0, 30.0),
+                                 k=rng.uniform(0.5, 10.0),
+                                 b=rng.uniform(0.6, 1.4),
+                                 q_bar=RandomFactor.constant(100.0))
+                      for _ in range(m))
+        inst = CournotInstance(firms=firms, a=rng.uniform(0.2, 0.95),
+                               e=rng.uniform(1e-4, 1.0),
+                               r_factor=RandomFactor.constant(0.0),
+                               s_factor=RandomFactor.constant(5000.0))
+        q = rng.uniform(0.1, 100.0, (B, m))
+        diag, col = operator_jacobian(inst, q, np.zeros(B),
+                                      rng.uniform(10.0, 5000.0, B),
+                                      rng.uniform(0.5, 1.5, (B, m)),
+                                      np.zeros(B))
+        free = rng.random((B, m)) < 0.6
+        rhs = rng.standard_normal((B, m)) * rng.uniform(0.01, 100.0, (B, 1))
+        d = _newton_direction(diag, col, free, rhs)
+        V = dense_jacobian(np.where(free, diag, 1.0), np.where(free, col, 0.0))
+        want = np.linalg.solve(V, rhs[..., None])[..., 0]
+        err = np.linalg.norm(d - want, axis=1)
+        assert (err <= 1e-12 * np.linalg.norm(want, axis=1)).all()
+
+    # one trial over four rows of a two-firm box [0, 1]^2 with constant F
+    xa = np.array([[0.25, 0.75], [0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
+    fx = np.array([[5.0, -5.0], [0.1, 0.1], [0.1, 0.2], [0.1, 0.2]])
+    # row 0 is clipped in both components, where an infinite diag does
+    # not enter; row 1 is free with an infinite diag; row 2 is free with
+    # the singular V = I - 0.5 11^T; row 3 is free with V = I
+    diag = np.array([[np.inf, 2.0], [np.inf, 1.0], [1.0, 1.0], [1.0, 1.0]])
+    col = np.array([[1.0, 1.0], [0.0, 0.0], [-0.5, -0.5], [0.0, 0.0]])
+    called = []
+
+    def op(x, rows):
+        called.extend(rows.tolist())
+        return fx[rows]
+
+    lo, up = np.zeros((4, 2)), np.ones((4, 2))
+    rows = np.arange(4)
+    take, xn, fn = _newton_trial(op, lambda x, r: (diag[r], col[r]), xa, lo,
+                                 up, fx, residual_rows(xa, fx, lo, up), rows)
+    # row 0 steps to its projection, where the constant F is solved;
+    # rows 1 and 2 get no trial point; row 3's does not halve its residual
+    assert called == [0, 3]
+    assert take.tolist() == [True, False, False, False]
+    assert xn.tolist() == [[0.0, 1.0]]
+    assert fn.tolist() == [[5.0, -5.0]]
 
 
 def test_check_monotone_classifies_operators():
