@@ -5,6 +5,9 @@ the sweep, with compensated (Neumaier) summation: each accumulator
 folds its cells in a fixed order, and the accumulators are merged in
 one canonical order at the end, so results are reproducible to full
 precision. Stored per-cell arrays are never summed a second time.
+
+Every CSV output of the package (summary, ladder, oracle and cell dump)
+is written by write_csv, with floats in one format, _fmt's repr.
 """
 from __future__ import annotations
 
@@ -155,18 +158,24 @@ def convergence_report(entries):
 
 
 def _fmt(x):
+    """The float format of every CSV output: repr, full precision."""
     return repr(float(x))
+
+
+def write_csv(path, header, rows):
+    """Write the header, then rows (an iterable, read once); return path."""
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(header)
+        out.writerows(rows)
+    return path
 
 
 def write_summary_csv(report, path):
     """Write (component, mean, variance) rows, full precision."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["component", "mean", "variance"])
-        for i in range(len(report.mean)):
-            out.writerow([f"u_{i + 1}", _fmt(report.mean[i]),
-                          _fmt(report.variance[i])])
-    return path
+    return write_csv(path, ["component", "mean", "variance"],
+                     ([f"u_{i + 1}", _fmt(mean), _fmt(var)] for i, (mean, var)
+                      in enumerate(zip(report.mean, report.variance))))
 
 
 def write_convergence_csv(rows, path):
@@ -174,12 +183,8 @@ def write_convergence_csv(rows, path):
     if not rows:
         raise ValueError("no convergence rows to write")
     m = len(rows[0].deltas)
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["level", "n_r", "n_s"]
-                     + [f"delta_u_{i + 1}" for i in range(m)] + ["max_delta"])
-        for row in rows:
-            n_r, n_s = row.sizes[0], row.sizes[1]
-            out.writerow([row.level, n_r, n_s]
-                         + [_fmt(d) for d in row.deltas] + [_fmt(row.max_delta)])
-    return path
+    return write_csv(
+        path, ["level", "n_r", "n_s"] + [f"delta_u_{i + 1}" for i in range(m)]
+        + ["max_delta"],
+        ([row.level, row.sizes[0], row.sizes[1], *map(_fmt, row.deltas),
+          _fmt(row.max_delta)] for row in rows))

@@ -21,7 +21,10 @@ so ``--dump-config`` prints every default.
 
 Outputs are CSV files in the chosen output directory: summary.csv
 (deterministic/discretize), cells.csv (optional cell dump), oracle.csv,
-ladder.csv. Exit status 0 means every requested solve converged.
+ladder.csv. run_config builds and solves every grid (deterministic,
+discretize and each ladder level) in one helper, and every mode ends in
+one exit rule: 0 when every requested solve converged, else 1 with the
+count of failed solves on stderr.
 """
 from __future__ import annotations
 
@@ -319,6 +322,14 @@ def _print_mean(label, mean, stream):
     print(f"{label}: ({vals})", file=stream)
 
 
+def _exit_status(failed, what):
+    """0, or 1 after reporting the count of failed solves on stderr."""
+    if failed:
+        print(f"{failed} {what}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def run_config(config, stdout=None):
     """Execute a RunConfig. Returns the process exit status."""
     if stdout is None:
@@ -334,24 +345,13 @@ def run_config(config, stdout=None):
     def out_path(name):
         return os.path.join(run.out_dir, name)
 
-    if run.mode in ("deterministic", "discretize"):
-        grid = make_grid(config.instance, n_r=disc.n_r, n_s=disc.n_s,
+    def solve_grid(n_r, n_s, keep_cells=False):
+        grid = make_grid(config.instance, n_r=n_r, n_s=n_s,
                          n_bounds=disc.n_bounds, n_betas=disc.n_betas,
                          n_alpha=disc.n_alpha, rules=disc.rules_dict())
-        solution = solve_all(config.instance, grid, config.solver,
-                             keep_cells=run.dump_cells,
-                             max_flagged_fraction=run.max_flagged_fraction)
-        report = expectation(solution)
-        path = write_summary_csv(report, out_path("summary.csv"))
-        _print_mean(f"mean over {solution.n_cells} cells", report.mean, stdout)
-        print(f"wrote {path}", file=stdout)
-        if run.dump_cells:
-            print(f"wrote {write_cells_csv(solution, out_path('cells.csv'))}",
-                  file=stdout)
-        if solution.flagged_cells:
-            print(f"{solution.flagged_cells} cells flagged", file=sys.stderr)
-            return 1
-        return 0
+        return solve_all(config.instance, grid, config.solver,
+                         keep_cells=keep_cells,
+                         max_flagged_fraction=run.max_flagged_fraction)
 
     if run.mode == "oracle":
         report = monte_carlo_mean(config.instance, run.n_samples, run.seed,
@@ -360,31 +360,31 @@ def run_config(config, stdout=None):
         _print_mean(f"sample mean over {report.n_samples} draws", report.mean,
                     stdout)
         print(f"wrote {path}", file=stdout)
-        if report.failed_solves:
-            print(f"{report.failed_solves} sample solves failed",
-                  file=sys.stderr)
-            return 1
-        return 0
+        return _exit_status(report.failed_solves, "sample solves failed")
 
-    # ladder
-    entries = []
-    flagged = 0
-    for n_r, n_s in run.ladder:
-        grid = make_grid(config.instance, n_r=n_r, n_s=n_s,
-                         n_bounds=disc.n_bounds, n_betas=disc.n_betas,
-                         n_alpha=disc.n_alpha, rules=disc.rules_dict())
-        solution = solve_all(config.instance, grid, config.solver,
-                             max_flagged_fraction=run.max_flagged_fraction)
-        flagged += solution.flagged_cells
-        entries.append(((n_r, n_s), solution.report))
-        _print_mean(f"({n_r},{n_s})", solution.report.mean, stdout)
-    rows = convergence_report(entries)
-    path = write_convergence_csv(rows, out_path("ladder.csv"))
+    if run.mode == "ladder":
+        entries = []
+        flagged = 0
+        for n_r, n_s in run.ladder:
+            solution = solve_grid(n_r, n_s)
+            flagged += solution.flagged_cells
+            entries.append(((n_r, n_s), solution.report))
+            _print_mean(f"({n_r},{n_s})", solution.report.mean, stdout)
+        path = write_convergence_csv(convergence_report(entries),
+                                     out_path("ladder.csv"))
+        print(f"wrote {path}", file=stdout)
+        return _exit_status(flagged, "cells flagged")
+
+    # deterministic and discretize
+    solution = solve_grid(disc.n_r, disc.n_s, keep_cells=run.dump_cells)
+    report = expectation(solution)
+    path = write_summary_csv(report, out_path("summary.csv"))
+    _print_mean(f"mean over {solution.n_cells} cells", report.mean, stdout)
     print(f"wrote {path}", file=stdout)
-    if flagged:
-        print(f"{flagged} cells flagged", file=sys.stderr)
-        return 1
-    return 0
+    if run.dump_cells:
+        print(f"wrote {write_cells_csv(solution, out_path('cells.csv'))}",
+              file=stdout)
+    return _exit_status(solution.flagged_cells, "cells flagged")
 
 
 def main(argv=None):

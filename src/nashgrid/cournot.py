@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import RandomFactor
+from .distributions import RandomFactor, _float_if_0d
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,7 @@ def cost(firm, q, r, beta=1.0):
     b = firm.b
     power = beta * (b / (b + 1.0)) * firm.k ** (-1.0 / b) * q ** ((b + 1.0) / b)
     out = (firm.c + r) * q + power
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_0d(out)
 
 
 def price(instance, Q, s):
@@ -155,9 +153,7 @@ def price(instance, Q, s):
     if not s > 0:
         raise ValueError("price scale s must be > 0")
     out = s ** instance.a / (Q + instance.e) ** instance.a
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_0d(out)
 
 
 def price_part(instance, q, s):

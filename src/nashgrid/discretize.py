@@ -25,7 +25,6 @@ chain in order and are merged in canonical block order.
 """
 from __future__ import annotations
 
-import csv
 import math
 # unused by the sweep; the benchmark tracer (perfbench/trace.py) rebinds it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -34,9 +33,11 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import RunningMoments, fold_moments, moment_report
+from .aggregate import (RunningMoments, _fmt, fold_moments, moment_report,
+                        write_csv)
 from .cournot import operator_eval
-from .distributions import Partition1D, make_partition
+from .distributions import (Partition1D, cell_probability, make_partition,
+                            pdf)
 from .vi import SolverConfig, residual_rows, solve_box_vi_batch
 
 # solve_all refuses grids with more cells than this
@@ -188,9 +189,11 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     _WINDOW_CAP, and at most _WINDOW_CELLS cells a round. At k = 1 a
     round is one front of a per-cell sweep: the screen applies the
     solver's iteration-0 test, and the solver takes the misses' screened
-    values, so no cell's operator value is computed twice. Every kernel
-    call takes a factor with one cell in the grid as a scalar (an (m,)
-    vector for bounds and betas) and every other factor per row.
+    values, so no cell's operator value is computed twice. A window's
+    inner cell indices are decoded by one np.unravel_index over the
+    factors with more than one cell. Every kernel call takes a factor
+    with one cell in the grid as a scalar (an (m,) vector for bounds and
+    betas) and every other factor per row.
 
     Args:
         instance: the market model.
@@ -220,24 +223,20 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     r_reps = grid.r.representatives
     r_probs = grid.r.probabilities
     inner_parts = [p for _, p in grid.parts()][1:]
-    inner_shape = tuple(p.n_cells for p in inner_parts)
-    inner_count = math.prod(inner_shape)
+    inner_count = math.prod(p.n_cells for p in inner_parts)
     n_blocks = grid.r.n_cells
     s_reps = grid.s.representatives
     # the pow a scalar s gets in operator_eval, once per s-cell
     s_pows = np.fromiter((float(s) ** instance.a for s in s_reps), float,
                          count=s_reps.size)
     lower = np.zeros(m)
-    # inner factors with more than one cell, with their index strides;
-    # the others hold one value, of probability 1, in every cell
-    strides = np.cumprod((1,) + inner_shape[:0:-1])[::-1]
-    varying = [(d, int(strides[d])) for d, p in enumerate(inner_parts)
-               if p.n_cells > 1]
-    # bounds and betas where none of a firm's factors has several cells
-    fixed = [None if any(1 + g * m <= d <= (g + 1) * m for d, _ in varying)
-             else np.array([p.representatives[0]
-                            for p in inner_parts[1 + g * m:1 + (g + 1) * m]])
-             for g in (0, 1)]
+    # inner factors with more than one cell; the others hold one value,
+    # of probability 1, in every cell
+    varying = [d for d, p in enumerate(inner_parts) if p.n_cells > 1]
+    # an inner index over these factors alone is the same number, since
+    # axes of length 1 leave a lexicographic index unchanged; (1,) stands
+    # in for the empty shape, which np.unravel_index refuses
+    varying_shape = tuple(inner_parts[d].n_cells for d in varying) or (1,)
 
     def cell_factors(ii, blocks):
         """Factors and weights of inner cells ii (1-d) of r-blocks blocks.
@@ -251,16 +250,13 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         # weights multiply in canonical factor order (r first); skipping
         # a single-cell factor's probability of 1 is exact
         w = r_probs[blocks]
-        for d, stride in varying:
-            p = inner_parts[d]
-            i = ii // stride if stride > 1 else ii
-            idx[d] = i % p.n_cells if d else i
-            w = w * p.probabilities[idx[d]]
+        for d, i in zip(varying, np.unravel_index(ii, varying_shape)):
+            idx[d] = i
+            w = w * inner_parts[d].probabilities[i]
         reps = [p.representatives[i] for p, i in zip(inner_parts, idx)]
         upper, beta = (
             np.stack(np.broadcast_arrays(*reps[1 + g * m:1 + (g + 1) * m]),
-                     axis=-1) if fixed[g] is None else fixed[g]
-            for g in (0, 1))
+                     axis=-1) for g in (0, 1))
         return ((r_reps[blocks], reps[0], beta, reps[-1], s_pows[idx[0]]),
                 upper, w)
 
@@ -407,28 +403,24 @@ def write_cells_csv(solution, path):
             "cell dump requires stored cells; rerun with keep_cells=True")
     grid = solution.grid
     names = [name for name, _ in grid.parts()]
-    # each factor's representatives formatted once; csv writes a float
-    # as its repr, so the per-cell columns go out as Python floats
-    reps = [[repr(v) for v in p.representatives.tolist()]
+    # each factor's representatives formatted once; the per-cell columns
+    # go out as Python floats, which csv writes in _fmt's form
+    reps = [[_fmt(v) for v in p.representatives.tolist()]
             for _, p in grid.parts()]
     arrays = (solution.weights, solution.solutions, solution.residuals,
               solution.iterations)
     # ndindex walks the cells in the arrays' lexicographic order
     cells = np.ndindex(grid.shape)
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow([f"idx_{nm}" for nm in names]
+    # blocks bound the Python lists; cells comes last in zip, so the end
+    # of a block takes no cell index from it
+    blocks = ([v[lo:lo + _DUMP_BLOCK].tolist() for v in arrays]
+              for lo in range(0, grid.n_cells, _DUMP_BLOCK))
+    rows = ([*idx, *(rep[i] for rep, i in zip(reps, idx)), w, *u, res, it]
+            for block in blocks for w, u, res, it, idx in zip(*block, cells))
+    return write_csv(path, [f"idx_{nm}" for nm in names]
                      + [f"rep_{nm}" for nm in names] + ["weight"]
                      + [f"u_{i + 1}" for i in range(grid.m)]
-                     + ["residual", "iterations"])
-        # blocks bound the Python lists; cells comes last in zip, so
-        # the end of a block takes no cell index from it
-        for lo in range(0, grid.n_cells, _DUMP_BLOCK):
-            block = [v[lo:lo + _DUMP_BLOCK].tolist() for v in arrays]
-            out.writerows([*idx, *(rep[i] for rep, i in zip(reps, idx)),
-                           w, *u, res, it]
-                          for w, u, res, it, idx in zip(*block, cells))
-    return path
+                     + ["residual", "iterations"], rows)
 
 
 def mean_truncation(target, factors, partitions):
@@ -449,8 +441,6 @@ def mean_truncation(target, factors, partitions):
     Returns:
         ndarray of shape (n_cells_1, ..., n_cells_d).
     """
-    from .distributions import cell_probability, pdf
-
     if len(factors) != len(partitions) or not factors:
         raise ValueError("need one partition per factor")
     shape = tuple(p.n_cells for p in partitions)

@@ -94,6 +94,11 @@ class RandomFactor:
         return mu, sigma, za, zb, _normal_mass(za, zb)
 
 
+def _float_if_0d(out):
+    """A 0-d result (from scalar arguments) as a Python float, else out."""
+    return float(out) if out.ndim == 0 else out
+
+
 def _normal_mass(za, zb):
     """P(za <= Z < zb) for standard normal Z, vectorized in zb.
 
@@ -120,9 +125,7 @@ def cdf(factor, x):
         lo, hi = factor.support
         out = np.where(x <= lo, 0.0, out)
         out = np.where(x >= hi, 1.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_0d(out)
 
 
 def pdf(factor, x):
@@ -141,9 +144,7 @@ def pdf(factor, x):
         z = (x - mu) / sigma
         out = np.exp(-0.5 * z * z) / (_SQRT_2PI * sigma * mass)
         out = np.where((x >= lo) & (x < hi), out, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_0d(out)
 
 
 def cell_probability(factor, a, b):
@@ -194,9 +195,7 @@ def ppf(factor, u):
             out = mu + sigma * ndtri(ndtr(za) + u * mass)
         lo, hi = factor.support
         out = np.clip(out, lo, hi)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _float_if_0d(out)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,13 @@ report is bit-identical across runs and worker counts.
 """
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import neumaier_add
+from .aggregate import _fmt, neumaier_add, write_csv
 from .cournot import operator_eval_sampled, operator_jacobian
 from .distributions import ppf
 from .vi import SolverConfig, solve_box_vi_batch
@@ -134,12 +133,8 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
 
 def write_oracle_csv(report, path):
     """Write (component, mc_mean, std_error, n_samples, seed) rows."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["component", "mc_mean", "std_error",
-                      "n_samples", "seed"])
-        for i in range(len(report.mean)):
-            out.writerow([f"u_{i + 1}", repr(float(report.mean[i])),
-                          repr(float(report.standard_error[i])),
-                          report.n_samples, report.seed])
-    return path
+    return write_csv(
+        path, ["component", "mc_mean", "std_error", "n_samples", "seed"],
+        ([f"u_{i + 1}", _fmt(mean), _fmt(se), report.n_samples, report.seed]
+         for i, (mean, se) in enumerate(zip(report.mean,
+                                            report.standard_error))))

@@ -420,3 +420,52 @@ def test_console_entry_point_installed():
     assert entries[0].value == "nashgrid.cli:main"
     assert entries[0].load() is main
     assert shutil.which("nashgrid") is not None
+
+
+def _mean_line(label, values):
+    return f"{label}: ({', '.join(f'{float(v):.6f}' for v in values)})"
+
+
+def _csv_column(path, name):
+    with open(path, newline="") as fh:
+        return [row[name] for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "discretize", "oracle",
+                                  "ladder"])
+def test_cli_transcript_per_mode(tmp_path, capsys, mode):
+    # the exact stdout of each mode, line by line and in order; the
+    # printed means must be the written ones at six decimals
+    out = tmp_path / "out"
+    doc = small_config(mode=mode, dump_cells=mode == "discretize",
+                       n_samples=100, seed=4, ladder=[[2, 2], [4, 4]])
+    path = write_config(tmp_path, doc)
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    if mode == "oracle":
+        means = _csv_column(out / "oracle.csv", "mc_mean")
+        want = [_mean_line("sample mean over 100 draws", means),
+                f"wrote {out / 'oracle.csv'}"]
+    elif mode == "ladder":
+        levels = [re.fullmatch(rf"\({n_r},{n_s}\): \((.*)\)", line)
+                  for (n_r, n_s), line in zip([(2, 2), (4, 4)], lines)]
+        assert all(levels), lines
+        coarse, fine = ([float(v) for v in lv.group(1).split(", ")]
+                        for lv in levels)
+        deltas = [float(v) for v in _csv_column(out / "ladder.csv",
+                                                  "delta_u_1")
+                  + _csv_column(out / "ladder.csv", "delta_u_2")]
+        assert deltas == pytest.approx(
+            [abs(f - c) for c, f in zip(coarse, fine)], abs=1.1e-6)
+        want = [_mean_line("(2,2)", coarse), _mean_line("(4,4)", fine),
+                f"wrote {out / 'ladder.csv'}"]
+    else:
+        means = _csv_column(out / "summary.csv", "mean")
+        n_cells = 1 if mode == "deterministic" else 12
+        want = [_mean_line(f"mean over {n_cells} cells", means),
+                f"wrote {out / 'summary.csv'}"]
+        if mode == "discretize":
+            want.append(f"wrote {out / 'cells.csv'}")
+    assert lines == want

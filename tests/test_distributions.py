@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from nashgrid import (Partition1D, RandomFactor, cdf, cell_conditional_mean,
                       cell_probability, make_partition, pdf, ppf)
@@ -59,6 +60,20 @@ def test_cell_mean_above_the_mean_mirrors_lower_tail():
     want = -RandomFactor.truncated_normal(0.0, 1.0, -9.0, -8.0).mean()
     assert cell_conditional_mean(wide, 8.0, 9.0) == pytest.approx(
         want, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "cell probabilities are cdf differences, which cancel for cells far "
+    "above the mean of a support that straddles it; the fix moves the "
+    "pinned grid's weights, so it comes with its own re-pin"))
+def test_upper_tail_cell_probability_of_a_straddling_support():
+    f = RandomFactor.truncated_normal(0.0, 1.0, -1.0, 10.0)
+    # P(-1 <= Z < 10) and P(9 <= Z < 10), each from the upper tail
+    mass = ndtr(1.0) - ndtr(-10.0)
+    want = (ndtr(-9.0) - ndtr(-10.0)) / mass
+    # today 0.0 against 1.34e-19
+    assert cell_probability(f, 9.0, 10.0) == pytest.approx(want, rel=1e-12)
+    assert make_partition(f, 11).probabilities[-1] > 0.0
 
 
 def test_truncated_normal_with_tiny_lower_tail_mass_still_works():

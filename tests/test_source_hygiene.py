@@ -1,0 +1,50 @@
+"""Static checks on the package source."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nashgrid"
+
+# module.name -> why the module imports a name it never uses
+UNUSED_IMPORTS_ALLOWED = {
+    "discretize.ThreadPoolExecutor":
+        "perfbench/trace.py rebinds it to trace the sweep",
+}
+
+
+def _imported_names(tree):
+    """The names a module's import statements bind, skipping __future__."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used_names(tree):
+    """Names the module reads, plus the strings of its __all__."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source_dir):
+    """module.name for every imported name its module never uses."""
+    found = set()
+    for path in sorted(source_dir.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.update(f"{path.stem}.{name}"
+                     for name in _imported_names(tree) - _used_names(tree))
+    return found
+
+
+def test_every_imported_name_is_used():
+    # an allowance that no longer matches an unused import fails too, so
+    # the list cannot outlive its reason
+    assert unused_imports(SRC) == set(UNUSED_IMPORTS_ALLOWED)
