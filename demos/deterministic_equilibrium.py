@@ -10,8 +10,8 @@ script checks that directly on a deviation grid.
 import numpy as np
 
 from nashgrid import (BoxSet, CournotInstance, FirmParams, RandomFactor,
-                      SolverConfig, VIProblem, natural_residual,
-                      operator_eval, price, solve_vi, welfare)
+                      SolverConfig, natural_residual, operator_eval, price,
+                      solve_vi, welfare)
 
 
 def build_market():
@@ -29,18 +29,17 @@ def build_market():
 def main():
     market = build_market()
     box = BoxSet(np.zeros(5), np.full(5, 100.0))
-    problem = VIProblem(
-        operator=lambda q: operator_eval(market, q, 0.0, 5000.0),
-        constant_shift=np.zeros(5),
-        set=box)
 
-    q, report = solve_vi(problem, SolverConfig(tolerance=1e-10))
+    def operator(q):
+        return operator_eval(market, q, 0.0, 5000.0)
+
+    q, report = solve_vi(operator, box, SolverConfig(tolerance=1e-10))
     print("equilibrium outputs:")
     for i, v in enumerate(q, start=1):
         print(f"  firm {i}: {v:10.5f}")
     print(f"converged in {report.iterations} iterations, "
           f"residual {report.residual:.2e}")
-    print(f"residual recheck: {natural_residual(problem, q):.2e}")
+    print(f"residual recheck: {natural_residual(operator, box, q):.2e}")
 
     total = float(q.sum())
     print(f"\ntotal supply {total:.4f}, "

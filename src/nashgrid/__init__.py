@@ -32,8 +32,8 @@ from .distributions import (Partition1D, RandomFactor, cdf, cell_conditional_mea
                             cell_probability, make_partition, pdf, ppf)
 from .oracle import OracleReport, monte_carlo_mean
 from .vi import (BoxSet, MonotoneReport, NonConvergenceError, SolveReport,
-                 SolverConfig, VIProblem, check_monotone, natural_residual,
-                 project, solve_box_vi_batch, solve_vi)
+                 SolverConfig, check_monotone, natural_residual, project,
+                 solve_box_vi_batch, solve_vi)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "BoxSet", "ConvergenceRow", "CournotInstance", "FactorGrid", "FirmParams",
     "FlaggedCellsError", "MomentReport", "MonotoneReport",
     "NonConvergenceError", "OracleReport", "Partition1D", "RandomFactor",
-    "SolveReport", "SolverConfig", "StepSolution", "VIProblem", "cdf",
+    "SolveReport", "SolverConfig", "StepSolution", "cdf",
     "cell_conditional_mean", "cell_probability", "check_monotone",
     "convergence_report", "cost", "expectation", "jacobian_form_test",
     "make_grid", "make_partition", "mean_truncation", "monte_carlo_mean",

@@ -2,9 +2,10 @@
 
 Expectations over millions of weighted cells are folded once, during
 the sweep, with compensated (Neumaier) summation: each accumulator
-folds its cells in a fixed order, and the accumulators are merged in
-one canonical order at the end, so results are reproducible to full
-precision. Stored per-cell arrays are never summed a second time.
+folds its cells in a fixed order, and fold_moments merges the
+accumulators in one canonical order at the end into the MomentReport,
+so results are reproducible to full precision. Stored per-cell arrays
+are never summed a second time.
 
 Every CSV output of the package (summary, ladder, oracle and cell dump)
 is written by write_csv, with floats in one format, _fmt's repr.
@@ -71,20 +72,6 @@ class RunningMoments:
             self.total, self.comp = neumaier_add(self.total, self.comp, term)
 
 
-def fold_moments(acc):
-    """Fold an accumulator's rows, in leading order, into a lead-free one.
-
-    Each row's compensated sum enters one compensated step of its own;
-    folding in the fixed leading order (ascending block index for the
-    sweep) makes the result reproducible bit for bit.
-    """
-    out = RunningMoments(acc.dim)
-    flat = (-1, 1 + 2 * acc.dim)
-    for total, comp in zip(acc.total.reshape(flat), acc.comp.reshape(flat)):
-        out.total, out.comp = neumaier_add(out.total, out.comp, total + comp)
-    return out
-
-
 @dataclass
 class MomentReport:
     """Weighted moments of a cell-wise solution.
@@ -101,11 +88,19 @@ class MomentReport:
     total_weight: float
 
 
-def moment_report(acc):
-    """Finalize a lead-free RunningMoments into a MomentReport."""
-    if acc.lead:
-        raise ValueError("fold accumulator rows before reporting")
-    sums = acc.total + acc.comp
+def fold_moments(acc):
+    """Fold an accumulator's rows, in leading order, into a MomentReport.
+
+    Each row's compensated sum enters one compensated step of its own;
+    folding in the fixed leading order (ascending block index for the
+    sweep) makes the result reproducible bit for bit. A lead-free
+    accumulator is one row.
+    """
+    total = comp = np.zeros(1 + 2 * acc.dim)
+    flat = (-1, 1 + 2 * acc.dim)
+    for row, row_comp in zip(acc.total.reshape(flat), acc.comp.reshape(flat)):
+        total, comp = neumaier_add(total, comp, row + row_comp)
+    sums = total + comp
     mean = sums[1:1 + acc.dim]
     m2 = sums[1 + acc.dim:]
     return MomentReport(

@@ -433,6 +433,6 @@ def main(argv=None):
     except FlaggedCellsError as err:
         print(f"solve failed: {err}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError, FloatingPointError) as err:
+    except (ValueError, RuntimeError, FloatingPointError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -33,8 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .aggregate import (RunningMoments, _fmt, fold_moments, moment_report,
-                        write_csv)
+from .aggregate import RunningMoments, _fmt, fold_moments, write_csv
 from .cournot import operator_eval
 from .distributions import (Partition1D, cell_probability, make_partition,
                             pdf)
@@ -43,8 +42,9 @@ from .vi import SolverConfig, residual_rows, solve_box_vi_batch
 # solve_all refuses grids with more cells than this
 CELL_CAP = 100_000_000
 # the longest window of cells a sweep round screens per r-block, and the
-# most cells a round screens in all: a (cells, m) float array under
-# 128 KiB stays on the allocator's heap instead of fresh mapped pages
+# most cells a round screens in all: at m = 5 firms a (cells, m) float
+# array is 3200 * 5 * 8 B = 128,000 B, under 128 KiB, so it stays on the
+# allocator's heap instead of fresh mapped pages; more firms exceed it
 _WINDOW_CAP = 32
 _WINDOW_CELLS = 3200
 # Gauss-Legendre points per cell per dimension in mean_truncation
@@ -382,7 +382,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         run.sort()
         grow = 2 * int(run[na // 2])
 
-    report = moment_report(fold_moments(acc))
+    report = fold_moments(acc)
     if flagged > max_flagged_fraction * n:
         raise FlaggedCellsError(flagged, n, worst)
     if abs(report.total_weight - 1.0) > 1e-9:

@@ -2,17 +2,17 @@
 
 The problem solved here: find x* in K = [lower, upper] such that
 
-    <F(x*) - shift, z - x*> >= 0   for all z in K.
+    <F(x*), z - x*> >= 0   for all z in K.
 
 The solver is the extragradient method (two projected operator
 evaluations per iteration) with backtracking step adaptation, which
 converges for continuous monotone operators without a known Lipschitz
 constant (Facchinei & Pang 2003, ch. 12). solve_box_vi_batch is the one
 implementation: it iterates many independent VIs as rows of a batch,
-and solve_vi is its one-row call for a single VIProblem. Termination
-uses the natural residual
+and solve_vi is its one-row call for one operator and BoxSet; F holds
+any constant shift itself. Termination uses the natural residual
 
-    ||x - P_K(x - (F(x) - shift))||_2
+    ||x - P_K(x - F(x))||_2
 
 which vanishes exactly at solutions. Any positive multiple of F in
 this map has the same zeros (Facchinei & Pang 2003, sec. 1.5), so the
@@ -28,7 +28,6 @@ col 1^T, so each Newton direction costs O(m) by Sherman-Morrison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -69,25 +68,6 @@ class BoxSet:
 
     def midpoint(self):
         return 0.5 * (self.lower + self.upper)
-
-
-@dataclass(frozen=True)
-class VIProblem:
-    """A box VI: find x* in set with <operator(x*) - constant_shift, z - x*> >= 0."""
-
-    operator: Callable[[np.ndarray], np.ndarray]
-    constant_shift: np.ndarray
-    set: BoxSet
-
-    def __post_init__(self):
-        shift = np.atleast_1d(np.asarray(self.constant_shift, dtype=float))
-        if shift.shape != (self.set.dim,):
-            raise ValueError("constant_shift length must match the box dimension")
-        object.__setattr__(self, "constant_shift", shift)
-
-    def eval_shifted(self, x):
-        """operator(x) - constant_shift, the effective operator of the VI."""
-        return np.asarray(self.operator(x), dtype=float) - self.constant_shift
 
 
 @dataclass(frozen=True)
@@ -157,24 +137,24 @@ def residual_rows(x, fx, lower, upper):
     return res
 
 
-def natural_residual(problem, point):
-    """||x - P_K(x - (F(x) - shift))||_2; zero exactly at solutions.
+def natural_residual(operator, box, point):
+    """||x - P_box(x - operator(x))||_2; zero exactly at solutions.
 
-    NaN where F(x) is not finite, which the projection would hide.
+    NaN where operator(x) is not finite, which the projection would hide.
     """
     x = np.asarray(point, dtype=float)
-    box = problem.set
     if x.shape != (box.dim,):
         raise ValueError("dimension mismatch between point and box")
-    return float(residual_rows(x[None], problem.eval_shifted(x)[None],
-                               box.lower, box.upper)[0])
+    fx = np.array(operator(x), dtype=float)
+    return float(residual_rows(x[None], fx[None], box.lower, box.upper)[0])
 
 
-def solve_vi(problem, config=None, warm_start=None):
+def solve_vi(operator, box, config=None, warm_start=None):
     """Solve one box VI: a one-row call of solve_box_vi_batch.
 
     Args:
-        problem: VIProblem with a continuous monotone operator.
+        operator: continuous monotone F, a callable (m,) -> (m,).
+        box: the BoxSet K.
         config: SolverConfig; defaults are used when omitted.
         warm_start: optional start point, projected onto the box first
             (an infinite component lands on its bound). Defaults to the
@@ -182,7 +162,7 @@ def solve_vi(problem, config=None, warm_start=None):
 
     Returns:
         (solution, SolveReport). The solution satisfies
-        natural_residual(problem, solution) <= config.tolerance.
+        natural_residual(operator, box, solution) <= config.tolerance.
 
     Raises:
         ValueError: if warm_start has a NaN component; the operator is
@@ -192,12 +172,12 @@ def solve_vi(problem, config=None, warm_start=None):
             carries the last iterate and its report.
     """
     config = config or SolverConfig()
-    box = problem.set
     seed = box.midpoint() if warm_start is None else project(warm_start, box)
     if np.isnan(seed).any():
         raise ValueError("warm_start must not contain NaN")
-    out = solve_box_vi_batch(lambda x, rows: problem.eval_shifted(x[0])[None],
-                             box.lower, box.upper, config, seed[None])
+    out = solve_box_vi_batch(
+        lambda x, rows: np.array(operator(x[0]), dtype=float)[None],
+        box.lower, box.upper, config, seed[None])
     x = out["solutions"][0]
     report = SolveReport(*(out[key][0].item() for key in (
         "iterations", "residuals", "converged", "backtracks")))
@@ -280,7 +260,7 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
 
     Args:
         operator_batch: callable (x: (B, m), rows: (B,) int) -> (B, m)
-            evaluating the shifted operator rowwise.
+            evaluating the operator rowwise.
         lower, upper: box bounds, broadcastable to (n, m).
         config: SolverConfig.
         seeds: (n, m) start points, projected onto the box first.

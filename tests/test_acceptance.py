@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nashgrid import (BoxSet, RandomFactor, SolverConfig, VIProblem,
-                      check_monotone, jacobian_form_test, make_grid,
-                      make_partition, mean_truncation, monte_carlo_mean,
-                      operator_eval, pdf, price_part, solve_all, solve_vi,
-                      welfare)
+from nashgrid import (BoxSet, RandomFactor, SolverConfig, check_monotone,
+                      jacobian_form_test, make_grid, make_partition,
+                      mean_truncation, monte_carlo_mean, operator_eval, pdf,
+                      price_part, solve_all, solve_vi, welfare)
 from nashgrid.cli import load_config, run_config
 from nashgrid.oracle import CHUNK_SIZE
 
@@ -248,10 +247,8 @@ def test_criterion_08_solver_matches_active_set_oracle():
         d = rng.standard_normal(m) * 5.0
         lo = rng.uniform(-3.0, 0.0, m)
         hi = lo + rng.uniform(0.5, 4.0, m)
-        prob = VIProblem(operator=lambda x, M=M, d=d: x @ M.T + d,
-                         constant_shift=np.zeros(m),
-                         set=BoxSet(lo, hi))
-        x, report = solve_vi(prob, cfg)
+        x, report = solve_vi(lambda x, M=M, d=d: x @ M.T + d,
+                             BoxSet(lo, hi), cfg)
         ref = o.active_set_box_vi(M, d, lo, hi)
         assert report.converged
         assert np.abs(x - ref).max() <= 10.0 * cfg.tolerance

@@ -6,7 +6,7 @@ import pytest
 
 from nashgrid import ConvergenceRow, MomentReport
 from nashgrid.aggregate import (RunningMoments, convergence_report,
-                                fold_moments, moment_report, neumaier_add,
+                                fold_moments, neumaier_add,
                                 write_summary_csv, write_convergence_csv)
 
 
@@ -26,7 +26,7 @@ def test_running_moments_match_fsum():
     acc = RunningMoments(3)
     for i in range(500):
         acc.add(w[i], x[i])
-    rep = moment_report(acc)
+    rep = fold_moments(acc)
     for j in range(3):
         mean_ref = math.fsum(w[i] * x[i, j] for i in range(500))
         m2_ref = math.fsum(w[i] * x[i, j] ** 2 for i in range(500))
@@ -90,7 +90,7 @@ def test_fold_moments_is_order_invariant_to_tolerance():
                 wi = np.zeros(acc.lead)
                 wi[row] = w[i]
                 acc.add(wi, x[i])
-        return moment_report(fold_moments(acc))
+        return fold_moments(acc)
 
     one = run([150])
     other = run([37, 101, 211, 288])
@@ -103,7 +103,7 @@ def test_variance_never_negative():
     acc = RunningMoments(1)
     for _ in range(10):
         acc.add(0.1, np.array([7.0]))
-    rep = moment_report(acc)
+    rep = fold_moments(acc)
     assert rep.variance[0] == 0.0
 
 
@@ -152,3 +152,15 @@ def test_convergence_report_needs_two_levels():
                        variance=np.zeros(1), total_weight=1.0)
     with pytest.raises(ValueError):
         convergence_report([((10, 10), rep)])
+
+
+def test_convergence_inputs_are_checked(tmp_path):
+    def report(dim):
+        return MomentReport(mean=np.zeros(dim), second_moment=np.zeros(dim),
+                            variance=np.zeros(dim), total_weight=1.0)
+
+    with pytest.raises(ValueError, match="mismatched dimensions"):
+        convergence_report([((1, 1), report(2)), ((2, 2), report(3))])
+    with pytest.raises(ValueError, match="no convergence rows"):
+        write_convergence_csv([], tmp_path / "ladder.csv")
+    assert not (tmp_path / "ladder.csv").exists()

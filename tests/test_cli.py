@@ -2,8 +2,11 @@ import csv
 import importlib.metadata
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +17,8 @@ from nashgrid.cli import (BLOCKS, ConfigError, DiscretizationConfig,
                           RunSettings, config_to_json, load_config, main,
                           parse_config)
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def small_config(**run_overrides):
@@ -377,6 +381,80 @@ def test_cli_massless_truncated_normal_exits_2(tmp_path, capsys):
     assert main(["solve", "--config", path]) == 2
     assert "factors.s" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# a bad value per config check: (path in the document, value, message);
+# an empty path replaces the whole document
+BAD_CONFIGS = [
+    (("run", "mode"), "fast", "run.mode: 'fast' is not one of"),
+    (("run", "parallelism"), 0, "run.parallelism: must be >= 1"),
+    (("run", "n_samples"), 0, "run.n_samples: must be >= 1"),
+    (("run", "seed"), -1, "run.seed: must be >= 0"),
+    (("run", "max_flagged_fraction"), 1.5,
+     "run.max_flagged_fraction: must lie in [0, 1]"),
+    (("run", "ladder"), [[0, 5], [1, 1]],
+     "run.ladder: entries must be [n_r, n_s] pairs"),
+    (("discretization", "n_r"), 0, "discretization.n_r: must be >= 1"),
+    ((), [], "top level: expected an object"),
+    (("model", "firms"), [], "model.firms: expected a nonempty list"),
+    (("solver",), [], "solver: expected an object"),
+    (("factors", "r"), 5, "factors.r: expected a distribution object"),
+    (("run", "dump_cells"), 1, "run.dump_cells: expected true or false"),
+    (("run", "mode"), 3, "run.mode: expected a string"),
+    (("discretization", "rules"), [],
+     "discretization.rules: expected an object"),
+    (("run", "ladder"), 5, "run.ladder: expected a list"),
+    (("run", "ladder"), [[1, 2, 3]],
+     "run.ladder: entries must be [n_r, n_s] integer pairs"),
+    # too large for a float: float() overflows
+    (("model", "e"), 10 ** 400, "model.e: expected a finite number"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", BAD_CONFIGS,
+                         ids=[f"{_where(p) or 'top'}={str(v)[:12]}"
+                              for p, v, _ in BAD_CONFIGS])
+def test_config_checks_raise_located_errors(tmp_path, capsys, path, value,
+                                            message):
+    doc = small_config()
+    if path:
+        _set(doc, path, value)
+    else:
+        doc = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert str(exc.value).startswith(message)
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--dump-config"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_cli_grid_over_the_cell_cap_exits_1(tmp_path, capsys):
+    doc = small_config(out_dir=str(tmp_path / "out"))
+    doc["discretization"].update(n_r=20000, n_s=20000)
+    assert main(["solve", "--config", write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: grid has 400000000 cells")
+
+
+@pytest.mark.parametrize("out", ["file", "empty", "under_file"])
+def test_cli_unusable_output_directory_exits_1(tmp_path, out):
+    # an existing file, an empty path, and a path below a file
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    out_dir = {"file": str(blocker), "empty": "",
+               "under_file": str(blocker / "sub")}[out]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "nashgrid", "solve", "--config",
+         str(CONFIGS / "deterministic.json"), "--out", out_dir],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def test_cli_bad_thread_count(tmp_path, capsys):

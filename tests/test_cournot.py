@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nashgrid import (BoxSet, CournotInstance, FirmParams, RandomFactor,
-                      SolverConfig, VIProblem, check_monotone, cost,
+                      SolverConfig, check_monotone, cost,
                       jacobian_form_test, operator_eval, operator_eval_sampled,
                       operator_jacobian, price, price_part, solve_box_vi_batch,
                       solve_vi, vi, welfare)
@@ -358,10 +358,9 @@ def test_equilibrium_matches_best_response_oracle():
     for (r, s), frozen in (
             ((0.0, 5000.0), o.FROZEN_EQUILIBRIUM_R0_S5000),
             ((0.31, 4975.3), o.FROZEN_EQUILIBRIUM_R031_S49753)):
-        prob = VIProblem(
-            operator=lambda x, r=r, s=s: operator_eval(inst, x, r, s),
-            constant_shift=np.zeros(5), set=box)
-        x, report = solve_vi(prob, SolverConfig(tolerance=1e-10))
+        x, report = solve_vi(
+            lambda x, r=r, s=s: operator_eval(inst, x, r, s), box,
+            SolverConfig(tolerance=1e-10))
         assert report.converged
         np.testing.assert_allclose(x, frozen, atol=1e-8)
 
@@ -376,22 +375,33 @@ def test_single_firm_solutions_match_bisection_oracle():
             a=1 / 1.1, e=1e-4,
             r_factor=RandomFactor.constant(-0.2),
             s_factor=RandomFactor.constant(5000.0))
-        prob = VIProblem(
-            operator=lambda x: operator_eval(inst, x, -0.2, 5000.0),
-            constant_shift=np.zeros(1),
-            set=BoxSet(np.zeros(1), np.array([q_bar])))
-        x, _ = solve_vi(prob, SolverConfig(tolerance=1e-10))
+        x, _ = solve_vi(lambda x: operator_eval(inst, x, -0.2, 5000.0),
+                        BoxSet(np.zeros(1), np.array([q_bar])),
+                        SolverConfig(tolerance=1e-10))
         assert x[0] == pytest.approx(frozen, abs=1e-8)
 
 
 def test_no_profitable_unilateral_deviation_at_equilibrium():
     inst = five_firm_instance()
     box = BoxSet(np.zeros(5), np.full(5, 100.0))
-    prob = VIProblem(operator=lambda x: operator_eval(inst, x, 0.0, 5000.0),
-                     constant_shift=np.zeros(5), set=box)
-    q, _ = solve_vi(prob, SolverConfig(tolerance=1e-10))
+    q, _ = solve_vi(lambda x: operator_eval(inst, x, 0.0, 5000.0), box,
+                    SolverConfig(tolerance=1e-10))
     for i in range(5):
         own = welfare(inst, i, q, 0.0, 5000.0)
         best = o.best_unilateral_deviation(i, list(q), o.TABLE_FIRMS, 0.0,
                                            5000.0, inst.a, inst.e, 100.0)
         assert own >= best - 1e-6
+
+
+def test_model_input_checks():
+    with pytest.raises(TypeError, match="q_bar"):
+        FirmParams(c=1.0, k=5.0, b=1.0, q_bar=100.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        FirmParams(c=1.0, k=5.0, b=1.0,
+                   q_bar=RandomFactor.uniform(-1.0, 5.0))
+    with pytest.raises(ValueError, match="nonempty"):
+        CournotInstance(firms=(), a=0.5, e=1e-4,
+                        r_factor=RandomFactor.constant(0.0),
+                        s_factor=RandomFactor.constant(5000.0))
+    with pytest.raises(ValueError, match="one component per firm"):
+        operator_eval(five_firm_instance(), np.ones(3), 0.0, 5000.0)

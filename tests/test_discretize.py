@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from nashgrid import (BoxSet, CournotInstance, FirmParams, FlaggedCellsError,
-                      RandomFactor, SolverConfig, VIProblem,
-                      cell_conditional_mean, discretize, expectation,
-                      make_grid, make_partition, mean_truncation,
-                      natural_residual, operator_eval, solve_all, solve_vi,
-                      write_cells_csv)
+                      RandomFactor, SolverConfig, cell_conditional_mean,
+                      discretize, expectation, make_grid, make_partition,
+                      mean_truncation, natural_residual, operator_eval,
+                      solve_all, solve_vi, write_cells_csv)
 from nashgrid.cli import load_config
 
 import _oracles as o
@@ -133,10 +132,9 @@ def test_two_cell_expectation_averages_independent_solves():
     box = BoxSet(np.zeros(5), np.full(5, 100.0))
     singles = []
     for rv in (0.0, 0.5):
-        prob = VIProblem(
-            operator=lambda x, rv=rv: operator_eval(inst, x, rv, 5000.0),
-            constant_shift=np.zeros(5), set=box)
-        singles.append(solve_vi(prob, SolverConfig(tolerance=1e-10))[0])
+        singles.append(solve_vi(
+            lambda x, rv=rv: operator_eval(inst, x, rv, 5000.0), box,
+            SolverConfig(tolerance=1e-10))[0])
     want = 0.5 * (singles[0] + singles[1])
     np.testing.assert_allclose(expectation(sol).mean, want, atol=1e-9)
 
@@ -148,10 +146,9 @@ def test_every_cell_residual_rechecks_below_tolerance():
     sol = solve_all(inst, g, cfg, keep_cells=True)
     assert sol.flagged_cells == 0
     for flat, cell in enumerate(grid_cells(g)):
-        prob = VIProblem(operator=cell_operator(inst, cell),
-                         constant_shift=np.zeros(5),
-                         set=BoxSet(np.zeros(5), cell.upper))
-        res = natural_residual(prob, sol.solutions[flat])
+        res = natural_residual(cell_operator(inst, cell),
+                               BoxSet(np.zeros(5), cell.upper),
+                               sol.solutions[flat])
         assert res <= cfg.tolerance
         # the stored residual is the same number the recheck produces
         assert res == sol.residuals[flat]
@@ -495,3 +492,22 @@ def test_mean_truncation_rejects_bad_target():
         mean_truncation(lambda r: np.array([1.0]), (f,), (part,))
     with pytest.raises(FloatingPointError):
         mean_truncation(lambda r: np.full_like(r, np.inf), (f,), (part,))
+
+
+def test_grid_sweep_and_truncation_inputs():
+    inst = five_firm_instance()
+    two_firms = CournotInstance(firms=inst.firms[:2], a=inst.a, e=inst.e,
+                                r_factor=inst.r_factor, s_factor=inst.s_factor)
+    with pytest.raises(ValueError, match="different firm counts"):
+        solve_all(inst, make_grid(two_firms))
+    with pytest.raises(ValueError, match="unknown rule keys"):
+        make_grid(inst, rules={"time": "midpoint"})
+    c = RandomFactor.constant(2.0)
+    u = RandomFactor.uniform(0.0, 1.0)
+    parts = [make_partition(c, 3), make_partition(u, 2)]
+    # a constant factor enters at its value: E[c u | cell] = 2 E[u | cell]
+    got = mean_truncation(lambda x, y: x * y, [c, u], parts)
+    np.testing.assert_allclose(got, [[0.5, 1.5]], rtol=1e-14)
+    assert mean_truncation(lambda x: x * x, [c], parts[:1]).tolist() == [4.0]
+    with pytest.raises(ValueError, match="one partition per factor"):
+        mean_truncation(lambda x: x, [u], parts)

@@ -232,3 +232,18 @@ def test_partition_validation():
         with pytest.raises(ValueError, match="finite"):
             Partition1D(np.array(bp), np.full(len(bp) - 1, 0.0),
                         np.full(len(bp) - 1, 1.0 / (len(bp) - 1)))
+
+
+def test_constant_factor_cells_and_argument_checks():
+    f = RandomFactor.constant(2.0)
+    assert cdf(f, np.array([1.0, 2.0, 3.0])).tolist() == [0.0, 1.0, 1.0]
+    assert cell_probability(f, 1.5, 2.5) == 1.0
+    assert cell_probability(f, 2.5, 3.0) == 0.0
+    assert cell_conditional_mean(f, 1.5, 2.5) == 2.0
+    # a cell that misses the value gets its midpoint
+    assert cell_conditional_mean(f, 3.0, 5.0) == 4.0
+    f = RandomFactor.uniform(0.0, 2.0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ppf(f, 1.5)
+    with pytest.raises(ValueError, match="a < b"):
+        cell_probability(f, 1, 1)

@@ -2,6 +2,8 @@
 import ast
 from pathlib import Path
 
+import nashgrid
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "nashgrid"
 
 # module.name -> why the module imports a name it never uses
@@ -48,3 +50,14 @@ def test_every_imported_name_is_used():
     # an allowance that no longer matches an unused import fails too, so
     # the list cannot outlive its reason
     assert unused_imports(SRC) == set(UNUSED_IMPORTS_ALLOWED)
+
+
+def test_public_names_are_exactly_the_package_imports():
+    # __all__ lists what __init__.py imports, plus __version__, and every
+    # listed name resolves; a name whose import is gone fails both checks
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert sorted(nashgrid.__all__) == sorted(
+        _imported_names(tree) | {"__version__"})
+    assert len(set(nashgrid.__all__)) == len(nashgrid.__all__)
+    assert [name for name in nashgrid.__all__
+            if not hasattr(nashgrid, name)] == []

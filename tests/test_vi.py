@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nashgrid import (BoxSet, CournotInstance, FirmParams, NonConvergenceError,
-                      RandomFactor, SolverConfig, VIProblem, check_monotone,
+                      RandomFactor, SolverConfig, check_monotone,
                       natural_residual, operator_jacobian, project, solve_vi,
                       solve_box_vi_batch)
 from nashgrid.vi import _newton_direction, _newton_trial, residual_rows
@@ -12,13 +12,12 @@ from nashgrid.vi import _newton_direction, _newton_trial, residual_rows
 from _oracles import active_set_box_vi, dense_jacobian, extragradient_box_vi
 
 
-def affine_problem(M, d, lo, hi, shift=None):
+def affine_problem(M, d, lo, hi):
+    """(F, box) with F(x) = M x + d on the box [lo, hi]."""
     M = np.asarray(M, dtype=float)
     d = np.asarray(d, dtype=float)
-    m = d.size
-    return VIProblem(operator=lambda x: x @ M.T + d,
-                     constant_shift=np.zeros(m) if shift is None else shift,
-                     set=BoxSet(np.asarray(lo, float), np.asarray(hi, float)))
+    return (lambda x: x @ M.T + d,
+            BoxSet(np.asarray(lo, float), np.asarray(hi, float)))
 
 
 def random_spd(rng, m, strength=0.5):
@@ -66,34 +65,31 @@ def test_solver_config_validation():
 def test_scalar_quadratic_solution_clipped():
     # F(x) = x - t on [0, 1]: solution is t clipped to the box
     for t, expect in ((0.4, 0.4), (-2.0, 0.0), (5.0, 1.0)):
-        prob = affine_problem([[1.0]], [-t], [0.0], [1.0])
-        x, report = solve_vi(prob, SolverConfig())
+        op, box = affine_problem([[1.0]], [-t], [0.0], [1.0])
+        x, report = solve_vi(op, box, SolverConfig())
         assert report.converged
         assert abs(x[0] - expect) < 1e-8
 
 
 def test_constant_shift_moves_solution():
-    # F(x) = x, shift = t: the shifted problem solves x = t
-    prob = affine_problem([[1.0]], [0.0], [-10.0], [10.0],
-                          shift=np.array([3.25]))
-    x, _ = solve_vi(prob)
+    # a shift lives in the operator: F(x) = x - 3.25 solves x = 3.25
+    x, _ = solve_vi(lambda x: x - 3.25, BoxSet([-10.0], [10.0]))
     assert abs(x[0] - 3.25) < 1e-8
 
 
 def test_natural_residual_zero_at_solution_and_positive_off():
-    prob = affine_problem([[2.0, 0.3], [0.3, 1.0]], [-1.0, 0.5],
-                          [0.0, 0.0], [1.0, 1.0])
-    x, _ = solve_vi(prob)
-    assert natural_residual(prob, x) <= 1e-8
-    assert natural_residual(prob, x + 0.1) > 1e-3
+    op, box = affine_problem([[2.0, 0.3], [0.3, 1.0]], [-1.0, 0.5],
+                             [0.0, 0.0], [1.0, 1.0])
+    x, _ = solve_vi(op, box)
+    assert natural_residual(op, box, x) <= 1e-8
+    assert natural_residual(op, box, x + 0.1) > 1e-3
 
 
 def test_natural_residual_is_nan_where_the_operator_is_not_finite():
     # at x = 1 the clip maps x - (-inf) back onto x, which would read 0.0
-    prob = VIProblem(operator=lambda x: np.full(1, -np.inf),
-                     constant_shift=np.zeros(1),
-                     set=BoxSet(np.zeros(1), np.ones(1)))
-    assert np.isnan(natural_residual(prob, np.ones(1)))
+    assert np.isnan(natural_residual(lambda x: np.full(1, -np.inf),
+                                     BoxSet(np.zeros(1), np.ones(1)),
+                                     np.ones(1)))
 
 
 def test_newton_point_with_non_finite_value_is_not_taken():
@@ -121,8 +117,7 @@ def test_affine_solutions_match_active_set_enumeration():
         d = rng.standard_normal(m) * 3.0
         lo = rng.uniform(-2.0, 0.0, m)
         hi = lo + rng.uniform(0.5, 3.0, m)
-        prob = affine_problem(M, d, lo, hi)
-        x, report = solve_vi(prob, cfg)
+        x, report = solve_vi(*affine_problem(M, d, lo, hi), cfg)
         ref = active_set_box_vi(M, d, lo, hi)
         assert report.converged
         assert np.abs(x - ref).max() < 1e-8
@@ -137,11 +132,10 @@ def test_affine_solutions_match_active_set_enumeration():
 def test_backtracking_handles_stiff_operator():
     # badly scaled rows: the initial step must shrink, not diverge
     M = np.diag([1.0, 50.0])
-    prob = affine_problem(M, [-1.0, -25.0], [0.0, 0.0], [10.0, 10.0])
+    op, box = affine_problem(M, [-1.0, -25.0], [0.0, 0.0], [10.0, 10.0])
     cfg = SolverConfig(initial_step=1.0, max_iterations=5000)
     x, res, _, backtracks = extragradient_box_vi(
-        prob.eval_shifted, prob.set.lower, prob.set.upper,
-        prob.set.midpoint(), **asdict(cfg))
+        op, box.lower, box.upper, box.midpoint(), **asdict(cfg))
     assert res <= cfg.tolerance
     assert np.abs(x - np.array([1.0, 0.5])).max() < 1e-7
     # the batch solver counts the same shrinks, per row; the second row
@@ -156,19 +150,19 @@ def test_backtracking_handles_stiff_operator():
 
 
 def test_nonconvergence_raises_with_report():
-    prob = affine_problem([[1.0]], [-0.9], [0.0], [1.0])
+    op, box = affine_problem([[1.0]], [-0.9], [0.0], [1.0])
     with pytest.raises(NonConvergenceError) as exc:
-        solve_vi(prob, SolverConfig(max_iterations=1, initial_step=1e-6))
+        solve_vi(op, box, SolverConfig(max_iterations=1, initial_step=1e-6))
     assert exc.value.report.converged is False
     assert exc.value.report.iterations == 1
     assert exc.value.point.shape == (1,)
 
 
 def test_warm_start_is_used():
-    prob = affine_problem([[1.0, 0.0], [0.0, 1.0]], [-0.3, -0.7],
-                          [0.0, 0.0], [1.0, 1.0])
-    x_cold, rep_cold = solve_vi(prob)
-    x_warm, rep_warm = solve_vi(prob, warm_start=x_cold)
+    op, box = affine_problem([[1.0, 0.0], [0.0, 1.0]], [-0.3, -0.7],
+                             [0.0, 0.0], [1.0, 1.0])
+    x_cold, rep_cold = solve_vi(op, box)
+    x_warm, rep_warm = solve_vi(op, box, warm_start=x_cold)
     assert rep_warm.iterations <= 1
     assert np.abs(x_warm - x_cold).max() < 1e-10
 
@@ -180,29 +174,23 @@ def test_nan_warm_start_is_refused_before_any_operator_call():
         calls.append(np.array(x))
         return x - np.array([0.3, 0.7])
 
-    prob = VIProblem(operator=op, constant_shift=np.zeros(2),
-                     set=BoxSet(np.zeros(2), np.ones(2)))
+    box = BoxSet(np.zeros(2), np.ones(2))
     with pytest.raises(ValueError, match="warm_start"):
-        solve_vi(prob, warm_start=[np.nan, 0.5])
+        solve_vi(op, box, warm_start=[np.nan, 0.5])
     assert calls == []
     # an infinite component still projects onto its bound
-    x, _ = solve_vi(prob, warm_start=[np.inf, -np.inf])
+    x, _ = solve_vi(op, box, warm_start=[np.inf, -np.inf])
     assert calls[0].tolist() == [1.0, 0.0]
     assert np.abs(x - [0.3, 0.7]).max() < 1e-8
 
 
 def test_nan_from_operator_raises():
-    prob = VIProblem(operator=lambda x: x * np.nan,
-                     constant_shift=np.zeros(1),
-                     set=BoxSet(np.zeros(1), np.ones(1)))
+    box = BoxSet(np.zeros(1), np.ones(1))
     with pytest.raises(FloatingPointError):
-        solve_vi(prob)
+        solve_vi(lambda x: x * np.nan, box)
     # an infinite value clips to a finite residual; it must raise too
-    prob = VIProblem(operator=lambda x: np.full(1, np.inf),
-                     constant_shift=np.zeros(1),
-                     set=BoxSet(np.zeros(1), np.ones(1)))
     with pytest.raises(FloatingPointError):
-        solve_vi(prob, warm_start=[0.0])
+        solve_vi(lambda x: np.full(1, np.inf), box, warm_start=[0.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -214,10 +202,8 @@ def test_non_finite_trial_value_raises(bad):
             raise ValueError("operator called at a non-finite point")
         return np.where(x < 0.5, bad, 10.0 * (x - 0.2))
 
-    prob = VIProblem(operator=op, constant_shift=np.zeros(1),
-                     set=BoxSet(np.zeros(1), np.ones(1)))
     with pytest.raises(FloatingPointError):
-        solve_vi(prob, warm_start=[0.9])
+        solve_vi(op, BoxSet(np.zeros(1), np.ones(1)), warm_start=[0.9])
 
 
 def test_batch_matches_sequential_scalar_solves():
@@ -237,12 +223,12 @@ def test_batch_matches_sequential_scalar_solves():
                              seeds=np.full((40, m), 1.0))
     assert out["converged"].all()
     for i in range(40):
-        prob = affine_problem(M, shifts[i], lo, hi)
-        x, res, _, _ = extragradient_box_vi(prob.eval_shifted, lo, hi,
-                                            np.full(m, 1.0), **asdict(cfg))
+        op, box = affine_problem(M, shifts[i], lo, hi)
+        x, res, _, _ = extragradient_box_vi(op, lo, hi, np.full(m, 1.0),
+                                            **asdict(cfg))
         assert res <= cfg.tolerance
         assert np.abs(out["solutions"][i] - x).max() < 1e-7
-        assert natural_residual(prob, out["solutions"][i]) <= cfg.tolerance
+        assert natural_residual(op, box, out["solutions"][i]) <= cfg.tolerance
 
 
 def test_batch_rows_converge_independently():
@@ -441,3 +427,20 @@ def test_check_monotone_classifies_operators():
     partly = check_monotone(lambda x: x if x[0] < 0.5 else x * np.nan, box,
                             num_pairs=200, seed=1)
     assert np.isnan(partly.min_ratio) and not partly.passed
+
+
+def test_input_checks_of_boxes_and_the_monotonicity_check():
+    with pytest.raises(ValueError, match="equal length"):
+        BoxSet(np.zeros(2), np.ones(3))
+    box = BoxSet(np.zeros(2), np.ones(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        project(np.zeros(3), box)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        natural_residual(lambda x: x, box, np.zeros(3))
+    with pytest.raises(ValueError, match="num_pairs"):
+        check_monotone(lambda x: x, box, num_pairs=0, seed=1)
+    # on a one-point box every sampled pair coincides: no ratio, no pass
+    point = BoxSet(np.full(2, 0.5), np.full(2, 0.5))
+    rep = check_monotone(lambda x: x, point, num_pairs=5, seed=1)
+    assert rep.skipped_pairs == rep.num_pairs == 5
+    assert np.isnan(rep.min_ratio) and not rep.passed
