@@ -18,19 +18,29 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def neumaier_add(total, comp, term):
-    """One compensated-summation step, elementwise on arrays.
+def neumaier_add(total, comp, term, work=None):
+    """One compensated-summation step, elementwise, in place.
 
-    Returns the updated (total, comp); total + comp carries the running
-    sum to roughly double the working precision. comp gains the exact
-    rounding error of total + term, computed branch-free (Knuth's
+    Adds term to the running sum total + comp, which carries it to
+    roughly double the working precision, and returns (total, comp),
+    both updated in place; they must not share memory. comp gains the
+    exact rounding error of total + term, computed branch-free (Knuth's
     TwoSum); for finite values that is bit for bit Neumaier's
     (total - t) + term or (term - t) + total, whichever of total and
-    term is larger in magnitude.
+    term is larger in magnitude. work is a (3,) + total.shape scratch
+    array for repeated steps; without it one is allocated.
     """
-    t = total + term
-    z = t - total
-    return t, comp + ((total - (t - z)) + (term - z))
+    t, z, e = np.empty((3,) + total.shape) if work is None else work
+    np.add(total, term, out=t)
+    np.subtract(t, total, out=z)
+    # comp += (total - (t - z)) + (term - z)
+    np.subtract(t, z, out=e)
+    np.subtract(total, e, out=e)
+    np.subtract(term, z, out=z)
+    np.add(e, z, out=e)
+    np.add(comp, e, out=comp)
+    np.copyto(total, t)
+    return total, comp
 
 
 class RunningMoments:
@@ -50,6 +60,7 @@ class RunningMoments:
         self.lead = lead
         self.total = np.zeros(lead + (1 + 2 * self.dim,))
         self.comp = np.zeros(lead + (1 + 2 * self.dim,))
+        self._work = np.empty((3,) + self.total.shape)
 
     def add(self, weight, values):
         """Fold one or k weighted observations per accumulator, in order.
@@ -66,10 +77,15 @@ class RunningMoments:
         if w.ndim <= len(self.lead):
             w = np.broadcast_to(w, self.lead)[None]
             x = np.broadcast_to(x, self.lead + (self.dim,))[None]
-        for wj, xj in zip(w, x):
-            wx = wj[..., None] * xj
-            term = np.concatenate([wj[..., None], wx, wx * xj], axis=-1)
-            self.total, self.comp = neumaier_add(self.total, self.comp, term)
+        # the terms [w, w*x, w*x*x] of all k slots, built at once
+        shape = np.broadcast_shapes(w.shape + (1,), x.shape)
+        terms = np.empty(shape[:-1] + (1 + 2 * self.dim,))
+        wx = terms[..., 1:1 + self.dim]
+        terms[..., 0] = w
+        np.multiply(w[..., None], x, out=wx)
+        np.multiply(wx, x, out=terms[..., 1 + self.dim:])
+        for term in terms:
+            neumaier_add(self.total, self.comp, term, self._work)
 
 
 @dataclass
@@ -96,10 +112,10 @@ def fold_moments(acc):
     sweep) makes the result reproducible bit for bit. A lead-free
     accumulator is one row.
     """
-    total = comp = np.zeros(1 + 2 * acc.dim)
+    total, comp = np.zeros((2, 1 + 2 * acc.dim))
     flat = (-1, 1 + 2 * acc.dim)
     for row, row_comp in zip(acc.total.reshape(flat), acc.comp.reshape(flat)):
-        total, comp = neumaier_add(total, comp, row + row_comp)
+        neumaier_add(total, comp, row + row_comp)
     sums = total + comp
     mean = sums[1:1 + acc.dim]
     m2 = sums[1 + acc.dim:]

@@ -208,9 +208,11 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0, *, s_pow=None):
             operator without an error.
 
     Returns:
-        F with the shape of q. The random additive parts enter through
-        one final addition of (r - alpha), so two calls differing only
-        in (r, alpha) differ by a constant vector.
+        F, a fresh array with the broadcast shape of q and the factors:
+        the shape of q, or (B, m) for q of shape (m,) with a factor
+        given per row. The random additive parts enter through one
+        final addition of (r - alpha), so two calls differing only in
+        (r, alpha) differ by a constant vector.
     """
     q, beta = _checked(instance, q, s, beta)
     a = instance.a
@@ -221,12 +223,21 @@ def operator_eval(instance, q, r, s, beta=None, alpha=0.0, *, s_pow=None):
     sa = s ** a if s_pow is None else s_pow
     Qe = np.asarray(_total(q) + instance.e)
     dens = Qe ** a
-    marginal = beta * instance._cost_scale * np.power(q, instance._inv_b)
-    base = (instance._c + marginal
-            + np.asarray(a * sa)[..., None] * q / (dens * Qe)[..., None]
-            - (sa / dens)[..., None])
+    asa = np.asarray(a * sa)[..., None]
     shift = np.asarray(r, dtype=float) - alpha
-    return base + shift[..., None]
+    # (c + beta k^(-1/b) q^(1/b) + a s^a q/(dens Qe) - s^a/dens) + shift,
+    # each step in the order of that expression, into one fresh buffer
+    # of the broadcast shape
+    out = np.empty(np.broadcast(q, beta, asa, shift[..., None]).shape)
+    np.power(q, instance._inv_b, out=out)
+    np.multiply(beta * instance._cost_scale, out, out=out)
+    np.add(instance._c, out, out=out)
+    slope = asa * q
+    np.divide(slope, (dens * Qe)[..., None], out=slope)
+    np.add(out, slope, out=out)
+    np.subtract(out, (sa / dens)[..., None], out=out)
+    np.add(out, shift[..., None], out=out)
+    return out
 
 
 def operator_eval_sampled(instance, q, r, s, beta, alpha):

@@ -238,6 +238,20 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     # in for the empty shape, which np.unravel_index refuses
     varying_shape = tuple(inner_parts[d].n_cells for d in varying) or (1,)
 
+    # the (m,) vector of a bound or beta group without a varying factor
+    # is the same in every cell, so it is built once; None marks a group
+    # that varies
+    groups = [range(1 + g * m, 1 + (g + 1) * m) for g in (0, 1)]
+
+    def group_vector(reps, g):
+        return np.stack(np.broadcast_arrays(*(reps[d] for d in groups[g])),
+                        axis=-1)
+
+    fixed_vectors = [
+        None if any(d in varying for d in groups[g]) else
+        group_vector([p.representatives[0] for p in inner_parts], g)
+        for g in (0, 1)]
+
     def cell_factors(ii, blocks):
         """Factors and weights of inner cells ii (1-d) of r-blocks blocks.
 
@@ -254,9 +268,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             idx[d] = i
             w = w * inner_parts[d].probabilities[i]
         reps = [p.representatives[i] for p, i in zip(inner_parts, idx)]
-        upper, beta = (
-            np.stack(np.broadcast_arrays(*reps[1 + g * m:1 + (g + 1) * m]),
-                     axis=-1) for g in (0, 1))
+        upper, beta = (group_vector(reps, g) if vec is None else vec
+                       for g, vec in enumerate(fixed_vectors))
         return ((r_reps[blocks], reps[0], beta, reps[-1], s_pows[idx[0]]),
                 upper, w)
 
@@ -311,10 +324,14 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         first = int(pos.min())
         for j in range(k):
             a0, a1, seed = chain[j], chain[j + 1], X[j]
-            np.subtract(np.multiply(2.0, a1), a0, out=seed)
+            np.multiply(a1, 2.0, out=seed)
+            np.subtract(seed, a0, out=seed)
             if first + j < 2:
                 np.copyto(seed, a1, where=(pos + j == 1)[:, None])
-            np.clip(seed, lower, upper_w[j], out=seed)
+            # np.clip's min(max(x, lower), upper), NaN kept; the forms
+            # differ only at -0.0, which 2*a1 - a0 of values >= +0 is not
+            np.maximum(seed, lower, out=seed)
+            np.minimum(seed, upper_w[j], out=seed)
             if first + j == 0:
                 np.copyto(seed, 0.5 * (lower + upper_w[j]),
                           where=(pos == 0)[:, None])

@@ -148,9 +148,11 @@ def pdf(factor, x):
 
 
 def cell_probability(factor, a, b):
-    """P(a <= X < b) = cdf(b) - cdf(a)."""
+    """P(a <= X < b): 1 or 0 for a constant, else cdf(b) - cdf(a)."""
     if not a < b:
         raise ValueError("cell requires a < b")
+    if factor.is_constant:
+        return 1.0 if a <= factor.params[0] < b else 0.0
     return max(cdf(factor, b) - cdf(factor, a), 0.0)
 
 
@@ -158,13 +160,10 @@ def cell_conditional_mean(factor, a, b):
     """E[X | X in [a, b)]; cells of probability zero get the midpoint."""
     if not a < b:
         raise ValueError("cell requires a < b")
-    if factor.kind == "constant":
-        v = factor.params[0]
-        if a <= v < b:
-            return v
-        return 0.5 * (a + b)
     if cell_probability(factor, a, b) == 0.0:
         return 0.5 * (a + b)
+    if factor.is_constant:
+        return factor.params[0]
     lo, hi = factor.support
     ca, cb = max(a, lo), min(b, hi)
     if factor.kind == "uniform":

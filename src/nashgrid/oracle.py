@@ -117,7 +117,7 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
     # merge chunk partials in chunk order, compensated
     sums, comp = np.zeros((2, 2, m))
     for chunk_sums, _ in results:
-        sums, comp = neumaier_add(sums, comp, chunk_sums)
+        neumaier_add(sums, comp, chunk_sums)
     s1, s2 = sums + comp
     failed = sum(cf for _, cf in results)
 

@@ -131,7 +131,13 @@ def residual_rows(x, fx, lower, upper):
     and Newton tests, natural_residual, and callers that screen points
     before solving all use it, so their residuals agree bitwise.
     """
-    res = _norm_rows(x - np.clip(x - fx, lower, upper))
+    # the clip as np.clip computes it, min(max(., lower), upper), in one
+    # buffer; the ufunc pair can differ from np.clip only in the sign of
+    # a zero, which the square drops
+    d = x - fx
+    np.maximum(d, lower, out=d)
+    np.minimum(d, upper, out=d)
+    res = _norm_rows(np.subtract(x, d, out=d))
     if not np.isfinite(fx).all():
         res[~np.isfinite(fx).all(axis=1)] = np.nan
     return res

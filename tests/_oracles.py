@@ -176,6 +176,35 @@ def extragradient_box_vi(F, lo, hi, start, tolerance, max_iterations,
 
 
 # ---------------------------------------------------------------------------
+# the operator kernel as one numpy expression
+
+def operator_expression(instance, q, r, s, beta=None, alpha=0.0, s_pow=None):
+    """The Cournot operator written as one numpy expression.
+
+    Reads the instance's coefficient arrays and evaluates
+    (c + marginal + a s^a q/(dens Qe) - s^a/dens) + (r - alpha) with a
+    fresh temporary per operation. The library kernel runs the same
+    operations in the same order into one buffer, so the two must agree
+    bit for bit, in value and in broadcast shape.
+    """
+    q = np.asarray(q, dtype=float)
+    beta = 1.0 if beta is None else np.asarray(beta, dtype=float)
+    a = instance.a
+    sa = s ** a if s_pow is None else s_pow
+    total = np.zeros(q.shape[:-1])
+    for j in range(q.shape[-1]):
+        total = total + q[..., j]
+    Qe = np.asarray(total + instance.e)
+    dens = Qe ** a
+    marginal = beta * instance._cost_scale * np.power(q, instance._inv_b)
+    base = (instance._c + marginal
+            + np.asarray(a * sa)[..., None] * q / (dens * Qe)[..., None]
+            - (sa / dens)[..., None])
+    shift = np.asarray(r, dtype=float) - alpha
+    return base + shift[..., None]
+
+
+# ---------------------------------------------------------------------------
 # the oligopoly model recomputed with the math module
 
 def market_price(q, s, a, e):

@@ -65,6 +65,80 @@ def test_stacked_add_equals_single_adds_bitwise():
         assert alone.comp.tobytes() == stacked.comp[b].tobytes()
 
 
+def _reference_step(total, comp, term):
+    """The compensated step with a fresh temporary per operation."""
+    t = total + term
+    z = t - total
+    return t, comp + ((total - (t - z)) + (term - z))
+
+
+def _reference_add(total, comp, w, x):
+    """k single-slot steps on copies, each term built as its own array."""
+    total, comp = total.copy(), comp.copy()
+    for wj, xj in zip(w, x):
+        wx = wj[..., None] * xj
+        term = np.concatenate([wj[..., None], wx, wx * xj], axis=-1)
+        total, comp = _reference_step(total, comp, term)
+    return total, comp
+
+
+def test_neumaier_add_in_place_matches_the_expression():
+    rng = np.random.default_rng(3)
+    total = rng.standard_normal((4, 7)) * 1e8
+    comp = rng.standard_normal((4, 7)) * 1e-9
+    term = rng.standard_normal((4, 7)) * np.logspace(-8, 8, 7)
+    want = _reference_step(total, comp, term)
+    for work in (None, np.empty((3, 4, 7))):
+        got_total, got_comp = total.copy(), comp.copy()
+        kept = term.copy()
+        out = neumaier_add(got_total, got_comp, term, work)
+        assert out[0] is got_total and out[1] is got_comp
+        assert got_total.tobytes() == want[0].tobytes()
+        assert got_comp.tobytes() == want[1].tobytes()
+        assert term.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("case", ["zero_weights", "nan_values", "broadcast",
+                                  "lead_free"])
+def test_one_stacked_add_equals_k_compensated_steps_bitwise(case):
+    rng = np.random.default_rng(11)
+    k, lead, dim = 6, (3, 4), 2
+    w = rng.random((k,) + lead) * np.logspace(-6, 6, 4)
+    x = rng.standard_normal((k,) + lead + (dim,)) * 50.0
+    if case == "zero_weights":
+        # sitting-out slots, some with negative values (terms of -0.0)
+        w[rng.random(w.shape) < 0.4] = 0.0
+    elif case == "nan_values":
+        x[2, 1, 3] = np.nan
+        x[4, 0, 0, 1] = np.nan
+    elif case == "broadcast":
+        w, x = 0.375, np.array([1.5, -2.25])
+    elif case == "lead_free":
+        lead = ()
+        w, x = w[:, 0, 0], x[:, 0, 0]
+    acc = RunningMoments(dim, lead=lead)
+    acc.total[...] = rng.standard_normal(acc.total.shape) * 1e3
+    acc.comp[...] = rng.standard_normal(acc.comp.shape) * 1e-13
+    w_in, x_in = np.array(w), np.array(x)
+    w_copy, x_copy = w_in.copy(), x_in.copy()
+    if case == "broadcast":
+        ref_w = np.broadcast_to(w, lead)[None]
+        ref_x = np.broadcast_to(x, lead + (dim,))[None]
+    else:
+        ref_w, ref_x = w_in, x_in
+    want = _reference_add(acc.total, acc.comp, ref_w, ref_x)
+    acc.add(w_in, x_in)
+    assert acc.total.tobytes() == want[0].tobytes()
+    assert acc.comp.tobytes() == want[1].tobytes()
+    if case == "nan_values":
+        assert np.isnan(acc.total[1, 3, 1:]).all()
+        assert np.isnan(acc.total[0, 0, [2, 4]]).all()
+        assert np.isfinite(acc.total[0, 1]).all()
+    # the caller's arrays are read, never written
+    assert w_in.tobytes() == w_copy.tobytes()
+    assert x_in.tobytes() == x_copy.tobytes()
+
+
 def test_single_add_broadcasts_weight_and_values_over_lead():
     x = np.array([1.5, -2.0])
     shared = RunningMoments(2, lead=(3,))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,37 @@ def test_operator_finite_at_zero_output():
     sa = 5000.0 ** inst.a
     want0 = 10.0 - sa / inst.e ** inst.a
     assert out[0] == pytest.approx(want0, rel=1e-12)
+
+
+def test_operator_kernel_matches_its_expression_bitwise():
+    # every argument shape the operator_eval docstring allows, against
+    # the expression the kernel writes into one buffer
+    inst = five_firm_instance()
+    rng = np.random.default_rng(17)
+    B = 7
+    q_rows = rng.uniform(0.0, 60.0, (B, 5))
+    q_rows[2, 1] = 0.0  # q^(1/b) at 0 for b > 1 and b < 1
+    q_rows[4, 4] = 0.0
+    shapes = {
+        "q": (q_rows[3], q_rows),
+        "r": (0.17, rng.uniform(-0.5, 0.5, B)),
+        "s": (5003.5, rng.uniform(4950.0, 5050.0, B)),
+        "alpha": (0.04, rng.uniform(-0.1, 0.1, B)),
+        "beta": (None, rng.uniform(0.5, 1.5, 5), rng.uniform(0.5, 1.5, (B, 5))),
+    }
+    for q, r, s, alpha, beta in itertools.product(*shapes.values()):
+        s_pows = [None, s ** inst.a if np.ndim(s) == 0
+                  else np.array([float(v) ** inst.a for v in s])]
+        for s_pow in s_pows:
+            got = operator_eval(inst, q, r, s, beta, alpha, s_pow=s_pow)
+            want = o.operator_expression(inst, q, r, s, beta, alpha,
+                                         s_pow=s_pow)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, q)
+    # q (m,) with per-row factors broadcasts to (B, m)
+    assert operator_eval(inst, q_rows[0], shapes["r"][1], 5000.0).shape \
+        == (B, 5)
 
 
 def test_demand_shift_enters_as_constant_vector():

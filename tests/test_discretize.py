@@ -356,6 +356,40 @@ def test_window_sweep_matches_one_cell_windows_across_bound_cells(
     assert_same_sweep(windowed, one_cell)
 
 
+@pytest.mark.parametrize("counts, bounds_vary", [
+    (dict(n_r=3, n_s=10, n_bounds=2, n_alpha=2), True),
+    (dict(n_r=3, n_s=10, n_betas=2, n_alpha=2), False),
+], ids=["bounds_vary", "betas_vary"])
+def test_window_sweep_matches_one_cell_windows_with_one_group_fixed(
+        monkeypatch, counts, bounds_vary):
+    # a bound or beta group without a varying factor reaches the kernel
+    # as one (m,) vector built once per grid; the other group per cell
+    inst = three_firm_instance()
+    g = make_grid(inst, **counts)
+    ranks = {"upper": set(), "beta": set()}
+    real_eval = discretize.operator_eval
+    real_batch = discretize.solve_box_vi_batch
+
+    def eval_spy(instance, q, r, s, beta, *args, **kwargs):
+        ranks["beta"].add(np.ndim(beta))
+        return real_eval(instance, q, r, s, beta, *args, **kwargs)
+
+    def batch_spy(operator, lower, upper, *args, **kwargs):
+        ranks["upper"].add(np.ndim(upper))
+        return real_batch(operator, lower, upper, *args, **kwargs)
+
+    monkeypatch.setattr(discretize, "operator_eval", eval_spy)
+    monkeypatch.setattr(discretize, "solve_box_vi_batch", batch_spy)
+    windowed, one_cell, widest = sweep_twice(
+        monkeypatch, inst, g, SolverConfig(initial_step=1.4))
+    # some window held several cells of each r-block
+    assert widest > g.r.n_cells
+    assert windowed.converged.all()
+    assert_same_sweep(windowed, one_cell)
+    assert ranks == ({"upper": {2}, "beta": {1}} if bounds_vary
+                     else {"upper": {1}, "beta": {2}})
+
+
 def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
     inst = randomized_instance()
     g = make_grid(inst, n_r=3, n_s=3000)

@@ -239,6 +239,10 @@ def test_constant_factor_cells_and_argument_checks():
     assert cdf(f, np.array([1.0, 2.0, 3.0])).tolist() == [0.0, 1.0, 1.0]
     assert cell_probability(f, 1.5, 2.5) == 1.0
     assert cell_probability(f, 2.5, 3.0) == 0.0
+    # cells are [a, b): the value belongs to the cell it opens
+    assert cell_probability(f, 1.0, 2.0) == 0.0
+    assert cell_probability(f, 2.0, 3.0) == 1.0
+    assert cell_conditional_mean(f, 2.0, 3.0) == 2.0
     assert cell_conditional_mean(f, 1.5, 2.5) == 2.0
     # a cell that misses the value gets its midpoint
     assert cell_conditional_mean(f, 3.0, 5.0) == 4.0

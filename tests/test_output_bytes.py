@@ -1,0 +1,46 @@
+"""Byte pins of shipped outputs: the SHA-256 of three CSV files.
+
+The digests were recorded under Python 3.11.7, numpy 2.4.6 and scipy
+1.17.1. A change that keeps every floating-point operation in its order
+keeps these bytes; only a deliberate re-pin of the shipped results
+(ROADMAP direction 3) may change them, and then together with the
+pinned mean in test_acceptance.py.
+
+- summary.csv of configs/expectation_grid_small.json (50 x 2000 cells);
+- cells.csv of the same market at 10 x 300 cells with dump_cells;
+- oracle.csv of configs/monte_carlo.json at 8192 samples, seeds 1 and 7.
+"""
+import hashlib
+import io
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from nashgrid.cli import load_config, run_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+PINS = [
+    ("expectation_grid_small.json", {}, {}, "summary.csv",
+     "9a68e5dd9d455f9b98217481558ef21a977ecc5d7c4a7fab00b0a4406eb2e198"),
+    ("expectation_grid_small.json", {"n_r": 10, "n_s": 300},
+     {"dump_cells": True}, "cells.csv",
+     "b889f7b77ce74af76227d4dab60a288e0721c0144a098bc228bffc923c790f26"),
+    ("monte_carlo.json", {}, {"n_samples": 8192, "seed": 1}, "oracle.csv",
+     "ba1a6f6f0a49d885cefc7636b99a10f5a90310e740d6fe9206a64cdb9f3461d0"),
+    ("monte_carlo.json", {}, {"n_samples": 8192, "seed": 7}, "oracle.csv",
+     "357eed2702d6ce38a32f85653d2c0581eb4d323dc6766b6499136925dc5164e2"),
+]
+
+
+@pytest.mark.parametrize("name, grid, run, output, digest", PINS,
+                         ids=[f"{p[0]}:{p[3]}:{i}" for i, p in enumerate(PINS)])
+def test_output_bytes_are_pinned(tmp_path, name, grid, run, output, digest):
+    config = load_config(str(CONFIGS / name))
+    config = replace(
+        config, discretization=replace(config.discretization, **grid),
+        run=replace(config.run, out_dir=str(tmp_path), **run))
+    assert run_config(config, stdout=io.StringIO()) == 0
+    data = (tmp_path / output).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -77,6 +77,27 @@ def test_constant_shift_moves_solution():
     assert abs(x[0] - 3.25) < 1e-8
 
 
+def test_residual_rows_match_the_np_clip_expression_bitwise():
+    # signed zeros, exact bound hits, equal bounds and non-finite values
+    rng = np.random.default_rng(9)
+    n, m = 400, 4
+    pick = [0.0, -0.0, 1.0, 2.5, np.nan, np.inf, -np.inf]
+    x = np.where(rng.random((n, m)) < 0.3, -0.0, rng.uniform(0.0, 3.0, (n, m)))
+    x[rng.random((n, m)) < 0.2] = 2.5
+    fx = rng.standard_normal((n, m))
+    fx[rng.random((n, m)) < 0.3] = 0.0
+    fx[rng.random((n, m)) < 0.2] = -0.0
+    fx[:20] = rng.choice(pick, (20, m))
+    x[:20] = np.where(np.isfinite(x[:20]), x[:20], 0.0)
+    lower = np.zeros(m)
+    for upper in (np.array([2.5, 2.5, 0.0, 3.0]),
+                  rng.uniform(0.0, 3.0, (n, m))):
+        want = np.sqrt(((x - np.clip(x - fx, lower, upper)) ** 2).sum(axis=-1))
+        want[~np.isfinite(fx).all(axis=1)] = np.nan
+        got = residual_rows(x, fx, lower, upper)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_natural_residual_zero_at_solution_and_positive_off():
     op, box = affine_problem([[2.0, 0.3], [0.3, 1.0]], [-1.0, 0.5],
                              [0.0, 0.0], [1.0, 1.0])
