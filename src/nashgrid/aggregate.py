@@ -63,20 +63,17 @@ class RunningMoments:
         self._work = np.empty((3,) + self.total.shape)
 
     def add(self, weight, values):
-        """Fold one or k weighted observations per accumulator, in order.
+        """Fold k weighted observations per accumulator, in order.
 
-        One observation per accumulator: weight broadcastable to
-        ``lead``, values to ``lead + (dim,)``. k stacked observations:
-        weight of shape ``(k,) + lead``, values ``(k,) + lead + (dim,)``;
-        they are k single adds, one compensated step per observation. A
+        weight has shape ``(k,) + lead`` and values ``(k,) + lead +
+        (dim,)``; they are k compensated steps, one per observation. A
         zero weight with finite values is a no-op, so an accumulator can
         sit out some of the k slots.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
-        if w.ndim <= len(self.lead):
-            w = np.broadcast_to(w, self.lead)[None]
-            x = np.broadcast_to(x, self.lead + (self.dim,))[None]
+        if w.ndim != 1 + len(self.lead):
+            raise ValueError("weight must have shape (k,) + lead")
         # the terms [w, w*x, w*x*x] of all k slots, built at once
         shape = np.broadcast_shapes(w.shape + (1,), x.shape)
         terms = np.empty(shape[:-1] + (1 + 2 * self.dim,))

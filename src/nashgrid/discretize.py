@@ -172,11 +172,13 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     """Solve every cell problem of the grid.
 
     Cells are organized into one chain per r-cell (an r-block) over the
-    inner cells in lexicographic order. Each cell is seeded from its
-    chain's two previous solutions: the first at its box midpoint, the
-    second at the first solution, every later one at the clipped secant
-    extrapolation 2*x1 - x0; once a cell has frozen a non-finite row, a
-    non-finite seed becomes the box midpoint.
+    inner cells in lexicographic order. Every cell is seeded at the
+    clipped secant clip(2*x1 - x0) of its chain's two previous points. A
+    chain starts with x0 = x1 = its first cell's box midpoint, so the
+    first cell starts there, and the first solution also stands in for
+    the point before it, so the second cell starts at that solution.
+    Once a cell has frozen a non-finite row, a non-finite seed becomes
+    the box midpoint.
 
     The sweep runs in rounds, in the calling thread. In each round every
     unfinished r-block seeds its next k cells as if each were solved at
@@ -247,10 +249,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         return np.stack(np.broadcast_arrays(*(reps[d] for d in groups[g])),
                         axis=-1)
 
-    fixed_vectors = [
-        None if any(d in varying for d in groups[g]) else
-        group_vector([p.representatives[0] for p in inner_parts], g)
-        for g in (0, 1)]
+    first_reps = [p.representatives[0] for p in inner_parts]
+    fixed_vectors = [None if any(d in varying for d in groups[g])
+                     else group_vector(first_reps, g) for g in (0, 1)]
 
     def cell_factors(ii, blocks):
         """Factors and weights of inner cells ii (1-d) of r-blocks blocks.
@@ -295,11 +296,12 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     worst = 0.0
     lost = False
     # the unfinished r-blocks, each with its next inner cell and its last
-    # two solutions
+    # two points, at first both its first cell's box midpoint c, whose
+    # secant 2*c - c is c exactly
     blocks = np.arange(n_blocks)
     pos = np.zeros(n_blocks, dtype=np.int64)
-    x0 = np.zeros((n_blocks, m))
-    x1 = np.zeros((n_blocks, m))
+    x0 = x1 = np.tile(0.5 * (lower + group_vector(first_reps, 0)),
+                      (n_blocks, 1))
     offsets = np.arange(_WINDOW_CAP)[:, None]
     grow = 1
     while blocks.size:
@@ -320,21 +322,14 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         chain[0], chain[1] = x0, x1
         X = chain[2:]
         upper_w = upper.reshape(k, na, m) if upper.ndim > 1 else [upper] * k
-        # the first-two-cells rules touch no block once first + j >= 2
-        first = int(pos.min())
         for j in range(k):
             a0, a1, seed = chain[j], chain[j + 1], X[j]
             np.multiply(a1, 2.0, out=seed)
             np.subtract(seed, a0, out=seed)
-            if first + j < 2:
-                np.copyto(seed, a1, where=(pos + j == 1)[:, None])
             # np.clip's min(max(x, lower), upper), NaN kept; the forms
             # differ only at -0.0, which 2*a1 - a0 of values >= +0 is not
             np.maximum(seed, lower, out=seed)
             np.minimum(seed, upper_w[j], out=seed)
-            if first + j == 0:
-                np.copyto(seed, 0.5 * (lower + upper_w[j]),
-                          where=(pos == 0)[:, None])
             if lost:
                 # a frozen non-finite row must not seed the operator with NaN
                 np.copyto(seed, 0.5 * (lower + upper_w[j]),
@@ -389,8 +384,11 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             for stored, v in zip(kept.values(), (x, w, res, its)):
                 stored[ids] = v[sel]
 
+        # a block that has solved only its first cell takes that solution
+        # as x0 too; the first round's window is one cell long, so no
+        # window reaches a chain's second cell before this
         cols = np.arange(na)
-        x0, x1 = chain[took, cols], chain[took + 1, cols]
+        x0, x1 = chain[np.maximum(took, 2 - pos), cols], chain[took + 1, cols]
         pos = pos + took
         if np.maximum.reduce(pos) >= inner_count:
             going = pos < inner_count

@@ -82,8 +82,6 @@ class RandomFactor:
 
     def mean(self):
         """Exact mean of the factor."""
-        if self.kind == "constant":
-            return self.params[0]
         lo, hi = self.support
         return cell_conditional_mean(self, lo, np.nextafter(hi, np.inf))
 

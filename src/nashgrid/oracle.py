@@ -57,11 +57,11 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
 
     Args:
         instance: the market model.
-        n_samples: number of i.i.d. factor realizations, >= 1.
-        seed: nonnegative integer keying the sample stream.
+        n_samples: number of i.i.d. factor realizations, an integer >= 1.
+        seed: integer in [0, 2**128) keying the sample stream.
         solver_config: SolverConfig for the per-sample solves.
-        parallelism: worker threads for the chunks, >= 1; never changes
-            the results.
+        parallelism: worker threads for the chunks, an integer >= 1;
+            never changes the results.
 
     Returns:
         OracleReport. standard_error is sample stddev / sqrt(n);
@@ -69,11 +69,14 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
         (their last iterates still enter the average, and callers
         should treat any failure as disqualifying).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise ValueError("n_samples must be an integer >= 1")
+    # refused, not cut to an int: a float seed, and keys Philox refuses
+    if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 128):
+        raise ValueError("seed must be an integer in [0, 2**128)")
+    if not (isinstance(parallelism, (int, np.integer)) and parallelism >= 1):
+        raise ValueError("parallelism must be an integer >= 1")
     seed = int(seed)
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     config = solver_config or SolverConfig()
     m = instance.m
     # one draw per factor slot, in fixed order, constants included,

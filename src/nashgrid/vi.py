@@ -80,8 +80,10 @@ class SolverConfig:
         # the ``not (x > 0)`` form refuses NaN as well
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be >= 1")
+        # a float count would fail in the solver's loop, so it is refused
+        if not (isinstance(self.max_iterations, (int, np.integer))
+                and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be an integer >= 1")
         if not self.initial_step > 0:
             raise ValueError("initial_step must be > 0")
 

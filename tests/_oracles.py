@@ -4,8 +4,11 @@ Everything here is deliberately primitive: bisection, adaptive and
 Gauss-Legendre quadrature, central differences, brute-force active-set
 enumeration, a one-problem extragradient loop, and best-response
 iteration written with the math module.
-None of it imports the package under test, so agreement between the two
-is meaningful evidence.
+None of it uses the package under test, so agreement between the two
+is meaningful evidence. The one exception is the executable spec of the
+grid sweep at the end: it pins the sweep's cell order, seed rule and
+fold order, so it solves and folds each cell with the package's own
+one-row solver and moment accumulator.
 
 FROZEN_* constants were produced by the functions in this file; tests
 assert both that the oracle still reproduces them (guards environment
@@ -14,9 +17,16 @@ drift) and that the library agrees with them.
 
 import itertools
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.integrate import quad
+
+# the sweep spec alone uses these
+from nashgrid import cournot
+from nashgrid.aggregate import RunningMoments, fold_moments
+from nashgrid.discretize import StepSolution
+from nashgrid.vi import solve_box_vi_batch
 
 
 # ---------------------------------------------------------------------------
@@ -378,3 +388,87 @@ FROZEN_EXPECTED_EQUILIBRIUM = (
     42.660495718781235,
     39.17958051623474,
 )
+
+
+# ---------------------------------------------------------------------------
+# an executable spec of the grid sweep, one cell at a time
+
+Cell = namedtuple("Cell", "idx r s upper beta alpha weight")
+
+
+def grid_cells(grid):
+    """Every cell of the grid in lexicographic order, read off grid.parts().
+
+    This is the tests' own enumeration, independent of the sweep: each
+    cell carries its index tuple, its representatives and its weight,
+    the per-factor probabilities multiplied in factor order.
+    """
+    parts = [p for _, p in grid.parts()]
+    m = grid.m
+    for idx in np.ndindex(grid.shape):
+        reps = [float(p.representatives[i]) for p, i in zip(parts, idx)]
+        weight = 1.0
+        for p, i in zip(parts, idx):
+            weight = weight * float(p.probabilities[i])
+        yield Cell(idx, reps[0], reps[1], np.array(reps[2:2 + m]),
+                   np.array(reps[2 + m:2 + 2 * m]), reps[-1], weight)
+
+
+def cell_operator(inst, cell):
+    """The cell's VI operator, F(q) with its factors frozen.
+
+    The kernel is looked up in its module at each call, so a test that
+    replaces cournot.operator_eval reaches this operator too.
+    """
+    return lambda q: cournot.operator_eval(inst, q, cell.r, cell.s,
+                                           cell.beta, cell.alpha)
+
+
+def reference_sweep(instance, grid, config):
+    """solve_all(instance, grid, config, keep_cells=True), cell by cell.
+
+    Each r-block is a chain over its inner cells in lexicographic order.
+    The chain's first cell is seeded at its box midpoint, the second at
+    the first solution, and every later one at clip(2 x1 - x0) of the
+    two previous solutions; a non-finite seed becomes the box midpoint.
+    Each cell is a one-row solve_box_vi_batch from its seed. Each block
+    folds its cells, in chain order, into its own RunningMoments, and
+    fold_moments merges the blocks in block order.
+    """
+    cells = list(grid_cells(grid))
+    inner = len(cells) // grid.r.n_cells
+    lo = np.zeros(grid.m)
+    out = {"solutions": [], "weights": [], "residuals": [], "iterations": []}
+    blocks = []
+    for start in range(0, len(cells), inner):
+        acc = RunningMoments(grid.m)
+        x0 = x1 = None
+        for j, cell in enumerate(cells[start:start + inner]):
+            mid = 0.5 * (lo + cell.upper)
+            if j == 0:
+                seed = mid
+            elif j == 1:
+                seed = x1
+            else:
+                seed = np.clip(2.0 * x1 - x0, lo, cell.upper)
+            if not np.isfinite(seed).all():
+                seed = mid
+            F = cell_operator(instance, cell)
+            row = solve_box_vi_batch(lambda q, rows: F(q), lo, cell.upper,
+                                     config, seed[None])
+            x = row["solutions"][0]
+            acc.add([cell.weight], x[None])
+            for key, v in (("solutions", x), ("weights", cell.weight),
+                           ("residuals", row["residuals"][0]),
+                           ("iterations", row["iterations"][0])):
+                out[key].append(v)
+            x0, x1 = x1, x
+        blocks.append(acc)
+    merged = RunningMoments(grid.m, lead=(len(blocks),))
+    merged.total[:] = [acc.total for acc in blocks]
+    merged.comp[:] = [acc.comp for acc in blocks]
+    arrays = {key: np.array(v) for key, v in out.items()}
+    flagged = int(np.count_nonzero(~(arrays["residuals"] <= config.tolerance)))
+    return StepSolution(grid=grid, report=fold_moments(merged),
+                        solver_config=config, n_cells=len(cells),
+                        flagged_cells=flagged, **arrays)

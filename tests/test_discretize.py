@@ -1,6 +1,5 @@
 import csv
 import math
-from collections import namedtuple
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,37 +11,14 @@ from nashgrid import (BoxSet, CournotInstance, FirmParams, FlaggedCellsError,
                       discretize, expectation, make_grid, make_partition,
                       mean_truncation, natural_residual, operator_eval,
                       solve_all, solve_vi, write_cells_csv)
+from nashgrid import cournot
 from nashgrid.cli import load_config
 
 import _oracles as o
+from _oracles import cell_operator, grid_cells
 from conftest import five_firm_instance, randomized_instance
 
-Cell = namedtuple("Cell", "idx r s upper beta alpha weight")
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def grid_cells(grid):
-    """Every cell of the grid in lexicographic order, read off grid.parts().
-
-    This is the tests' own enumeration, independent of the sweep: each
-    cell carries its index tuple, its representatives and its weight,
-    the per-factor probabilities multiplied in factor order.
-    """
-    parts = [p for _, p in grid.parts()]
-    m = grid.m
-    for idx in np.ndindex(grid.shape):
-        reps = [float(p.representatives[i]) for p, i in zip(parts, idx)]
-        weight = 1.0
-        for p, i in zip(parts, idx):
-            weight = weight * float(p.probabilities[i])
-        yield Cell(idx, reps[0], reps[1], np.array(reps[2:2 + m]),
-                   np.array(reps[2 + m:2 + 2 * m]), reps[-1], weight)
-
-
-def cell_operator(inst, cell):
-    """The cell's VI operator, F(q) with its factors frozen."""
-    return lambda q: operator_eval(inst, q, cell.r, cell.s, cell.beta,
-                                   cell.alpha)
 
 
 def test_grid_factor_order_and_cell_count():
@@ -390,20 +366,24 @@ def test_window_sweep_matches_one_cell_windows_with_one_group_fixed(
                      else {"upper": {1}, "beta": {2}})
 
 
-def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=3, n_s=3000)
-    poisoned_r = g.r.representatives[1]
-    poisoned_s = g.s.representatives[1500]
-    real = discretize.operator_eval
+def poisoned_operator(grid, r_cell, s_cell):
+    """operator_eval, with all-NaN values at one (r, s) cell of the grid."""
+    poisoned_r = grid.r.representatives[r_cell]
+    poisoned_s = grid.s.representatives[s_cell]
 
     def poisoned(instance, x, r, s, *args, **kwargs):
-        out = real(instance, x, r, s, *args, **kwargs)
+        out = operator_eval(instance, x, r, s, *args, **kwargs)
         hit = (np.asarray(r) == poisoned_r) & (np.asarray(s) == poisoned_s)
         out[np.broadcast_to(hit, out.shape[:1])] = np.nan
         return out
+    return poisoned
 
-    monkeypatch.setattr(discretize, "operator_eval", poisoned)
+
+def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=3, n_s=3000)
+    monkeypatch.setattr(discretize, "operator_eval",
+                        poisoned_operator(g, 1, 1500))
     windowed, one_cell, widest = sweep_twice(
         monkeypatch, inst, g, SolverConfig(initial_step=1.4),
         max_flagged_fraction=1.0)
@@ -417,6 +397,32 @@ def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
     assert windowed.converged[bad + 1:2 * 3000].all()
     assert np.isfinite(windowed.solutions[bad + 1]).all()
     assert np.isnan(windowed.report.mean).all()
+
+
+SHIPPED = load_config(ROOT / "configs" / "expectation_grid.json")
+
+
+@pytest.mark.parametrize("inst, counts, cfg, poison", [
+    (SHIPPED.instance, dict(n_r=3, n_s=40), SHIPPED.solver, None),
+    (three_firm_instance(), dict(n_r=3, n_s=10, n_bounds=2, n_alpha=2),
+     SolverConfig(initial_step=1.4), None),
+    (randomized_instance(), dict(n_r=4, n_s=60), SolverConfig(), None),
+    (randomized_instance(), dict(n_r=3, n_s=3000),
+     SolverConfig(initial_step=1.4), (1, 1500)),
+], ids=["shipped_3x40", "three_firm_bounds_alpha", "five_firm_4x60",
+        "poisoned_3x3000"])
+def test_sweep_matches_its_executable_spec(monkeypatch, inst, counts, cfg,
+                                           poison):
+    # every stored array and report field, bit for bit, against the cells
+    # solved one at a time from the documented seeds (_oracles)
+    g = make_grid(inst, **counts)
+    if poison:
+        op = poisoned_operator(g, *poison)
+        monkeypatch.setattr(discretize, "operator_eval", op)
+        monkeypatch.setattr(cournot, "operator_eval", op)
+    got = solve_all(inst, g, cfg, keep_cells=True, max_flagged_fraction=1.0)
+    assert_same_sweep(got, o.reference_sweep(inst, g, cfg))
+    assert got.flagged_cells == (1 if poison else 0)
 
 
 def test_cells_csv_round_trip(tmp_path, monkeypatch):

@@ -88,6 +88,7 @@ def test_truncated_normal_with_tiny_lower_tail_mass_still_works():
 
 def test_support_and_means():
     assert RandomFactor.constant(3.0).support == (3.0, 3.0)
+    assert RandomFactor.constant(2.5).mean() == 2.5
     assert RandomFactor.uniform(0.0, 2.0).mean() == 1.0
     # symmetric truncation keeps the normal mean
     assert abs(tn_r().mean()) < 1e-15

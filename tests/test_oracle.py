@@ -150,12 +150,22 @@ def test_failed_solves_are_counted():
 
 def test_validation():
     inst = randomized_instance()
-    with pytest.raises(ValueError):
-        monte_carlo_mean(inst, 0, seed=0)
-    with pytest.raises(ValueError):
-        monte_carlo_mean(inst, 10, seed=-1)
-    with pytest.raises(ValueError):
-        monte_carlo_mean(inst, 10, seed=0, parallelism=0)
+    for n_samples in (0, 2.5):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            monte_carlo_mean(inst, n_samples, seed=0)
+    # seeds are integers in [0, 2**128), Philox's key range; a float is
+    # refused rather than cut to an int
+    for seed in (-1, -0.5, 1.5, 2.0, 2 ** 128):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            monte_carlo_mean(inst, 10, seed=seed)
+    for parallelism in (0, 1.5):
+        with pytest.raises(ValueError, match="parallelism must be an integer"):
+            monte_carlo_mean(inst, 10, seed=0, parallelism=parallelism)
+    # numpy integers are integers, and the top of the key range runs
+    rep = monte_carlo_mean(inst, 10, seed=np.uint64(3),
+                           parallelism=np.int64(2))
+    assert rep.seed == 3 and type(rep.seed) is int
+    assert monte_carlo_mean(inst, 10, seed=2 ** 128 - 1).seed == 2 ** 128 - 1
 
 
 def test_oracle_csv_round_trip(tmp_path):

@@ -1,4 +1,4 @@
-"""Byte pins of shipped outputs: the SHA-256 of three CSV files.
+"""Byte pins of shipped outputs: the SHA-256 of the CSV file of every mode.
 
 The digests were recorded under Python 3.11.7, numpy 2.4.6 and scipy
 1.17.1. A change that keeps every floating-point operation in its order
@@ -8,7 +8,10 @@ pinned mean in test_acceptance.py.
 
 - summary.csv of configs/expectation_grid_small.json (50 x 2000 cells);
 - cells.csv of the same market at 10 x 300 cells with dump_cells;
-- oracle.csv of configs/monte_carlo.json at 8192 samples, seeds 1 and 7.
+- oracle.csv of configs/monte_carlo.json at 8192 samples, seeds 1 and 7;
+- summary.csv of configs/deterministic.json;
+- ladder.csv of configs/refinement_ladder.json cut to the two levels
+  5 x 20 and 10 x 40, where every cell misses at its seed.
 """
 import hashlib
 import io
@@ -31,6 +34,11 @@ PINS = [
      "ba1a6f6f0a49d885cefc7636b99a10f5a90310e740d6fe9206a64cdb9f3461d0"),
     ("monte_carlo.json", {}, {"n_samples": 8192, "seed": 7}, "oracle.csv",
      "357eed2702d6ce38a32f85653d2c0581eb4d323dc6766b6499136925dc5164e2"),
+    ("deterministic.json", {}, {}, "summary.csv",
+     "69a35ecbb67f610186287d5bbb8ec11bbdcd901358577c5b4fd237f57113c922"),
+    ("refinement_ladder.json", {}, {"ladder": ((5, 20), (10, 40))},
+     "ladder.csv",
+     "3c1b69b7c61803559599208da3554a12d4c68e8e03f9d3c40462618c32240103"),
 ]
 
 

@@ -55,8 +55,11 @@ def test_project_clips_componentwise():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
+    # a non-integral count is refused, not left to fail inside a solve
+    for bad in (0, 2.5, 3.0):
+        with pytest.raises(ValueError, match="max_iterations"):
+            SolverConfig(max_iterations=bad)
+    assert SolverConfig(max_iterations=np.int64(3)).max_iterations == 3
     for key in ("tolerance", "initial_step"):
         with pytest.raises(ValueError, match=key):
             SolverConfig(**{key: float("nan")})
