@@ -11,7 +11,7 @@ equilibrium whose moments converge as the partitions refine.
 Modules:
     vi             box-constrained VI solver: one batched extragradient
                    loop (semismooth Newton when a Jacobian is given);
-                   solve_vi is its one-row call
+                   solve_vi is its one-column call
     distributions  bounded random factors and support partitions
     cournot        the oligopoly model: cost, price, welfare, operator
     discretize     cell grids and the batched sweep over their cells

@@ -4,8 +4,9 @@ Expectations over millions of weighted cells are folded once, during
 the sweep, with compensated (Neumaier) summation: each accumulator
 folds its cells in a fixed order, and fold_moments merges the
 accumulators in one canonical order at the end into the MomentReport,
-so results are reproducible to full precision. Stored per-cell arrays
-are never summed a second time.
+so results are reproducible to full precision. Values come firm-major,
+(k, dim) + lead, with a sweep's blocks on the last axis, so each step
+runs over the blocks. Stored per-cell arrays are never summed again.
 
 Every CSV output of the package (summary, ladder, oracle and cell dump)
 is written by write_csv, with floats in one format, _fmt's repr.
@@ -46,41 +47,42 @@ def neumaier_add(total, comp, term, work=None):
 class RunningMoments:
     """Weighted first/second moment accumulators with compensation.
 
-    ``lead`` adds leading axes so one object can hold many independent
+    ``lead`` adds trailing axes so one object can hold many independent
     accumulators updated in lockstep (one per block of a sweep); the
     elementwise updates keep each accumulator's history independent of
     how many neighbors share the object. Each accumulator keeps one
-    compensated sum (``total`` + ``comp``) of the vector
-    [w, w*x_1..w*x_dim, w*x_1^2..w*x_dim^2].
+    compensated sum (``total`` + ``comp``, each of shape ``(1 + 2*dim,)
+    + lead``) of the vector [w, w*x_1..w*x_dim, w*x_1^2..w*x_dim^2].
     """
 
     def __init__(self, dim, lead=()):
         lead = tuple(lead)
         self.dim = int(dim)
         self.lead = lead
-        self.total = np.zeros(lead + (1 + 2 * self.dim,))
-        self.comp = np.zeros(lead + (1 + 2 * self.dim,))
+        self.total = np.zeros((1 + 2 * self.dim,) + lead)
+        self.comp = np.zeros((1 + 2 * self.dim,) + lead)
         self._work = np.empty((3,) + self.total.shape)
 
     def add(self, weight, values):
         """Fold k weighted observations per accumulator, in order.
 
-        weight has shape ``(k,) + lead`` and values ``(k,) + lead +
-        (dim,)``; they are k compensated steps, one per observation. A
-        zero weight with finite values is a no-op, so an accumulator can
-        sit out some of the k slots.
+        weight has shape ``(k,) + lead`` and values ``(k, dim) + lead``;
+        they are k compensated steps, one per observation. A zero weight
+        with finite values is a no-op, so an accumulator can sit out
+        some of the k slots.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
         if w.ndim != 1 + len(self.lead):
             raise ValueError("weight must have shape (k,) + lead")
         # the terms [w, w*x, w*x*x] of all k slots, built at once
-        shape = np.broadcast_shapes(w.shape + (1,), x.shape)
-        terms = np.empty(shape[:-1] + (1 + 2 * self.dim,))
-        wx = terms[..., 1:1 + self.dim]
-        terms[..., 0] = w
-        np.multiply(w[..., None], x, out=wx)
-        np.multiply(wx, x, out=terms[..., 1 + self.dim:])
+        w = w[:, None]
+        shape = np.broadcast_shapes(w.shape, x.shape)
+        terms = np.empty((shape[0], 1 + 2 * self.dim) + shape[2:])
+        wx = terms[:, 1:1 + self.dim]
+        terms[:, :1] = w
+        np.multiply(w, x, out=wx)
+        np.multiply(wx, x, out=terms[:, 1 + self.dim:])
         for term in terms:
             neumaier_add(self.total, self.comp, term, self._work)
 
@@ -102,17 +104,16 @@ class MomentReport:
 
 
 def fold_moments(acc):
-    """Fold an accumulator's rows, in leading order, into a MomentReport.
+    """Fold an accumulator's blocks, in lead order, into a MomentReport.
 
-    Each row's compensated sum enters one compensated step of its own;
-    folding in the fixed leading order (ascending block index for the
+    Each block's compensated sum enters one compensated step of its
+    own; folding in the fixed lead order (ascending block index for the
     sweep) makes the result reproducible bit for bit. A lead-free
-    accumulator is one row.
+    accumulator is one block.
     """
     total, comp = np.zeros((2, 1 + 2 * acc.dim))
-    flat = (-1, 1 + 2 * acc.dim)
-    for row, row_comp in zip(acc.total.reshape(flat), acc.comp.reshape(flat)):
-        neumaier_add(total, comp, row + row_comp)
+    for term in (acc.total + acc.comp).reshape(1 + 2 * acc.dim, -1).T:
+        neumaier_add(total, comp, term)
     sums = total + comp
     mean = sums[1:1 + acc.dim]
     m2 = sums[1 + acc.dim:]

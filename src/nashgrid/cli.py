@@ -155,8 +155,8 @@ class RunSettings:
             raise ConfigError("run.parallelism: must be >= 1")
         if self.n_samples < 1:
             raise ConfigError("run.n_samples: must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("run.seed: must be >= 0")
+        if not 0 <= self.seed < 2 ** 128:
+            raise ConfigError("run.seed: must be an integer in [0, 2**128)")
         if not 0.0 <= self.max_flagged_fraction <= 1.0:
             raise ConfigError("run.max_flagged_fraction: must lie in [0, 1]")
         for pair in self.ladder:

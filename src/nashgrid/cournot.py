@@ -19,11 +19,13 @@ equilibrium operator is the negative welfare gradient,
 F is strictly monotone on the nonnegative orthant for 0 < a < 1, which
 makes every boxed equilibrium problem uniquely solvable.
 
-One kernel, operator_eval, evaluates F at a point (m,) or a batch
-(B, m), with each factor shared by the batch or given per row (the grid
-sweep passes every factor that varies over the grid per row;
-operator_eval_sampled gives every factor per row). It runs the same
-numpy expression sequence either way, so a batched solve and a
+One kernel, operator_eval, evaluates F at a point (m,) or a firm-major
+batch (m, B) of B points, one per column, with each factor shared by
+the batch or given per point as a (B,) vector (the grid sweep passes
+every factor that varies over the grid per point; operator_eval_sampled
+gives every factor per point). Per-firm constants act as (m, 1)
+columns, so every operation on a batch runs a B-long loop. It runs the
+same numpy expression sequence either way, so a batched solve and a
 pointwise recheck with the same scalar factors produce bitwise-equal
 values. operator_jacobian gives its closed-form derivative in q, with
 the same argument shapes and input checks, as a diagonal plus a
@@ -37,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import RandomFactor, _float_if_0d
+from .vi import _sum_firms
 
 
 @dataclass(frozen=True)
@@ -108,25 +111,16 @@ class CournotInstance:
         object.__setattr__(self, "beta_factors", betas)
         if self.alpha_factor is None:
             object.__setattr__(self, "alpha_factor", RandomFactor.constant(0.0))
-        # frozen coefficient arrays for the vectorized operator
-        object.__setattr__(self, "_c", np.array([f.c for f in firms]))
-        b = np.array([f.b for f in firms])
-        k = np.array([f.k for f in firms])
+        # frozen (m, 1) coefficient columns for the firm-major operator
+        object.__setattr__(self, "_c", np.array([[f.c] for f in firms]))
+        b = np.array([[f.b] for f in firms])
+        k = np.array([[f.k] for f in firms])
         object.__setattr__(self, "_inv_b", 1.0 / b)
         object.__setattr__(self, "_cost_scale", k ** (-1.0 / b))
 
     @property
     def m(self):
         return len(self.firms)
-
-
-def _total(q):
-    # left-to-right column accumulation; bitwise identical for (m,)
-    # and (B, m) inputs, unlike axis sums with data-dependent blocking
-    out = np.zeros(q.shape[:-1])
-    for j in range(q.shape[-1]):
-        out = out + q[..., j]
-    return out
 
 
 def cost(firm, q, r, beta=1.0):
@@ -159,104 +153,101 @@ def price(instance, Q, s):
 def price_part(instance, q, s):
     """The price-driven part of the operator, a s^a q/(Q+e)^{a+1} - s^a/(Q+e)^a.
 
-    Accepts q of shape (m,) or (B, m).
+    Accepts q of shape (m,) or (m, B).
     """
     q = np.asarray(q, dtype=float)
     a = instance.a
     sa = s ** a
-    Qe = _total(q) + instance.e
+    Qe = _sum_firms(q) + instance.e
     dens = Qe ** a
-    return (a * sa) * q / (dens * Qe)[..., None] - (sa / dens)[..., None]
+    return (a * sa) * q / (dens * Qe) - sa / dens
 
 
-def _checked(instance, q, s, beta):
-    """The operator's input checks; returns q as an array and beta.
+def _checked(instance, q, s, beta, *per_row):
+    """The operator's input checks; returns q, beta and a point flag.
 
-    The checks use the ``not (x >= 0).all()`` form so that a NaN q, s
-    or beta is rejected like a negative or nonpositive one.
+    q comes back as (m, n) and beta as 1.0 or (m, n), a vector as one
+    column; the flag marks q and beta (m,) with scalar factors, whose
+    value is one (m,) vector. The ``not (x >= 0).all()`` form of the
+    checks rejects a NaN q, s or beta like a negative or zero one.
     """
     q = np.asarray(q, dtype=float)
-    if q.shape[-1] != instance.m:
+    if q.shape[:1] != (instance.m,) or q.ndim > 2:
         raise ValueError("q must have one component per firm")
     if not (q >= 0).all():
         raise ValueError("quantities must be >= 0")
     if not (np.asarray(s) > 0).all():
         raise ValueError("price scale s must be > 0")
+    point = (q.ndim == 1 and np.ndim(beta) < 2
+             and not any(np.ndim(v) for v in (s, *per_row)))
     if beta is None:
-        return q, 1.0
+        return q.reshape(len(q), -1), 1.0, point
     beta = np.asarray(beta, dtype=float)
     if not (beta > 0).all():
         raise ValueError("beta must be > 0 componentwise")
-    return q, beta
+    return q.reshape(len(q), -1), beta.reshape(len(q), -1), point
 
 
 def operator_eval(instance, q, r, s, beta=None, alpha=0.0, *, s_pow=None):
     """Equilibrium operator F(q; r, s, beta, alpha), the negative welfare gradient.
 
     Args:
-        q: quantities, shape (m,) or (B, m), componentwise >= 0.
+        q: quantities, shape (m,) or (m, B), componentwise >= 0.
         r: additive cost shift, scalar or shape (B,).
         s: price scale > 0, scalar or shape (B,).
-        beta: per-firm cost multipliers > 0, shape (m,) or (B, m),
+        beta: per-firm cost multipliers > 0, shape (m,) or (m, B),
             default all ones.
         alpha: additive price shift, scalar or shape (B,).
         s_pow: internal, unchecked: s**a, scalar or shape (B,), used in
             place of the pow of s. The grid sweep, which evaluates a
-            different s per row, passes the Python-float pow of each s
-            here, so each row gets the bits of a call with that s as a
+            different s per point, passes the Python-float pow of each s
+            here, so each point gets the bits of a call with that s as a
             Python float. A table that does not match s gives a wrong
             operator without an error.
 
     Returns:
-        F, a fresh array with the broadcast shape of q and the factors:
-        the shape of q, or (B, m) for q of shape (m,) with a factor
-        given per row. The random additive parts enter through one
-        final addition of (r - alpha), so two calls differing only in
-        (r, alpha) differ by a constant vector.
+        F, a fresh array: (m,) for q of shape (m,) with scalar factors
+        and beta of shape (m,), else (m, B), one column per point. The
+        random additive parts enter through one final addition of
+        (r - alpha), so two calls differing only in (r, alpha) differ
+        by a constant vector.
     """
-    q, beta = _checked(instance, q, s, beta)
+    q, beta, point = _checked(instance, q, s, beta, r, alpha)
     a = instance.a
     # a scalar s stays a Python float and Qe stays an ndarray: Python's
     # pow, np.float64.__pow__ and the ndarray pow loop can round
     # transcendentals differently, and single-point evaluations must
     # agree bitwise with the batched sweep
     sa = s ** a if s_pow is None else s_pow
-    Qe = np.asarray(_total(q) + instance.e)
+    Qe = _sum_firms(q) + instance.e
     dens = Qe ** a
-    asa = np.asarray(a * sa)[..., None]
+    asa = np.asarray(a * sa)
     shift = np.asarray(r, dtype=float) - alpha
     # (c + beta k^(-1/b) q^(1/b) + a s^a q/(dens Qe) - s^a/dens) + shift,
     # each step in the order of that expression, into one fresh buffer
     # of the broadcast shape
-    out = np.empty(np.broadcast(q, beta, asa, shift[..., None]).shape)
+    out = np.empty(np.broadcast(q, beta, asa, shift).shape)
     np.power(q, instance._inv_b, out=out)
     np.multiply(beta * instance._cost_scale, out, out=out)
     np.add(instance._c, out, out=out)
     slope = asa * q
-    np.divide(slope, (dens * Qe)[..., None], out=slope)
+    np.divide(slope, dens * Qe, out=slope)
     np.add(out, slope, out=out)
-    np.subtract(out, (sa / dens)[..., None], out=out)
-    np.add(out, shift[..., None], out=out)
-    return out
+    np.subtract(out, sa / dens, out=out)
+    np.add(out, shift, out=out)
+    return out[:, 0] if point else out
 
 
 def operator_eval_sampled(instance, q, r, s, beta, alpha):
-    """Batched operator where every row has its own factor realization.
+    """Batched operator where every point has its own factor realization.
 
-    operator_eval with every factor given per row and q checked to be
-    (B, m); it computes s**a per row instead of taking s_pow.
-
-    Args:
-        q: (B, m) quantities, componentwise >= 0.
-        r, s, alpha: (B,) factor samples, s > 0.
-        beta: (B, m) cost multipliers, > 0.
-
-    Returns:
-        (B, m) operator values.
+    operator_eval with q (m, B), r, s and alpha (B,) and beta (m, B),
+    the shape of q checked; it computes s**a per point instead of taking
+    s_pow, and returns (m, B) operator values.
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape[1] != instance.m:
-        raise ValueError("q must have shape (B, m)")
+    if q.ndim != 2 or q.shape[0] != instance.m:
+        raise ValueError("q must have shape (m, B)")
     return operator_eval(instance, q, r, np.asarray(s, dtype=float), beta,
                          alpha)
 
@@ -275,17 +266,18 @@ def operator_jacobian(instance, q, r, s, beta=None, alpha=0.0):
     alpha shift F by a constant and do not enter J.
 
     Returns:
-        (diag, col), each with the shape of q.
+        (diag, col), each with the shape operator_eval returns.
     """
-    q, beta = _checked(instance, q, s, beta)
+    q, beta, point = _checked(instance, q, s, beta, r, alpha)
     a = instance.a
-    Qe = np.asarray(_total(q) + instance.e)
-    g = (a * np.asarray(s, dtype=float) ** a / Qe ** (a + 1.0))[..., None]
-    h = (a + 1.0) * g / Qe[..., None]
+    Qe = _sum_firms(q) + instance.e
+    g = a * np.asarray(s, dtype=float) ** a / Qe ** (a + 1.0)
+    h = (a + 1.0) * g / Qe
     with np.errstate(divide="ignore"):
         slope = np.power(q, instance._inv_b - 1.0)
     d = beta * instance._cost_scale * instance._inv_b * slope
-    return d + g, g - h * q
+    diag, col = d + g, g - h * q
+    return (diag[:, 0], col[:, 0]) if point else (diag, col)
 
 
 def welfare(instance, i, q, r, s, beta=None, alpha=0.0):
@@ -298,7 +290,7 @@ def welfare(instance, i, q, r, s, beta=None, alpha=0.0):
     if not (q >= 0).all():
         raise ValueError("quantities must be >= 0")
     beta_i = 1.0 if beta is None else float(np.asarray(beta, dtype=float)[i])
-    p = price(instance, float(_total(q)), s)
+    p = price(instance, float(_sum_firms(q)), s)
     return (p + alpha) * float(q[i]) - cost(instance.firms[i], float(q[i]), r, beta_i)
 
 
@@ -320,7 +312,7 @@ def jacobian_form_test(instance, q_point, h, s):
         raise ValueError("price scale s must be > 0")
     a = instance.a
     sa = s ** a
-    Qe = float(_total(q)) + instance.e
+    Qe = float(_sum_firms(q)) + instance.e
     p1 = -a * sa / Qe ** (a + 1.0)
     p2 = a * (a + 1.0) * sa / Qe ** (a + 2.0)
     sh = float(h.sum())

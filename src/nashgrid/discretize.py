@@ -9,15 +9,15 @@ solutions is a step-function approximation of the random equilibrium.
 The sweep exploits two kinds of structure. First, only the additive
 cost shift depends on the outermost factor (r), so the cells of one
 r-cell form a chain over the inner cells, and all chains can be solved
-together as rows of one batched VI. Second, neighboring cells of a
-chain have nearly identical solutions, so each cell is seeded by
-extrapolating the chain's two previous solutions, and most seeds pass
-the tolerance as they are.
+together as the columns of one firm-major (m, cells) batch. Second,
+neighboring cells of a chain have nearly identical solutions, so each
+cell is seeded by extrapolating the chain's two previous solutions,
+and most seeds pass the tolerance as they are.
 
 The sweep therefore runs in rounds: every chain seeds a window of its
 next cells as if each were accepted at its seed, one operator call
 screens all windows, and each chain's first miss goes into one batched
-solve. Rows of a batch are frozen individually the moment they
+solve. Columns of a batch are frozen individually the moment they
 converge and all elementwise arithmetic is position-stable, so each
 cell lands exactly where a single-cell solve from the same seed would,
 whatever the window length; per-block moment accumulators fold each
@@ -42,8 +42,8 @@ from .vi import SolverConfig, residual_rows, solve_box_vi_batch
 # solve_all refuses grids with more cells than this
 CELL_CAP = 100_000_000
 # the longest window of cells a sweep round screens per r-block, and the
-# most cells a round screens in all: at m = 5 firms a (cells, m) float
-# array is 3200 * 5 * 8 B = 128,000 B, under 128 KiB, so it stays on the
+# most cells a round screens in all: at m = 5 firms an (m, cells) float
+# array is 5 * 3200 * 8 B = 128,000 B, under 128 KiB, so it stays on the
 # allocator's heap instead of fresh mapped pages; more firms exceed it
 _WINDOW_CAP = 32
 _WINDOW_CELLS = 3200
@@ -195,7 +195,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     inner cell indices are decoded by one np.unravel_index over the
     factors with more than one cell. Every kernel call takes a factor
     with one cell in the grid as a scalar (an (m,) vector for bounds and
-    betas) and every other factor per row.
+    betas) and every other factor per cell.
 
     Args:
         instance: the market model.
@@ -231,7 +231,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     # the pow a scalar s gets in operator_eval, once per s-cell
     s_pows = np.fromiter((float(s) ** instance.a for s in s_reps), float,
                          count=s_reps.size)
-    lower = np.zeros(m)
+    lower = 0.0
     # inner factors with more than one cell; the others hold one value,
     # of probability 1, in every cell
     varying = [d for d, p in enumerate(inner_parts) if p.n_cells > 1]
@@ -242,12 +242,11 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
 
     # the (m,) vector of a bound or beta group without a varying factor
     # is the same in every cell, so it is built once; None marks a group
-    # that varies
+    # that varies, whose cells come firm-major, as (m, cells)
     groups = [range(1 + g * m, 1 + (g + 1) * m) for g in (0, 1)]
 
     def group_vector(reps, g):
-        return np.stack(np.broadcast_arrays(*(reps[d] for d in groups[g])),
-                        axis=-1)
+        return np.stack(np.broadcast_arrays(*(reps[d] for d in groups[g])))
 
     first_reps = [p.representatives[0] for p in inner_parts]
     fixed_vectors = [None if any(d in varying for d in groups[g])
@@ -277,7 +276,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     def take(factors, cells):
         """The factors of the given cells; single-cell factors stay whole."""
         # one cell's r, s, beta, alpha and s_pow have ranks 0, 0, 1, 0, 0
-        return [v[cells] if getattr(v, "ndim", 0) > rank else v
+        return [v[..., cells] if getattr(v, "ndim", 0) > rank else v
                 for v, rank in zip(factors, (0, 0, 1, 0, 0))]
 
     def kernel(factors):
@@ -297,7 +296,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     lost = False
     # the unfinished r-blocks, each with its next inner cell and its last
     # two points, at first both its first cell's box midpoint c, whose
-    # secant 2*c - c is c exactly
+    # secant 2*c - c is c exactly; x0 and x1 hold one row per block
     blocks = np.arange(n_blocks)
     pos = np.zeros(n_blocks, dtype=np.int64)
     x0 = x1 = np.tile(0.5 * (lower + group_vector(first_reps, 0)),
@@ -314,31 +313,33 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         ii = np.minimum(pos + offsets[:k], inner_count - 1).ravel()
         cell_blocks = np.tile(blocks, k)
         factors, upper, w = cell_factors(ii, cell_blocks)
+        ucol = upper.reshape(m, -1)  # an (m,) vector as one column
 
-        # chain[2 + j] is window cell j's seed, made as if every earlier
-        # cell were accepted at its seed, and clipped as the solver would
-        # clip it: the cell's solution if it is accepted
-        chain = np.empty((k + 2, na, m))
-        chain[0], chain[1] = x0, x1
+        # chain[2 + j] is window cell j's (m, na) block of seeds, made as
+        # if every earlier cell were accepted at its seed, and clipped as
+        # the solver would clip it: the cell's solution if it is accepted
+        chain = np.empty((k + 2, m, na))
+        chain[0], chain[1] = x0.T, x1.T
         X = chain[2:]
-        upper_w = upper.reshape(k, na, m) if upper.ndim > 1 else [upper] * k
         for j in range(k):
             a0, a1, seed = chain[j], chain[j + 1], X[j]
+            uj = ucol if ucol.shape[1] == 1 else ucol[:, j * na:(j + 1) * na]
             np.multiply(a1, 2.0, out=seed)
             np.subtract(seed, a0, out=seed)
             # np.clip's min(max(x, lower), upper), NaN kept; the forms
             # differ only at -0.0, which 2*a1 - a0 of values >= +0 is not
             np.maximum(seed, lower, out=seed)
-            np.minimum(seed, upper_w[j], out=seed)
+            np.minimum(seed, uj, out=seed)
             if lost:
-                # a frozen non-finite row must not seed the operator with NaN
-                np.copyto(seed, 0.5 * (lower + upper_w[j]),
-                          where=~np.isfinite(seed).all(axis=1, keepdims=True))
+                # a frozen non-finite cell must not seed the operator with NaN
+                np.copyto(seed, 0.5 * (lower + uj),
+                          where=~np.isfinite(seed).all(axis=0))
 
-        # screen the window: one operator call for all its cells
-        x = X.reshape(k * na, m)
+        # screen the window: one operator call for all its cells, on one
+        # (m, k*na) copy of the seeds
+        x = X.transpose(1, 0, 2).reshape(m, k * na)
         F = kernel(factors)(x, slice(None))
-        res = residual_rows(x, F, lower, upper)
+        res = residual_rows(x, F, lower, ucol)
         # a row's accepted run ends at its first miss or its chain's end
         ok = np.zeros((k + 1, na), dtype=bool)
         np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
@@ -351,9 +352,10 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             cells = run[missed] * na + missed
             out = solve_box_vi_batch(
                 kernel(take(factors, cells)), lower,
-                upper[cells] if upper.ndim > 1 else upper, config, x[cells],
-                values=F[cells])
-            x[cells] = out["solutions"]
+                upper.take(cells, axis=1) if upper.ndim > 1 else upper,
+                config, x.take(cells, axis=1), values=F.take(cells, axis=1))
+            x[:, cells] = out["solutions"]
+            X[run[missed], :, missed] = out["solutions"].T
             res[cells] = out["residuals"]
             its[cells] = out["iterations"]
             if not out["converged"].all():
@@ -374,21 +376,22 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         if na < n_blocks:
             # finished blocks sit out with zero terms
             wf_all = np.zeros((kk, n_blocks))
-            xf_all = np.zeros((kk, n_blocks, m))
-            wf_all[:, blocks], xf_all[:, blocks] = wf, xf
+            xf_all = np.zeros((kk, m, n_blocks))
+            wf_all[:, blocks], xf_all[:, :, blocks] = wf, xf
             wf, xf = wf_all, xf_all
         acc.add(wf, xf)
         if kept:
             sel = used.ravel()
             ids = (cell_blocks * inner_count + ii)[sel]
-            for stored, v in zip(kept.values(), (x, w, res, its)):
+            for stored, v in zip(kept.values(), (x.T, w, res, its)):
                 stored[ids] = v[sel]
 
         # a block that has solved only its first cell takes that solution
         # as x0 too; the first round's window is one cell long, so no
         # window reaches a chain's second cell before this
         cols = np.arange(na)
-        x0, x1 = chain[np.maximum(took, 2 - pos), cols], chain[took + 1, cols]
+        x0 = chain[np.maximum(took, 2 - pos), :, cols]
+        x1 = chain[took + 1, :, cols]
         pos = pos + took
         if np.maximum.reduce(pos) >= inner_count:
             going = pos < inner_count

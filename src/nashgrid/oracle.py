@@ -92,24 +92,23 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
         draws = [ppf(fac, rng.random(nc)) for fac in factors]
         r = draws[0]
         s = draws[1]
-        upper = np.stack(draws[2:2 + m], axis=1)
-        beta = np.stack(draws[2 + m:2 + 2 * m], axis=1)
+        upper = np.stack(draws[2:2 + m])
+        beta = np.stack(draws[2 + m:2 + 2 * m])
         alpha = draws[-1]
-        lower = np.zeros(m)
 
         def op(x, rows):
             return operator_eval_sampled(instance, x, r[rows], s[rows],
-                                         beta[rows], alpha[rows])
+                                         beta.take(rows, axis=1), alpha[rows])
 
         def jac(x, rows):
             return operator_jacobian(instance, x, r[rows], s[rows],
-                                     beta[rows], alpha[rows])
+                                     beta.take(rows, axis=1), alpha[rows])
 
-        out = solve_box_vi_batch(op, lower, upper, config, seeds=0.5 * upper,
+        out = solve_box_vi_batch(op, 0.0, upper, config, seeds=0.5 * upper,
                                  jacobian_batch=jac)
         sols = out["solutions"]
         failed = int(nc - out["converged"].sum())
-        sums = np.array([[math.fsum(col) for col in v.T]
+        sums = np.array([[math.fsum(row) for row in v]
                          for v in (sols, sols ** 2)])
         return sums, failed
 

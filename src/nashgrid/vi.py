@@ -8,9 +8,10 @@ The solver is the extragradient method (two projected operator
 evaluations per iteration) with backtracking step adaptation, which
 converges for continuous monotone operators without a known Lipschitz
 constant (Facchinei & Pang 2003, ch. 12). solve_box_vi_batch is the one
-implementation: it iterates many independent VIs as rows of a batch,
-and solve_vi is its one-row call for one operator and BoxSet; F holds
-any constant shift itself. Termination uses the natural residual
+implementation: it iterates many independent VIs as the columns of a
+firm-major (m, n) batch, so every elementwise step runs an n-long inner
+loop, and solve_vi is its one-column call for one operator and BoxSet;
+F holds any constant shift itself. Termination uses the natural residual
 
     ||x - P_K(x - F(x))||_2
 
@@ -120,17 +121,26 @@ def project(point, box):
     return np.clip(x, box.lower, box.upper)
 
 
+def _sum_firms(a):
+    """Sum over the firm axis 0 left to right from +0.0, for any batch."""
+    # numpy's axis-0 sum turns pairwise on a one-column batch from m = 8
+    out = np.zeros(a.shape[1:])
+    for row in a:
+        out += row
+    return out
+
+
 def _norm_rows(d):
-    return np.sqrt((d ** 2).sum(axis=-1))
+    return np.sqrt(_sum_firms(d ** 2))
 
 
 def residual_rows(x, fx, lower, upper):
-    """Natural residual of each row of x, given fx = F(x) rowwise.
+    """Natural residual of each column of x (m, n), given fx = F(x).
 
-    ||x - clip(x - fx, lower, upper)||_2 per row. The clip would
-    hide an infinite F, so a row whose fx is not finite gets NaN. This
-    is the one natural-residual expression: the solver's convergence
-    and Newton tests, natural_residual, and callers that screen points
+    ||x - clip(x - fx, lower, upper)||_2 per column. The clip would hide
+    an infinite F, so a column whose fx is not finite gets NaN. This is
+    the one natural-residual expression: the solver's convergence and
+    Newton tests, natural_residual, and callers that screen points
     before solving all use it, so their residuals agree bitwise.
     """
     # the clip as np.clip computes it, min(max(., lower), upper), in one
@@ -141,7 +151,7 @@ def residual_rows(x, fx, lower, upper):
     np.minimum(d, upper, out=d)
     res = _norm_rows(np.subtract(x, d, out=d))
     if not np.isfinite(fx).all():
-        res[~np.isfinite(fx).all(axis=1)] = np.nan
+        res[~np.isfinite(fx).all(axis=0)] = np.nan
     return res
 
 
@@ -154,11 +164,12 @@ def natural_residual(operator, box, point):
     if x.shape != (box.dim,):
         raise ValueError("dimension mismatch between point and box")
     fx = np.array(operator(x), dtype=float)
-    return float(residual_rows(x[None], fx[None], box.lower, box.upper)[0])
+    return float(residual_rows(x[:, None], fx[:, None], box.lower[:, None],
+                               box.upper[:, None])[0])
 
 
 def solve_vi(operator, box, config=None, warm_start=None):
-    """Solve one box VI: a one-row call of solve_box_vi_batch.
+    """Solve one box VI: a one-column call of solve_box_vi_batch.
 
     Args:
         operator: continuous monotone F, a callable (m,) -> (m,).
@@ -184,9 +195,9 @@ def solve_vi(operator, box, config=None, warm_start=None):
     if np.isnan(seed).any():
         raise ValueError("warm_start must not contain NaN")
     out = solve_box_vi_batch(
-        lambda x, rows: np.array(operator(x[0]), dtype=float)[None],
-        box.lower, box.upper, config, seed[None])
-    x = out["solutions"][0]
+        lambda x, rows: np.array(operator(x[:, 0]), dtype=float)[:, None],
+        box.lower, box.upper, config, seed[:, None])
+    x = out["solutions"][:, 0]
     report = SolveReport(*(out[key][0].item() for key in (
         "iterations", "residuals", "converged", "backtracks")))
     if np.isnan(report.residual):
@@ -197,102 +208,109 @@ def solve_vi(operator, box, config=None, warm_start=None):
 
 
 def _newton_direction(diag, col, free, rhs):
-    """Solve (diag(dv) + uv 1^T) d = rhs rowwise by Sherman-Morrison, O(m).
+    """Solve (diag(dv) + uv 1^T) d = rhs per column by Sherman-Morrison, O(m).
 
     dv = where(free, diag, 1), uv = where(free, col, 0); with a = rhs/dv
-    and c = uv/dv, d = a - c sum(a)/(1 + sum(c)). A row with a non-finite
-    dv or uv gets NaN, and a singular row a non-finite direction.
+    and c = uv/dv, d = a - c sum(a)/(1 + sum(c)). A column with a
+    non-finite dv or uv gets NaN, and a singular one a non-finite one.
     """
     dv = np.where(free, diag, 1.0)
     uv = np.where(free, col, 0.0)
     with np.errstate(all="ignore"):
         a = rhs / dv
         c = uv / dv
-        d = a - c * (a.sum(axis=1) / (1.0 + c.sum(axis=1)))[:, None]
-    d[~(np.isfinite(dv) & np.isfinite(uv)).all(axis=1)] = np.nan
+        d = a - c * (_sum_firms(a) / (1.0 + _sum_firms(c)))
+    d[:, ~(np.isfinite(dv) & np.isfinite(uv)).all(axis=0)] = np.nan
     return d
 
 
+def _columns(bound, idx):
+    """Columns idx of a bound that varies per column; others stay whole."""
+    varies = bound.ndim == 2 and bound.shape[1] > 1
+    return bound.take(idx, axis=1) if varies else bound
+
+
 def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
-    """One semismooth Newton step on Phi(x) = x - P_K(x - F(x)) per row.
+    """One semismooth Newton step on Phi(x) = x - P_K(x - F(x)) per column.
 
     The generalized Jacobian of Phi takes row i of J = diag(diag) +
     col 1^T for components the projection leaves free (lo < x - F < up)
     and the unit row e_i for clipped ones, which _newton_direction
-    solves in closed form. A row whose Jacobian entries or direction are
-    not finite, a singular one included, gets no trial point. A trial
-    point, the Newton point projected onto the box, is taken when its
-    natural residual is at most _NEWTON_DECREASE times the current one;
-    one whose operator value is not finite has a NaN residual and is
-    not taken.
+    solves in closed form. A column whose Jacobian entries or direction
+    are not finite, a singular one included, gets no trial point. A
+    trial point, the Newton point projected onto the box, is taken when
+    its natural residual is at most _NEWTON_DECREASE times the current
+    one; one whose operator value is not finite has a NaN residual and
+    is not taken.
 
     Returns:
-        (take, x_new, f_new): a mask over the rows, and the taken points
-        with their operator values, in row order.
+        (take, x_new, f_new): a mask over the columns, and the taken
+        points with their operator values, in column order.
     """
     z = xa - fx
     ref = np.clip(z, la, ua)
     free = (la < z) & (z < ua)
     d = _newton_direction(*jacobian_batch(xa, rows), free, ref - xa)
-    idx = np.flatnonzero(np.isfinite(d).all(axis=1))
+    idx = np.flatnonzero(np.isfinite(d).all(axis=0))
     take = np.zeros(rows.size, dtype=bool)
     if idx.size == 0:
-        return take, xa[idx], fx[idx]
-    xn = np.clip(xa[idx] + d[idx], la[idx], ua[idx])
+        return take, xa.take(idx, axis=1), fx.take(idx, axis=1)
+    li, ui = _columns(la, idx), _columns(ua, idx)
+    xn = np.clip(xa.take(idx, axis=1) + d.take(idx, axis=1), li, ui)
     fn = operator_batch(xn, rows[idx])
-    resn = residual_rows(xn, fn, la[idx], ua[idx])
+    resn = residual_rows(xn, fn, li, ui)
     kept = resn <= _NEWTON_DECREASE * res[idx]
     take[idx[kept]] = True
-    return take, xn[kept], fn[kept]
+    return take, xn.compress(kept, axis=1), fn.compress(kept, axis=1)
 
 
 def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
                        jacobian_batch=None, values=None):
     """Solve a batch of box VIs sharing one vectorized operator.
 
-    Each row of ``seeds`` is an independent VI; row i uses the operator
-    slice ``operator_batch(X, rows)[i]`` where ``rows`` are original row
-    indices. Rows are iterated with per-row steps and are frozen the
-    moment their natural residual passes tolerance, so a row's result
-    never depends on which other rows share the batch. A row whose
-    operator value is non-finite, at its iterate or at its extragradient
-    trial point, is frozen in that iteration as well: unconverged, with
-    an all-NaN solution and a NaN residual. The operator is never called
-    at a non-finite point the solver made.
+    Batches are firm-major: column i of ``seeds`` is an independent VI
+    and uses column i of ``operator_batch(X, rows)``, where ``rows`` are
+    original column indices. Columns are iterated with per-column steps
+    and are frozen the moment their natural residual passes tolerance,
+    so a column's result never depends on which other columns share the
+    batch. A column whose operator value is non-finite, at its iterate
+    or at its extragradient trial point, is frozen in that iteration as
+    well: unconverged, with an all-NaN solution and a NaN residual. The
+    operator is never called at a non-finite point the solver made.
 
     Without ``jacobian_batch`` every step is an extragradient step with
-    backtracking. With it, every row first tries a semismooth Newton
+    backtracking. With it, every column first tries a semismooth Newton
     step on the natural map and keeps it when the natural residual falls
-    to at most _NEWTON_DECREASE of its value; the other rows take the
+    to at most _NEWTON_DECREASE of its value; the other columns take the
     extragradient step.
 
     Args:
-        operator_batch: callable (x: (B, m), rows: (B,) int) -> (B, m)
-            evaluating the operator rowwise.
-        lower, upper: box bounds, broadcastable to (n, m).
+        operator_batch: callable (x: (m, B), rows: (B,) int) -> (m, B).
+        lower, upper: box bounds, (m,) per firm or broadcastable to
+            (m, n); an (m, 1) bound is never gathered per column.
         config: SolverConfig.
-        seeds: (n, m) start points, projected onto the box first.
-        jacobian_batch: optional callable (x: (B, m), rows: (B,) int)
-            -> (diag, col), each (B, m): the operator's Jacobian rowwise
-            in aggregative form, J = diag(diag) + col 1^T.
-        values: optional (n, m) operator values at the seeds projected
+        seeds: (m, n) start points, projected onto the box first.
+        jacobian_batch: optional callable (x: (m, B), rows: (B,) int)
+            -> (diag, col), each (m, B): the operator's Jacobian
+            columnwise in aggregative form, J = diag(diag) + col 1^T.
+        values: optional (m, n) operator values at the seeds projected
             onto the box; given, the operator is not called there again.
 
     Returns:
-        dict with keys ``solutions`` (n, m), ``residuals`` (n,),
+        dict with keys ``solutions`` (m, n), ``residuals`` (n,),
         ``iterations`` (n,), ``converged`` (n,) bool and ``backtracks``
-        (n,), the number of extragradient step shrinks per row.
+        (n,), the number of extragradient step shrinks per column.
 
-        A row's residual is its status. At most ``config.tolerance``:
+        A column's residual is its status. At most ``config.tolerance``:
         converged, and ``converged`` is exactly ``residuals <=
-        config.tolerance``. Finite and above tolerance: the row ran out
-        of iterations, and ``iterations`` is ``config.max_iterations``.
-        Not finite: the row was frozen, with an all-NaN solution.
+        config.tolerance``. Finite and above tolerance: the column ran
+        out of iterations (``config.max_iterations``). Not finite: the
+        column was frozen, with an all-NaN solution.
     """
-    x = np.asarray(seeds, dtype=float).copy()
-    n, m = x.shape
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (n, m))
-    up = np.broadcast_to(np.asarray(upper, dtype=float), (n, m))
+    x = np.array(seeds, dtype=float, order="C")
+    n = x.shape[1]
+    lo, up = (np.asarray(b, dtype=float) for b in (lower, upper))
+    lo, up = (b[:, None] if b.ndim == 1 else b for b in (lo, up))
     np.clip(x, lo, up, out=x)
 
     residuals = np.zeros(n)
@@ -303,43 +321,48 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
     fx = None if values is None else np.asarray(values, dtype=float)
 
     for it in range(config.max_iterations + 1):
-        xa, la, ua = x[active], lo[active], up[active]
+        xa = x.take(active, axis=1)
+        la, ua = _columns(lo, active), _columns(up, active)
         if fx is None:
             # a batch emptied by trial-point freezes needs no call
             fx = operator_batch(xa, active) if active.size else xa
         res = residual_rows(xa, fx, la, ua)
         lost = ~np.isfinite(res)
-        # converged, non-finite and out-of-iterations rows all leave here
+        # converged, non-finite and out-of-iterations columns all leave
         leave = ((res <= config.tolerance) | lost
                  | (it == config.max_iterations))
         if leave.any():
             idx = active[leave]
             residuals[idx] = res[leave]
             iterations[idx] = it
-            x[active[lost]] = np.nan
+            x[:, active[lost]] = np.nan
             keep = ~leave
             active = active[keep]
-            xa, la, ua, fx, res = xa[keep], la[keep], ua[keep], fx[keep], res[keep]
+            xa, fx, res = (xa.compress(keep, axis=1),
+                           fx.compress(keep, axis=1), res[keep])
+            la, ua = _columns(lo, active), _columns(up, active)
         if active.size == 0:
             break
         rows = active
         if jacobian_batch is not None:
             take, xn, fn = _newton_trial(operator_batch, jacobian_batch, xa,
                                          la, ua, fx, res, active)
-            x[active[take]] = xn
+            x[:, active[take]] = xn
             if take.all():
                 # F at the taken points is next iteration's fx
                 fx = fn
                 continue
             eg = ~take
-            rows, xa, la, ua, fx = active[eg], xa[eg], la[eg], ua[eg], fx[eg]
+            rows = active[eg]
+            xa, fx = xa.compress(eg, axis=1), fx.compress(eg, axis=1)
+            la, ua = _columns(lo, rows), _columns(up, rows)
         st = step[rows]
         while True:
-            y = np.clip(xa - st[:, None] * fx, la, ua)
+            y = np.clip(xa - st * fx, la, ua)
             fy = operator_batch(y, rows)
             df = _norm_rows(fx - fy)
             dx = _norm_rows(xa - y)
-            # a row whose F(y) is not finite never shrinks its step
+            # a column whose F(y) is not finite never shrinks its step
             bad = ((st * df > _BACKTRACK_RATIO * dx) & (dx > 0.0)
                    & np.isfinite(df))
             if not bad.any():
@@ -347,12 +370,12 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
             st = np.where(bad, st * _STEP_SHRINK, st)
             backtracks[rows] += bad
         step[rows] = st
-        x[rows] = np.clip(xa - st[:, None] * fy, la, ua)
+        x[:, rows] = np.clip(xa - st * fy, la, ua)
         fx = None
         if not np.isfinite(fy).all():
             # never step to, or evaluate the operator at, a non-finite point
-            idx = rows[~np.isfinite(fy).all(axis=1)]
-            x[idx] = residuals[idx] = np.nan
+            idx = rows[~np.isfinite(fy).all(axis=0)]
+            x[:, idx] = residuals[idx] = np.nan
             iterations[idx] = it
             active = active[~np.isin(active, idx)]
 

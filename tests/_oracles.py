@@ -8,7 +8,7 @@ None of it uses the package under test, so agreement between the two
 is meaningful evidence. The one exception is the executable spec of the
 grid sweep at the end: it pins the sweep's cell order, seed rule and
 fold order, so it solves and folds each cell with the package's own
-one-row solver and moment accumulator.
+one-column solver and moment accumulator.
 
 FROZEN_* constants were produced by the functions in this file; tests
 assert both that the oracle still reproduces them (guards environment
@@ -193,25 +193,31 @@ def operator_expression(instance, q, r, s, beta=None, alpha=0.0, s_pow=None):
 
     Reads the instance's coefficient arrays and evaluates
     (c + marginal + a s^a q/(dens Qe) - s^a/dens) + (r - alpha) with a
-    fresh temporary per operation. The library kernel runs the same
+    fresh temporary per operation, firm-major: q is (m,) or (m, B), the
+    per-firm terms are columns. The library kernel runs the same
     operations in the same order into one buffer, so the two must agree
     bit for bit, in value and in broadcast shape.
     """
     q = np.asarray(q, dtype=float)
-    beta = 1.0 if beta is None else np.asarray(beta, dtype=float)
+    point = q.ndim == 1 and np.ndim(beta) < 2 and not (
+        np.ndim(r) or np.ndim(s) or np.ndim(alpha))
+    q = q.reshape(len(q), -1)
+    beta = 1.0 if beta is None else np.asarray(beta, dtype=float).reshape(
+        len(q), -1)
     a = instance.a
     sa = s ** a if s_pow is None else s_pow
-    total = np.zeros(q.shape[:-1])
-    for j in range(q.shape[-1]):
-        total = total + q[..., j]
+    total = np.zeros(q.shape[1:])
+    for j in range(q.shape[0]):
+        total = total + q[j]
     Qe = np.asarray(total + instance.e)
     dens = Qe ** a
     marginal = beta * instance._cost_scale * np.power(q, instance._inv_b)
     base = (instance._c + marginal
-            + np.asarray(a * sa)[..., None] * q / (dens * Qe)[..., None]
-            - (sa / dens)[..., None])
+            + np.asarray(a * sa) * q / (dens * Qe)
+            - (sa / dens))
     shift = np.asarray(r, dtype=float) - alpha
-    return base + shift[..., None]
+    out = base + shift
+    return out[:, 0] if point else out
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +437,7 @@ def reference_sweep(instance, grid, config):
     The chain's first cell is seeded at its box midpoint, the second at
     the first solution, and every later one at clip(2 x1 - x0) of the
     two previous solutions; a non-finite seed becomes the box midpoint.
-    Each cell is a one-row solve_box_vi_batch from its seed. Each block
+    Each cell is a one-column solve_box_vi_batch from its seed. Each block
     folds its cells, in chain order, into its own RunningMoments, and
     fold_moments merges the blocks in block order.
     """
@@ -455,8 +461,8 @@ def reference_sweep(instance, grid, config):
                 seed = mid
             F = cell_operator(instance, cell)
             row = solve_box_vi_batch(lambda q, rows: F(q), lo, cell.upper,
-                                     config, seed[None])
-            x = row["solutions"][0]
+                                     config, seed[:, None])
+            x = row["solutions"][:, 0]
             acc.add([cell.weight], x[None])
             for key, v in (("solutions", x), ("weights", cell.weight),
                            ("residuals", row["residuals"][0]),
@@ -465,8 +471,8 @@ def reference_sweep(instance, grid, config):
             x0, x1 = x1, x
         blocks.append(acc)
     merged = RunningMoments(grid.m, lead=(len(blocks),))
-    merged.total[:] = [acc.total for acc in blocks]
-    merged.comp[:] = [acc.comp for acc in blocks]
+    merged.total[:] = np.transpose([acc.total for acc in blocks])
+    merged.comp[:] = np.transpose([acc.comp for acc in blocks])
     arrays = {key: np.array(v) for key, v in out.items()}
     flagged = int(np.count_nonzero(~(arrays["residuals"] <= config.tolerance)))
     return StepSolution(grid=grid, report=fold_moments(merged),

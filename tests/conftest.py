@@ -25,6 +25,32 @@ def randomized_instance():
         s_factor=RandomFactor.truncated_normal(5000.0, 10.0, 4950.0, 5050.0))
 
 
+def nine_firm_config(**run):
+    """A nine-firm market drawn from a fixed stream, as a config document.
+
+    Nine firms put every sum over the firms past 8 items, where numpy's
+    own sums switch to pairwise blocking. r and s are the shipped
+    market's truncated normals; run holds the run block.
+    """
+    rng = np.random.default_rng(2014)
+    firms = [{"c": float(c), "k": float(k), "b": float(b),
+              "q_bar": {"kind": "constant", "value": float(q)}}
+             for c, k, b, q in zip(rng.uniform(0.0, 12.0, 9),
+                                   rng.uniform(2.0, 8.0, 9),
+                                   rng.uniform(0.8, 1.2, 9),
+                                   rng.uniform(20.0, 60.0, 9))]
+    return {
+        "model": {"firms": firms, "a": 1 / 1.1, "e": 1e-4},
+        "factors": {
+            "r": {"kind": "truncated_normal", "mu": 0.0, "sigma": 0.25,
+                  "lo": -0.5, "hi": 0.5},
+            "s": {"kind": "truncated_normal", "mu": 5000.0, "sigma": 10.0,
+                  "lo": 4950.0, "hi": 5050.0}},
+        "solver": {"initial_step": 1.4},
+        "run": run,
+    }
+
+
 @pytest.fixture
 def deterministic_instance():
     return five_firm_instance()

@@ -43,7 +43,7 @@ def test_stacked_add_equals_single_adds_bitwise():
     rng = np.random.default_rng(5)
     k, lead, dim = 9, 4, 3
     w = rng.random((k, lead))
-    x = rng.standard_normal((k, lead, dim)) * 30.0
+    x = (rng.standard_normal((k, lead, dim)) * 30.0).transpose(0, 2, 1)
     w[:, 0] *= 1e12  # a wide range of magnitudes exercises compensation
     mask = rng.random((k, lead)) < 0.3
     w[mask] = 0.0
@@ -60,9 +60,9 @@ def test_stacked_add_equals_single_adds_bitwise():
     for b in range(lead):
         alone = RunningMoments(dim)
         for j in np.flatnonzero(~mask[:, b]):
-            alone.add(w[j:j + 1, b], x[j:j + 1, b])
-        assert alone.total.tobytes() == stacked.total[b].tobytes()
-        assert alone.comp.tobytes() == stacked.comp[b].tobytes()
+            alone.add(w[j:j + 1, b], x[j:j + 1, :, b])
+        assert alone.total.tobytes() == stacked.total[:, b].tobytes()
+        assert alone.comp.tobytes() == stacked.comp[:, b].tobytes()
 
 
 def _reference_step(total, comp, term):
@@ -76,8 +76,8 @@ def _reference_add(total, comp, w, x):
     """k single-slot steps on copies, each term built as its own array."""
     total, comp = total.copy(), comp.copy()
     for wj, xj in zip(w, x):
-        wx = wj[..., None] * xj
-        term = np.concatenate([wj[..., None], wx, wx * xj], axis=-1)
+        wx = wj[None] * xj
+        term = np.concatenate([wj[None], wx, wx * xj], axis=0)
         total, comp = _reference_step(total, comp, term)
     return total, comp
 
@@ -113,6 +113,7 @@ def test_one_stacked_add_equals_k_compensated_steps_bitwise(case):
     elif case == "lead_free":
         lead = ()
         w, x = w[:, 0, 0], x[:, 0, 0]
+    x = np.moveaxis(x, -1, 1)
     acc = RunningMoments(dim, lead=lead)
     acc.total[...] = rng.standard_normal(acc.total.shape) * 1e3
     acc.comp[...] = rng.standard_normal(acc.comp.shape) * 1e-13
@@ -123,9 +124,9 @@ def test_one_stacked_add_equals_k_compensated_steps_bitwise(case):
     assert acc.total.tobytes() == want[0].tobytes()
     assert acc.comp.tobytes() == want[1].tobytes()
     if case == "nan_values":
-        assert np.isnan(acc.total[1, 3, 1:]).all()
-        assert np.isnan(acc.total[0, 0, [2, 4]]).all()
-        assert np.isfinite(acc.total[0, 1]).all()
+        assert np.isnan(acc.total[1:, 1, 3]).all()
+        assert np.isnan(acc.total[[2, 4], 0, 0]).all()
+        assert np.isfinite(acc.total[:, 0, 1]).all()
     # the caller's arrays are read, never written
     assert w_in.tobytes() == w_copy.tobytes()
     assert x_in.tobytes() == x_copy.tobytes()
@@ -156,7 +157,7 @@ def test_fold_moments_is_order_invariant_to_tolerance():
             for i in range(lo, hi):
                 wi = np.zeros((1,) + acc.lead)
                 wi[0, row] = w[i]
-                acc.add(wi, np.broadcast_to(x[i], wi.shape + (2,)))
+                acc.add(wi, np.broadcast_to(x[i][:, None], (1, 2) + acc.lead))
         return fold_moments(acc)
 
     one = run([150])

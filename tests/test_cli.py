@@ -383,13 +383,24 @@ def test_cli_massless_truncated_normal_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_oversized_seed_exits_2_before_any_output(tmp_path, capsys):
+    # refused while parsing, not by the oracle after out_dir was made
+    doc = small_config(mode="oracle", out_dir=str(tmp_path / "out"))
+    doc["run"]["seed"] = 2 ** 200
+    assert main(["solve", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: run.seed: must be an integer in [0, 2**128)")
+    assert not (tmp_path / "out").exists()
+
+
 # a bad value per config check: (path in the document, value, message);
 # an empty path replaces the whole document
 BAD_CONFIGS = [
     (("run", "mode"), "fast", "run.mode: 'fast' is not one of"),
     (("run", "parallelism"), 0, "run.parallelism: must be >= 1"),
     (("run", "n_samples"), 0, "run.n_samples: must be >= 1"),
-    (("run", "seed"), -1, "run.seed: must be >= 0"),
+    (("run", "seed"), -1, "run.seed: must be an integer in [0, 2**128)"),
+    (("run", "seed"), 2 ** 200, "run.seed: must be an integer in [0, 2**128)"),
     (("run", "max_flagged_fraction"), 1.5,
      "run.max_flagged_fraction: must lie in [0, 1]"),
     (("run", "ladder"), [[0, 5], [1, 1]],

@@ -101,7 +101,7 @@ def test_operator_rejects_bad_inputs(entry):
 
         def call(q=np.full((B, 5), 10.0), s=np.full(B, 5000.0),
                  beta=np.ones((B, 5))):
-            return fn(inst, q, np.zeros(B), s, beta, np.zeros(B))
+            return fn(inst, q.T, np.zeros(B), s, beta.T, np.zeros(B))
 
         q = np.full((B, 5), 10.0)
         q[2, 3] = -1.0
@@ -132,11 +132,13 @@ def test_operator_rejects_bad_inputs(entry):
 def _central_difference_jacobian(inst, q, r, s, beta, alpha, h=1e-5):
     # column j of dF/dq from F(q + h e_j) - F(q - h e_j), rowwise
     J = np.zeros(q.shape + (q.shape[-1],))
+    beta = np.transpose(beta)
     for j in range(q.shape[-1]):
         e = np.zeros(q.shape[-1])
         e[j] = h
-        J[..., j] = (operator_eval(inst, q + e, r, s, beta, alpha)
-                     - operator_eval(inst, q - e, r, s, beta, alpha)) / (2 * h)
+        J[..., j] = (operator_eval(inst, (q + e).T, r, s, beta, alpha)
+                     - operator_eval(inst, (q - e).T, r, s, beta, alpha)
+                     ).T / (2 * h)
     return J
 
 
@@ -149,7 +151,8 @@ def test_jacobian_matches_central_differences():
     s = rng.uniform(4950.0, 5050.0, B)
     beta = rng.uniform(0.5, 1.5, (B, 5))
     alpha = rng.uniform(0.0, 0.3, B)
-    diag, col = operator_jacobian(inst, q, r, s, beta, alpha)
+    diag, col = (v.T for v in operator_jacobian(inst, q.T, r, s, beta.T,
+                                                  alpha))
     assert diag.shape == col.shape == (B, 5)
     J = o.dense_jacobian(diag, col)
     assert J.shape == (B, 5, 5)
@@ -201,8 +204,8 @@ def test_jacobian_at_zero_output_routes_to_extragradient(monkeypatch):
     # bound, so its component is free and its generalized Jacobian row
     # infinite: the first step must be the extragradient one, and
     # Newton points are taken after it
-    seed = np.array([[0.0, 40.0, 40.0, 40.0, 40.0]])
-    assert 0.0 < -operator_eval(inst, seed[0], 0.0, 5000.0)[0] < 100.0
+    seed = np.array([[0.0, 40.0, 40.0, 40.0, 40.0]]).T
+    assert 0.0 < -operator_eval(inst, seed[:, 0], 0.0, 5000.0)[0] < 100.0
     taken = []
     real_trial = vi._newton_trial
 
@@ -255,11 +258,12 @@ def test_operator_kernel_matches_its_expression_bitwise():
     q_rows[2, 1] = 0.0  # q^(1/b) at 0 for b > 1 and b < 1
     q_rows[4, 4] = 0.0
     shapes = {
-        "q": (q_rows[3], q_rows),
+        "q": (q_rows[3], q_rows.T),
         "r": (0.17, rng.uniform(-0.5, 0.5, B)),
         "s": (5003.5, rng.uniform(4950.0, 5050.0, B)),
         "alpha": (0.04, rng.uniform(-0.1, 0.1, B)),
-        "beta": (None, rng.uniform(0.5, 1.5, 5), rng.uniform(0.5, 1.5, (B, 5))),
+        "beta": (None, rng.uniform(0.5, 1.5, 5),
+                 rng.uniform(0.5, 1.5, (B, 5)).T),
     }
     for q, r, s, alpha, beta in itertools.product(*shapes.values()):
         s_pows = [None, s ** inst.a if np.ndim(s) == 0
@@ -271,9 +275,9 @@ def test_operator_kernel_matches_its_expression_bitwise():
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             assert not np.shares_memory(got, q)
-    # q (m,) with per-row factors broadcasts to (B, m)
+    # q (m,) with per-row factors broadcasts to (m, B)
     assert operator_eval(inst, q_rows[0], shapes["r"][1], 5000.0).shape \
-        == (B, 5)
+        == (5, B)
 
 
 def test_demand_shift_enters_as_constant_vector():
@@ -304,11 +308,11 @@ def test_sampled_operator_matches_frozen_factor_version():
     s = rng.uniform(4950.0, 5050.0, B)
     beta = rng.uniform(0.5, 1.5, (B, 5))
     alpha = rng.uniform(0.0, 0.2, B)
-    got = operator_eval_sampled(inst, q, r, s, beta, alpha)
+    got = operator_eval_sampled(inst, q.T, r, s, beta.T, alpha)
     for i in range(B):
         want = operator_eval(inst, q[i], float(r[i]), float(s[i]),
                              beta=beta[i], alpha=float(alpha[i]))
-        np.testing.assert_allclose(got[i], want, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(got[:, i], want, rtol=1e-13, atol=1e-13)
 
 
 def test_welfare_matches_reference_and_validates():

@@ -12,11 +12,11 @@ from nashgrid import (BoxSet, CournotInstance, FirmParams, FlaggedCellsError,
                       mean_truncation, natural_residual, operator_eval,
                       solve_all, solve_vi, write_cells_csv)
 from nashgrid import cournot
-from nashgrid.cli import load_config
+from nashgrid.cli import load_config, parse_config
 
 import _oracles as o
 from _oracles import cell_operator, grid_cells
-from conftest import five_firm_instance, randomized_instance
+from conftest import five_firm_instance, nine_firm_config, randomized_instance
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -260,7 +260,7 @@ def test_non_finite_residual_reports_infinite_worst(monkeypatch):
 
     def poisoned(instance, x, r, *args, **kwargs):
         out = real(instance, x, r, *args, **kwargs)
-        out[np.asarray(r) == poisoned_r] = np.nan
+        out[:, np.asarray(r) == poisoned_r] = np.nan
         return out
 
     monkeypatch.setattr(discretize, "operator_eval", poisoned)
@@ -298,7 +298,7 @@ def sweep_twice(monkeypatch, inst, grid, cfg, **kwargs):
     rows = []
 
     def counting(instance, q, *args, **kw):
-        rows.append(len(q))
+        rows.append(q.shape[1])
         return real(instance, q, *args, **kw)
 
     with monkeypatch.context() as patch:
@@ -374,7 +374,7 @@ def poisoned_operator(grid, r_cell, s_cell):
     def poisoned(instance, x, r, s, *args, **kwargs):
         out = operator_eval(instance, x, r, s, *args, **kwargs)
         hit = (np.asarray(r) == poisoned_r) & (np.asarray(s) == poisoned_s)
-        out[np.broadcast_to(hit, out.shape[:1])] = np.nan
+        out[:, np.broadcast_to(hit, out.shape[1:])] = np.nan
         return out
     return poisoned
 
@@ -400,6 +400,7 @@ def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
 
 
 SHIPPED = load_config(ROOT / "configs" / "expectation_grid.json")
+NINE_FIRMS = parse_config(nine_firm_config())
 
 
 @pytest.mark.parametrize("inst, counts, cfg, poison", [
@@ -409,8 +410,9 @@ SHIPPED = load_config(ROOT / "configs" / "expectation_grid.json")
     (randomized_instance(), dict(n_r=4, n_s=60), SolverConfig(), None),
     (randomized_instance(), dict(n_r=3, n_s=3000),
      SolverConfig(initial_step=1.4), (1, 1500)),
+    (NINE_FIRMS.instance, dict(n_r=2, n_s=2000), NINE_FIRMS.solver, None),
 ], ids=["shipped_3x40", "three_firm_bounds_alpha", "five_firm_4x60",
-        "poisoned_3x3000"])
+        "poisoned_3x3000", "nine_firm_2x2000"])
 def test_sweep_matches_its_executable_spec(monkeypatch, inst, counts, cfg,
                                            poison):
     # every stored array and report field, bit for bit, against the cells

@@ -77,11 +77,13 @@ def solution_gap_bound(J1, J2, x1, x2, res1, res2, gamma):
 def assert_newton_matches_extragradient(newton, plain, jac, config):
     assert newton["converged"].all() and plain["converged"].all()
     assert (newton["residuals"] <= config.tolerance).all()
-    rows = np.arange(len(newton["solutions"]))
-    x1, x2 = newton["solutions"], plain["solutions"]
-    bound = solution_gap_bound(o.dense_jacobian(*jac(x1, rows)),
-                               o.dense_jacobian(*jac(x2, rows)), x1, x2,
-                               newton["residuals"], plain["residuals"], 1.0)
+    # one sample per row
+    x1, x2 = newton["solutions"].T, plain["solutions"].T
+    rows = np.arange(len(x1))
+    J1, J2 = (o.dense_jacobian(*(v.T for v in jac(x.T, rows)))
+              for x in (x1, x2))
+    bound = solution_gap_bound(J1, J2, x1, x2, newton["residuals"],
+                               plain["residuals"], 1.0)
     gap = np.linalg.norm(x1 - x2, axis=1)
     assert (gap <= bound).all(), (gap / np.where(bound > 0, bound, 1)).max()
 

@@ -11,7 +11,10 @@ pinned mean in test_acceptance.py.
 - oracle.csv of configs/monte_carlo.json at 8192 samples, seeds 1 and 7;
 - summary.csv of configs/deterministic.json;
 - ladder.csv of configs/refinement_ladder.json cut to the two levels
-  5 x 20 and 10 x 40, where every cell misses at its seed.
+  5 x 20 and 10 x 40, where every cell misses at its seed;
+- summary.csv at 10 x 2000 cells and oracle.csv at 4096 samples of the
+  nine-firm market of conftest.nine_firm_config, built here, whose sums
+  over the firms run past 8 items.
 """
 import hashlib
 import io
@@ -20,9 +23,12 @@ from pathlib import Path
 
 import pytest
 
-from nashgrid.cli import load_config, run_config
+from nashgrid.cli import load_config, parse_config, run_config
+
+from conftest import nine_firm_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NINE_FIRMS = "nine firms"
 
 PINS = [
     ("expectation_grid_small.json", {}, {}, "summary.csv",
@@ -39,13 +45,19 @@ PINS = [
     ("refinement_ladder.json", {}, {"ladder": ((5, 20), (10, 40))},
      "ladder.csv",
      "3c1b69b7c61803559599208da3554a12d4c68e8e03f9d3c40462618c32240103"),
+    (NINE_FIRMS, {"n_r": 10, "n_s": 2000}, {}, "summary.csv",
+     "d9b789b0fa475307f42bab2626fc76d898a805af517bb0c8d7c7d98736c1b12c"),
+    (NINE_FIRMS, {}, {"mode": "oracle", "n_samples": 4096, "seed": 1},
+     "oracle.csv",
+     "0108d808efbb5534271dfa101a371cf5b7e153f0398e2247acaeba1a58866b42"),
 ]
 
 
 @pytest.mark.parametrize("name, grid, run, output, digest", PINS,
                          ids=[f"{p[0]}:{p[3]}:{i}" for i, p in enumerate(PINS)])
 def test_output_bytes_are_pinned(tmp_path, name, grid, run, output, digest):
-    config = load_config(str(CONFIGS / name))
+    config = (parse_config(nine_firm_config()) if name == NINE_FIRMS
+              else load_config(str(CONFIGS / name)))
     config = replace(
         config, discretization=replace(config.discretization, **grid),
         run=replace(config.run, out_dir=str(tmp_path), **run))

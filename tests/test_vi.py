@@ -97,7 +97,7 @@ def test_residual_rows_match_the_np_clip_expression_bitwise():
                   rng.uniform(0.0, 3.0, (n, m))):
         want = np.sqrt(((x - np.clip(x - fx, lower, upper)) ** 2).sum(axis=-1))
         want[~np.isfinite(fx).all(axis=1)] = np.nan
-        got = residual_rows(x, fx, lower, upper)
+        got = residual_rows(x.T, fx.T, lower[:, None], np.atleast_2d(upper).T)
         assert got.tobytes() == want.tobytes()
 
 
@@ -125,10 +125,10 @@ def test_newton_point_with_non_finite_value_is_not_taken():
 
     out = solve_box_vi_batch(op, 0.0, 1.0, SolverConfig(), np.zeros((1, 1)),
                              jacobian_batch=lambda x, rows: (
-                                 np.full((len(rows), 1), 0.1),
-                                 np.zeros((len(rows), 1))))
+                                 np.full((1, len(rows)), 0.1),
+                                 np.zeros((1, len(rows)))))
     assert bool(out["converged"][0]) is True
-    np.testing.assert_allclose(out["solutions"][0], 0.5, atol=1e-8)
+    np.testing.assert_allclose(out["solutions"][:, 0], 0.5, atol=1e-8)
 
 
 def test_affine_solutions_match_active_set_enumeration():
@@ -146,11 +146,13 @@ def test_affine_solutions_match_active_set_enumeration():
         assert report.converged
         assert np.abs(x - ref).max() < 1e-8
         newton = solve_box_vi_batch(
-            lambda x, rows: x @ M.T + d, lo, hi, cfg, seeds=[0.5 * (lo + hi)],
-            jacobian_batch=lambda x, rows: (np.broadcast_to(delta, x.shape),
-                                            np.broadcast_to(c, x.shape)))
+            lambda x, rows: M @ x + d[:, None], lo, hi, cfg,
+            seeds=(0.5 * (lo + hi))[:, None],
+            jacobian_batch=lambda x, rows: (
+                np.broadcast_to(delta[:, None], x.shape),
+                np.broadcast_to(c[:, None], x.shape)))
         assert newton["converged"][0]
-        assert np.abs(newton["solutions"][0] - ref).max() < 1e-8
+        assert np.abs(newton["solutions"][:, 0] - ref).max() < 1e-8
 
 
 def test_backtracking_handles_stiff_operator():
@@ -164,11 +166,11 @@ def test_backtracking_handles_stiff_operator():
     assert np.abs(x - np.array([1.0, 0.5])).max() < 1e-7
     # the batch solver counts the same shrinks, per row; the second row
     # starts at its solution and never steps
-    out = solve_box_vi_batch(lambda x, rows: x @ M.T - [1.0, 25.0],
+    out = solve_box_vi_batch(lambda x, rows: M @ x - [[1.0], [25.0]],
                              [0.0, 0.0], [10.0, 10.0], cfg,
-                             seeds=[[5.0, 5.0], [1.0, 0.5]])
+                             seeds=[[5.0, 1.0], [5.0, 0.5]])
     assert out["converged"].all()
-    np.testing.assert_allclose(out["solutions"][0], [1.0, 0.5], atol=1e-7)
+    np.testing.assert_allclose(out["solutions"][:, 0], [1.0, 0.5], atol=1e-7)
     assert out["backtracks"].tolist() == [backtracks, 0]
     assert backtracks > 0
 
@@ -240,19 +242,20 @@ def test_batch_matches_sequential_scalar_solves():
     cfg = SolverConfig()
 
     def op_batch(x, rows):
-        return x @ M.T + shifts[rows]
+        return M @ x + shifts[rows].T
 
-    out = solve_box_vi_batch(op_batch, np.tile(lo, (40, 1)),
-                             np.tile(hi, (40, 1)), cfg,
-                             seeds=np.full((40, m), 1.0))
+    out = solve_box_vi_batch(op_batch, np.tile(lo, (40, 1)).T,
+                             np.tile(hi, (40, 1)).T, cfg,
+                             seeds=np.full((m, 40), 1.0))
     assert out["converged"].all()
     for i in range(40):
         op, box = affine_problem(M, shifts[i], lo, hi)
         x, res, _, _ = extragradient_box_vi(op, lo, hi, np.full(m, 1.0),
                                             **asdict(cfg))
         assert res <= cfg.tolerance
-        assert np.abs(out["solutions"][i] - x).max() < 1e-7
-        assert natural_residual(op, box, out["solutions"][i]) <= cfg.tolerance
+        assert np.abs(out["solutions"][:, i] - x).max() < 1e-7
+        assert natural_residual(op, box, out["solutions"][:, i]) \
+            <= cfg.tolerance
 
 
 def test_batch_rows_converge_independently():
@@ -263,15 +266,15 @@ def test_batch_rows_converge_independently():
     def op(x, rows):
         if not np.isfinite(x).all():
             raise ValueError("operator called at a non-finite point")
-        r = rows[:, None]
+        r = rows
         return np.select([r == 0, r == 1, r == 2, r == 3],
                          [x - 0.9, 0.5 * (x - 0.3), 1e-3 * (x - 0.5),
                           x + np.nan],
                          np.where(x < 0.5, np.nan, 10.0 * (x - 0.2)))
 
     cfg = SolverConfig(max_iterations=100)
-    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((5, 1), 0.9))
-    res, its, sol = out["residuals"], out["iterations"], out["solutions"][:, 0]
+    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((1, 5), 0.9))
+    res, its, sol = out["residuals"], out["iterations"], out["solutions"][0]
     assert out["converged"].tolist() == (res <= cfg.tolerance).tolist()
     assert out["converged"].tolist() == [True, True, False, False, False]
     assert its.tolist() == [0, 60, cfg.max_iterations, 0, 0]
@@ -286,7 +289,8 @@ def test_batch_rows_converge_independently():
         alone = solve_box_vi_batch(lambda x, rows: op(x, rows + i), 0.0, 1.0,
                                    cfg, seeds=np.full((1, 1), 0.9))
         for key in out:
-            assert out[key][i].tobytes() == alone[key][0].tobytes(), (i, key)
+            assert out[key][..., i].tobytes() == \
+                alone[key][..., 0].tobytes(), (i, key)
 
 
 def test_batch_freezes_non_finite_rows():
@@ -295,7 +299,7 @@ def test_batch_freezes_non_finite_rows():
 
     def op(x, rows):
         calls.append(rows.size)
-        return np.where(rows[:, None] == 0, np.nan, x - 0.3)
+        return np.where(rows == 0, np.nan, x - 0.3)
 
     cfg = SolverConfig()
     out = solve_box_vi_batch(op, np.zeros((2, 2)), np.ones((2, 2)), cfg,
@@ -303,10 +307,10 @@ def test_batch_freezes_non_finite_rows():
     assert out["iterations"][0] == 0
     assert bool(out["converged"][0]) is False
     assert np.isnan(out["residuals"][0])
-    assert np.isnan(out["solutions"][0]).all()
+    assert np.isnan(out["solutions"][:, 0]).all()
     assert bool(out["converged"][1]) is True
     assert out["residuals"][1] <= cfg.tolerance
-    np.testing.assert_allclose(out["solutions"][1], 0.3, atol=1e-8)
+    np.testing.assert_allclose(out["solutions"][:, 1], 0.3, atol=1e-8)
     assert calls[0] == 2 and set(calls[1:]) == {1}
     assert len(calls) < 2 * cfg.max_iterations
 
@@ -319,21 +323,22 @@ def test_batch_freezes_rows_whose_trial_value_is_non_finite():
     def op(x, rows):
         if not np.isfinite(x).all():
             raise ValueError("operator called at a non-finite point")
-        return np.where((rows[:, None] == 0) & (x < 0.5), np.nan,
+        return np.where((rows == 0) & (x < 0.5), np.nan,
                         10.0 * (x - 0.2))
 
     cfg = SolverConfig()
-    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((2, 1), 0.9))
+    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((1, 2), 0.9))
     assert bool(out["converged"][0]) is False
     assert out["iterations"][0] == 0
     assert np.isnan(out["residuals"][0])
-    assert np.isnan(out["solutions"][0]).all()
+    assert np.isnan(out["solutions"][:, 0]).all()
     # the finite row keeps the bits it has alone
     alone = solve_box_vi_batch(lambda x, rows: 10.0 * (x - 0.2), 0.0, 1.0,
                                cfg, seeds=np.full((1, 1), 0.9))
     assert bool(out["converged"][1]) is True
     for key in ("solutions", "residuals", "iterations", "backtracks"):
-        assert out[key][1].tobytes() == alone[key][0].tobytes(), key
+        assert out[key][..., 1].tobytes() == \
+            alone[key][..., 0].tobytes(), key
 
 
 def test_newton_rows_do_not_depend_on_their_neighbours():
@@ -342,39 +347,41 @@ def test_newton_rows_do_not_depend_on_their_neighbours():
     # row under test; row 1's operator is NaN, row 2's Jacobian is NaN
     # so it only takes extragradient steps and runs out of iterations,
     # and row 3's Jacobian is zero, so its Newton matrix is singular.
-    # sum(x) is taken column by column: an axis sum may round a 1-row
-    # and a 4-row batch differently.
+    # sum(x) is taken firm by firm: an axis sum may round a 1-column
+    # and a 4-column batch differently.
     delta = np.array([2.0, 1.5, 1.0])
     c = np.array([0.5, -0.3, 0.2])
     d = np.array([[-3.0, 0.5, -1.0], [1.0, 1.0, 1.0], [-4.0, -2.0, 3.0],
                   [-1.0, -1.0, 0.5]])
 
     def op(x, rows):
-        total = x[:, 0] + x[:, 1] + x[:, 2]
-        out = delta * x + c * total[:, None] + x ** 3 + d[rows]
-        return np.where(rows[:, None] == 1, np.nan, out)
+        total = x[0] + x[1] + x[2]
+        out = delta[:, None] * x + c[:, None] * total + x ** 3 + d[rows].T
+        return np.where(rows == 1, np.nan, out)
 
     def jac(x, rows):
-        diag = np.where(rows[:, None] == 2, np.nan, delta + 3.0 * x ** 2)
-        zero = rows[:, None] == 3
-        return np.where(zero, 0.0, diag), np.where(zero, 0.0, c)
+        diag = np.where(rows == 2, np.nan, delta[:, None] + 3.0 * x ** 2)
+        zero = rows == 3
+        return np.where(zero, 0.0, diag), np.where(zero, 0.0, c[:, None])
 
     cfg = SolverConfig(max_iterations=12, tolerance=1e-12)
     lo, hi = np.full(3, -2.0), np.full(3, 2.0)
-    seeds = np.full((4, 3), 1.5)
+    seeds = np.full((3, 4), 1.5)
     batch = solve_box_vi_batch(op, lo, hi, cfg, seeds, jacobian_batch=jac)
-    alone = solve_box_vi_batch(op, lo, hi, cfg, seeds[:1], jacobian_batch=jac)
+    alone = solve_box_vi_batch(op, lo, hi, cfg, seeds[:, :1],
+                               jacobian_batch=jac)
     # from 1.5 row 0 rejects some Newton points and backtracks
     assert bool(batch["converged"][0]) is True
     assert batch["iterations"][0] < cfg.max_iterations
     assert batch["backtracks"][0] > 0
     assert bool(batch["converged"][1]) is False
-    assert np.isnan(batch["solutions"][1]).all()
+    assert np.isnan(batch["solutions"][:, 1]).all()
     assert bool(batch["converged"][2]) is False
     assert batch["iterations"][2] == cfg.max_iterations
     for key in ("solutions", "residuals", "iterations", "converged",
                 "backtracks"):
-        assert batch[key][0].tobytes() == alone[key][0].tobytes(), key
+        assert batch[key][..., 0].tobytes() == \
+            alone[key][..., 0].tobytes(), key
 
 
 def test_newton_direction_matches_dense_solve():
@@ -394,13 +401,14 @@ def test_newton_direction_matches_dense_solve():
                                r_factor=RandomFactor.constant(0.0),
                                s_factor=RandomFactor.constant(5000.0))
         q = rng.uniform(0.1, 100.0, (B, m))
-        diag, col = operator_jacobian(inst, q, np.zeros(B),
+        diag, col = operator_jacobian(inst, q.T, np.zeros(B),
                                       rng.uniform(10.0, 5000.0, B),
-                                      rng.uniform(0.5, 1.5, (B, m)),
+                                      rng.uniform(0.5, 1.5, (B, m)).T,
                                       np.zeros(B))
+        diag, col = diag.T, col.T
         free = rng.random((B, m)) < 0.6
         rhs = rng.standard_normal((B, m)) * rng.uniform(0.01, 100.0, (B, 1))
-        d = _newton_direction(diag, col, free, rhs)
+        d = _newton_direction(diag.T, col.T, free.T, rhs.T).T
         V = dense_jacobian(np.where(free, diag, 1.0), np.where(free, col, 0.0))
         want = np.linalg.solve(V, rhs[..., None])[..., 0]
         err = np.linalg.norm(d - want, axis=1)
@@ -418,18 +426,19 @@ def test_newton_direction_matches_dense_solve():
 
     def op(x, rows):
         called.extend(rows.tolist())
-        return fx[rows]
+        return fx[rows].T
 
-    lo, up = np.zeros((4, 2)), np.ones((4, 2))
+    lo, up = np.zeros((2, 4)), np.ones((2, 4))
     rows = np.arange(4)
-    take, xn, fn = _newton_trial(op, lambda x, r: (diag[r], col[r]), xa, lo,
-                                 up, fx, residual_rows(xa, fx, lo, up), rows)
+    take, xn, fn = _newton_trial(op, lambda x, r: (diag[r].T, col[r].T),
+                                 xa.T, lo, up, fx.T,
+                                 residual_rows(xa.T, fx.T, lo, up), rows)
     # row 0 steps to its projection, where the constant F is solved;
     # rows 1 and 2 get no trial point; row 3's does not halve its residual
     assert called == [0, 3]
     assert take.tolist() == [True, False, False, False]
-    assert xn.tolist() == [[0.0, 1.0]]
-    assert fn.tolist() == [[5.0, -5.0]]
+    assert xn.T.tolist() == [[0.0, 1.0]]
+    assert fn.T.tolist() == [[5.0, -5.0]]
 
 
 def test_check_monotone_classifies_operators():
