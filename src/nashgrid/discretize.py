@@ -37,14 +37,17 @@ from .aggregate import RunningMoments, _fmt, fold_moments, write_csv
 from .cournot import operator_eval
 from .distributions import (Partition1D, cell_probability, make_partition,
                             pdf)
-from .vi import SolverConfig, residual_rows, solve_box_vi_batch
+from .vi import (SolverConfig, _warm_heap, residual_rows,
+                 solve_box_vi_batch)
 
 # solve_all refuses grids with more cells than this
 CELL_CAP = 100_000_000
 # the longest window of cells a sweep round screens per r-block, and the
-# most cells a round screens in all: at m = 5 firms an (m, cells) float
-# array is 5 * 3200 * 8 B = 128,000 B, under 128 KiB, so it stays on the
-# allocator's heap instead of fresh mapped pages; more firms exceed it
+# most cells a round screens in all. 3200 kept an (m, cells) array at
+# m = 5 under glibc's initial 128 KiB mmap threshold; since solve_all
+# warms that threshold (vi._warm_heap) the bound no longer binds, but
+# wider rounds were measured slower before it: 32 x 200-cell windows
+# cost 193 against 120 ns a kernel row and about 4 MB more peak RSS
 _WINDOW_CAP = 32
 _WINDOW_CELLS = 3200
 # Gauss-Legendre points per cell per dimension in mean_truncation
@@ -221,6 +224,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             f"grid has {n} cells, exceeding the cap of {CELL_CAP}; lower the "
             f"per-factor resolution")
     m = instance.m
+    _warm_heap()
 
     r_reps = grid.r.representatives
     r_probs = grid.r.probabilities

@@ -5,13 +5,19 @@ and truncated normals. Factors expose their CDF, per-cell probabilities
 and conditional means, and inverse-CDF sampling. Partitions carve the
 support [lo, hi) into uniform cells with one representative value and
 one probability weight per cell.
+
+The standard normal CDF and quantile are _normal's ports of the Cephes
+ndtr and ndtri, bit-equal to scipy.special's, so truncated-normal
+weights and samples depend on numpy's IEEE arithmetic and the C
+library's exp and log, not on a scipy version.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+
+from ._normal import ndtr, ndtri
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -50,9 +56,20 @@ class RandomFactor:
             raise ValueError("truncated_normal requires sigma > 0")
         if self.kind != "constant" and not params[-2] < params[-1]:
             raise ValueError(f"{self.kind} factor requires lo < hi")
-        if self.kind == "truncated_normal" and not self._tn_state()[-1] > 0:
-            raise ValueError("truncated_normal requires representable mass "
-                             "on [lo, hi)")
+        if self.kind == "truncated_normal":
+            mu, sigma, lo, hi = params
+            za, zb = (lo - mu) / sigma, (hi - mu) / sigma
+            mass = _normal_mass(za, zb)
+            if not mass > 0:
+                raise ValueError("truncated_normal requires representable "
+                                 "mass on [lo, hi)")
+            # computed once for every cdf, pdf, ppf and cell mean; ppf
+            # starts from _anchor, the standard normal mass beyond za,
+            # taken from the upper tail when za >= 0, where it does not
+            # cancel
+            object.__setattr__(self, "_tn", (mu, sigma, za, zb, mass))
+            object.__setattr__(self, "_anchor",
+                               ndtr(-za) if za >= 0 else ndtr(za))
 
     @staticmethod
     def constant(value):
@@ -85,12 +102,6 @@ class RandomFactor:
         lo, hi = self.support
         return cell_conditional_mean(self, lo, np.nextafter(hi, np.inf))
 
-    def _tn_state(self):
-        mu, sigma, lo, hi = self.params
-        za = (lo - mu) / sigma
-        zb = (hi - mu) / sigma
-        return mu, sigma, za, zb, _normal_mass(za, zb)
-
 
 def _float_if_0d(out):
     """A 0-d result (from scalar arguments) as a Python float, else out."""
@@ -118,7 +129,7 @@ def cdf(factor, x):
         lo, hi = factor.params
         out = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
     else:
-        mu, sigma, za, zb, mass = factor._tn_state()
+        mu, sigma, za, zb, mass = factor._tn
         out = np.clip(_normal_mass(za, (x - mu) / sigma) / mass, 0.0, 1.0)
         lo, hi = factor.support
         out = np.where(x <= lo, 0.0, out)
@@ -138,7 +149,7 @@ def pdf(factor, x):
     if factor.kind == "uniform":
         out = np.where((x >= lo) & (x < hi), 1.0 / (hi - lo), 0.0)
     else:
-        mu, sigma, za, zb, mass = factor._tn_state()
+        mu, sigma, za, zb, mass = factor._tn
         z = (x - mu) / sigma
         out = np.exp(-0.5 * z * z) / (_SQRT_2PI * sigma * mass)
         out = np.where((x >= lo) & (x < hi), out, 0.0)
@@ -166,7 +177,7 @@ def cell_conditional_mean(factor, a, b):
     ca, cb = max(a, lo), min(b, hi)
     if factor.kind == "uniform":
         return 0.5 * (ca + cb)
-    mu, sigma, za, zb, mass = factor._tn_state()
+    mu, sigma, za, zb, mass = factor._tn
     zca = max((ca - mu) / sigma, za)
     zcb = min((cb - mu) / sigma, zb)
     phi_a = np.exp(-0.5 * zca * zca) / _SQRT_2PI
@@ -185,11 +196,11 @@ def ppf(factor, u):
         lo, hi = factor.params
         out = lo + u * (hi - lo)
     else:
-        mu, sigma, za, zb, mass = factor._tn_state()
+        mu, sigma, za, zb, mass = factor._tn
         if za >= 0:
-            out = mu - sigma * ndtri(ndtr(-za) - u * mass)
+            out = mu - sigma * ndtri(factor._anchor - u * mass)
         else:
-            out = mu + sigma * ndtri(ndtr(za) + u * mass)
+            out = mu + sigma * ndtri(factor._anchor + u * mass)
         lo, hi = factor.support
         out = np.clip(out, lo, hi)
     return _float_if_0d(out)

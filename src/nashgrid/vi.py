@@ -114,11 +114,29 @@ class NonConvergenceError(RuntimeError):
 
 
 def project(point, box):
-    """Euclidean projection onto the box: componentwise clamping."""
+    """Euclidean projection onto the box: componentwise clamping.
+
+    Takes one (m,) point or a firm-major (m, B) batch of B points.
+    """
     x = np.asarray(point, dtype=float)
-    if x.shape[-1] != box.dim:
+    if x.ndim not in (1, 2) or x.shape[0] != box.dim:
         raise ValueError("dimension mismatch between point and box")
-    return np.clip(x, box.lower, box.upper)
+    if x.ndim == 1:
+        return np.clip(x, box.lower, box.upper)
+    return np.clip(x, box.lower[:, None], box.upper[:, None])
+
+
+def _warm_heap():
+    """Allocate and free one 4 MiB array, so large arrays reuse the heap.
+
+    glibc serves blocks above its mmap threshold (128 KiB at start) from
+    fresh mapped pages, and trims the heap top past its trim threshold.
+    Freeing a mapped block raises the mmap threshold to the block's size
+    and the trim threshold to twice that (mallopt(3)), so afterwards the
+    sweep's and the oracle's arrays of up to 4 MiB reuse heap pages
+    instead of faulting in new ones every round.
+    """
+    np.empty(1 << 19)
 
 
 def _sum_firms(a):

@@ -78,7 +78,7 @@ def test_upper_tail_cell_probability_of_a_straddling_support():
 
 def test_truncated_normal_with_tiny_lower_tail_mass_still_works():
     f = RandomFactor.truncated_normal(0.0, 1.0, -10.0, -9.0)
-    assert 0.0 < f._tn_state()[-1] < 1e-18
+    assert 0.0 < f._tn[-1] < 1e-18
     assert -10.0 < f.mean() < -9.0
     x = ppf(f, np.linspace(0.0, 1.0, 11))
     assert np.isfinite(x).all()

@@ -10,8 +10,9 @@ problem evaluated or solved alone.
 import numpy as np
 import pytest
 
-from nashgrid import (CournotInstance, FirmParams, RandomFactor, SolverConfig,
-                      operator_eval, operator_jacobian, solve_box_vi_batch)
+from nashgrid import (BoxSet, CournotInstance, FirmParams, RandomFactor,
+                      SolverConfig, operator_eval, operator_jacobian, project,
+                      solve_box_vi_batch)
 from nashgrid.vi import _norm_rows, residual_rows
 
 FIRM_COUNTS = [5, 8, 9, 16]
@@ -112,3 +113,16 @@ def test_batch_columns_keep_the_bits_of_one_point_calls():
             for key in batch:
                 assert batch[key][..., i].tobytes() == \
                     alone[key][..., 0].tobytes(), (i, key)
+
+
+def test_project_clips_each_column_of_a_batch():
+    box = BoxSet(np.zeros(2), np.array([1.0, 2.0]))
+    # three firm-major points, each clipped against the (m,) bounds
+    assert project(np.full((2, 3), 3.0), box).tolist() == [[1.0] * 3,
+                                                           [2.0] * 3]
+    assert project(np.array([-1.0, 1.5]), box).tolist() == [0.0, 1.5]
+    # the row-major transpose has three firms, not two
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        project(np.full((3, 2), 3.0), box)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        project(np.float64(3.0), box)

@@ -1,8 +1,12 @@
 """Byte pins of shipped outputs: the SHA-256 of the CSV file of every mode.
 
 The digests were recorded under Python 3.11.7, numpy 2.4.6 and scipy
-1.17.1. A change that keeps every floating-point operation in its order
-keeps these bytes; only a deliberate re-pin of the shipped results
+1.17.1, whose scipy.special.ndtr and ndtri then made the truncated-normal
+weights and samples. nashgrid._normal evaluates the same Cephes
+algorithms bit for bit (tests/test_normal.py), so the bytes depend on
+numpy's IEEE arithmetic and the C library's exp and log, not on scipy.
+A change that keeps every floating-point operation in its order keeps
+these bytes; only a deliberate re-pin of the shipped results
 (ROADMAP direction 3) may change them, and then together with the
 pinned mean in test_acceptance.py.
 
