@@ -4,9 +4,10 @@ ndtr and ndtri are Moshier's Cephes algorithms (Methods and Programs
 for Mathematical Functions, 1989), the ones scipy.special evaluates:
 the coefficients are verbatim and every multiply and add runs in
 Cephes' order (polevl / p1evl Horner), so the results agree bit for
-bit. Each branch's rational is written once and works on Python floats
-and numpy arrays alike; the scalar dispatchers pick the branch with
-``if``, the array ones with masks.
+bit. ndtr's branch kernels are written once and work on Python floats
+and numpy arrays alike: its float dispatcher picks the branch with
+``if``, its array one with masks. ndtri, called only on arrays, has the
+array dispatcher alone; a scalar argument comes back as a 0-d array.
 
 exp (erfc) and log (the ndtri tails) go through Python's ``math``, the
 C library call Cephes makes, and only on the elements that need them:
@@ -97,7 +98,7 @@ def _p1evl(x, coef):
     return ans
 
 
-# the branch kernels, for Python floats and arrays alike
+# the branch kernels; ndtr's take Python floats and arrays alike
 
 def _erf(x):
     """erf(x) for |x| <= 1."""
@@ -128,7 +129,7 @@ def _ndtri_tail(x, logx, coef_p, coef_q):
     return (x - logx / x) - z * _polevl(z, coef_p) / _p1evl(z, coef_q)
 
 
-# the scalar dispatchers
+# the float dispatcher
 
 def _ndtr_float(a):
     x = a * _SQRT1_2
@@ -144,23 +145,6 @@ def _ndtr_float(a):
         ez = math.exp(-z * z)
         y = 0.5 * (_erfc_near(z, ez) if z < 8.0 else _erfc_far(z, ez))
     return 1.0 - y if x > 0 else y
-
-
-def _ndtri_float(y0):
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if not 0.0 <= y0 <= 1.0:
-        return math.nan
-    upper = y0 > 1.0 - _EXPM2
-    y = 1.0 - y0 if upper else y0
-    if y > _EXPM2:
-        return _ndtri_central(y - 0.5)
-    x = math.sqrt(-2.0 * math.log(y))
-    coef = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    t = _ndtri_tail(x, math.log(x), *coef)
-    return t if upper else -t
 
 
 # the array dispatchers
@@ -233,9 +217,8 @@ def ndtr(a):
 def ndtri(y):
     """The standard normal quantile: ndtr(ndtri(y)) = y for y in [0, 1].
 
-    NaN outside [0, 1]. Floats and arrays as in ndtr.
+    NaN outside [0, 1]. y is taken as a float array and keeps its
+    shape, 0-d included.
     """
-    if isinstance(y, float):
-        return _ndtri_float(float(y))
     y = np.asarray(y, dtype=float)
     return _ndtri_array(y.ravel()).reshape(y.shape)

@@ -59,17 +59,15 @@ class RandomFactor:
         if self.kind == "truncated_normal":
             mu, sigma, lo, hi = params
             za, zb = (lo - mu) / sigma, (hi - mu) / sigma
-            mass = _normal_mass(za, zb)
+            anchor = _anchor(za)
+            mass = _normal_mass(za, zb, anchor)
             if not mass > 0:
                 raise ValueError("truncated_normal requires representable "
                                  "mass on [lo, hi)")
-            # computed once for every cdf, pdf, ppf and cell mean; ppf
-            # starts from _anchor, the standard normal mass beyond za,
-            # taken from the upper tail when za >= 0, where it does not
-            # cancel
+            # computed once for every cdf, pdf, ppf and cell mean; cdf
+            # and ppf start from _anchor
             object.__setattr__(self, "_tn", (mu, sigma, za, zb, mass))
-            object.__setattr__(self, "_anchor",
-                               ndtr(-za) if za >= 0 else ndtr(za))
+            object.__setattr__(self, "_anchor", anchor)
 
     @staticmethod
     def constant(value):
@@ -108,12 +106,21 @@ def _float_if_0d(out):
     return float(out) if out.ndim == 0 else out
 
 
-def _normal_mass(za, zb):
+def _anchor(za):
+    """The standard normal mass beyond za: above it when za >= 0, else below.
+
+    Taken from the tail on za's side, where it does not cancel.
+    """
+    return ndtr(-za) if za >= 0 else ndtr(za)
+
+
+def _normal_mass(za, zb, anchor):
     """P(za <= Z < zb) for standard normal Z, vectorized in zb.
 
-    From the upper tail when za >= 0, where ndtr(zb) - ndtr(za) cancels.
+    anchor is _anchor(za). From the upper tail when za >= 0, where
+    ndtr(zb) - ndtr(za) cancels.
     """
-    return ndtr(-za) - ndtr(-zb) if za >= 0 else ndtr(zb) - ndtr(za)
+    return anchor - ndtr(-zb) if za >= 0 else ndtr(zb) - anchor
 
 
 def cdf(factor, x):
@@ -130,7 +137,8 @@ def cdf(factor, x):
         out = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
     else:
         mu, sigma, za, zb, mass = factor._tn
-        out = np.clip(_normal_mass(za, (x - mu) / sigma) / mass, 0.0, 1.0)
+        z = (x - mu) / sigma
+        out = np.clip(_normal_mass(za, z, factor._anchor) / mass, 0.0, 1.0)
         lo, hi = factor.support
         out = np.where(x <= lo, 0.0, out)
         out = np.where(x >= hi, 1.0, out)
@@ -182,7 +190,7 @@ def cell_conditional_mean(factor, a, b):
     zcb = min((cb - mu) / sigma, zb)
     phi_a = np.exp(-0.5 * zca * zca) / _SQRT_2PI
     phi_b = np.exp(-0.5 * zcb * zcb) / _SQRT_2PI
-    return mu + sigma * (phi_a - phi_b) / _normal_mass(zca, zcb)
+    return mu + sigma * (phi_a - phi_b) / _normal_mass(zca, zcb, _anchor(zca))
 
 
 def ppf(factor, u):
