@@ -98,22 +98,38 @@ def _p1evl(x, coef):
     return ans
 
 
-# the branch kernels; ndtr's take Python floats and arrays alike
+# the branch kernels; ndtr's take Python floats and arrays alike, and
+# spell their Horner steps out, which spares a Python float the loop of
+# _polevl / _p1evl and keeps every operation in its order
 
 def _erf(x):
     """erf(x) for |x| <= 1."""
+    t0, t1, t2, t3, t4 = _T
+    u0, u1, u2, u3, u4 = _U
     z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
+    num = x * ((((t0 * z + t1) * z + t2) * z + t3) * z + t4)
+    den = ((((z + u0) * z + u1) * z + u2) * z + u3) * z + u4
+    return num / den
 
 
 def _erfc_near(x, ez):
     """erfc(x) for 1 <= x < 8, given ez = exp(-x*x)."""
-    return ez * _polevl(x, _P) / _p1evl(x, _Q)
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = _P
+    q0, q1, q2, q3, q4, q5, q6, q7 = _Q
+    num = ez * ((((((((p0 * x + p1) * x + p2) * x + p3) * x + p4) * x
+                   + p5) * x + p6) * x + p7) * x + p8)
+    den = (((((((x + q0) * x + q1) * x + q2) * x + q3) * x + q4) * x + q5)
+           * x + q6) * x + q7
+    return num / den
 
 
 def _erfc_far(x, ez):
     """erfc(x) for x >= 8, given ez = exp(-x*x)."""
-    return ez * _polevl(x, _R) / _p1evl(x, _S)
+    r0, r1, r2, r3, r4, r5 = _R
+    s0, s1, s2, s3, s4, s5 = _S
+    num = ez * (((((r0 * x + r1) * x + r2) * x + r3) * x + r4) * x + r5)
+    den = (((((x + s0) * x + s1) * x + s2) * x + s3) * x + s4) * x + s5
+    return num / den
 
 
 def _ndtri_central(y):

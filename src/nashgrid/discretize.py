@@ -189,16 +189,17 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     its leading run of cells whose natural residual at the seed passes
     tolerance (solved at their seed, after 0 iterations), sends its
     first miss to one batched solve shared by all blocks, which takes
-    the screened operator values, and drops the rest of its window. k is
-    twice the previous round's median accepted run, between 1 and
-    _WINDOW_CAP, and at most _WINDOW_CELLS cells a round. At k = 1 a
-    round is one front of a per-cell sweep: the screen applies the
-    solver's iteration-0 test, and the solver takes the misses' screened
-    values, so no cell's operator value is computed twice. A window's
-    inner cell indices are decoded by one np.unravel_index over the
-    factors with more than one cell. Every kernel call takes a factor
-    with one cell in the grid as a scalar (an (m,) vector for bounds and
-    betas) and every other factor per cell.
+    the screened operator values and residuals, and drops the rest of
+    its window. k is twice the previous round's median accepted run,
+    between 1 and _WINDOW_CAP, and at most _WINDOW_CELLS cells a round.
+    At k = 1 a round is one front of a per-cell sweep: the screen
+    applies the solver's iteration-0 test, and the solver takes the
+    misses' screened values and residuals, so no cell's operator value
+    or natural residual is computed twice. A window's inner cell indices
+    are decoded by one np.unravel_index over the factors with more than
+    one cell. Every kernel call takes a factor with one cell in the grid
+    as a scalar (an (m,) vector for bounds and betas) and every other
+    factor per cell.
 
     Args:
         instance: the market model.
@@ -283,12 +284,16 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         return [v[..., cells] if getattr(v, "ndim", 0) > rank else v
                 for v, rank in zip(factors, (0, 0, 1, 0, 0))]
 
-    def kernel(factors):
-        """The operator at rows of given cells, their factors frozen."""
-        def op(q, rows):
-            r, s, beta, alpha, s_pow = take(factors, rows)
-            return operator_eval(instance, q, r, s, beta, alpha, s_pow=s_pow)
-        return op
+    def evaluate(q, factors):
+        """The operator at the points q of cells with the given factors."""
+        r, s, beta, alpha, s_pow = factors
+        return operator_eval(instance, q, r, s, beta, alpha, s_pow=s_pow)
+
+    def kernel(factors, n):
+        """The solver's operator on n cells, their factors frozen."""
+        # rows covering all n cells are arange(n): the factors as they are
+        return lambda q, rows: evaluate(
+            q, factors if rows.size == n else take(factors, rows))
 
     kept = {"solutions": np.empty((n, m)), "weights": np.empty(n),
             "residuals": np.empty(n),
@@ -342,7 +347,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         # screen the window: one operator call for all its cells, on one
         # (m, k*na) copy of the seeds
         x = X.transpose(1, 0, 2).reshape(m, k * na)
-        F = kernel(factors)(x, slice(None))
+        F = evaluate(x, factors)
         res = residual_rows(x, F, lower, ucol)
         # a row's accepted run ends at its first miss or its chain's end
         ok = np.zeros((k + 1, na), dtype=bool)
@@ -353,11 +358,13 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         its = np.zeros(k * na, dtype=np.int64)
         if missed.size:
             # the misses, solved from their seeds with the screened values
+            # and residuals
             cells = run[missed] * na + missed
             out = solve_box_vi_batch(
-                kernel(take(factors, cells)), lower,
+                kernel(take(factors, cells), cells.size), lower,
                 upper.take(cells, axis=1) if upper.ndim > 1 else upper,
-                config, x.take(cells, axis=1), values=F.take(cells, axis=1))
+                config, x.take(cells, axis=1), values=F.take(cells, axis=1),
+                residuals=res.take(cells))
             x[:, cells] = out["solutions"]
             X[run[missed], :, missed] = out["solutions"].T
             res[cells] = out["residuals"]

@@ -97,13 +97,18 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
         beta = np.stack(draws[2 + m:2 + 2 * m])
         alpha = draws[-1]
 
+        def sampled(rows):
+            """The draws r, s, beta and alpha of the sorted samples rows."""
+            # nc sorted rows are arange(nc): the draws need no gather
+            if rows.size == nc:
+                return r, s, beta, alpha
+            return r[rows], s[rows], beta.take(rows, axis=1), alpha[rows]
+
         def op(x, rows):
-            return operator_eval_sampled(instance, x, r[rows], s[rows],
-                                         beta.take(rows, axis=1), alpha[rows])
+            return operator_eval_sampled(instance, x, *sampled(rows))
 
         def jac(x, rows):
-            return operator_jacobian(instance, x, r[rows], s[rows],
-                                     beta.take(rows, axis=1), alpha[rows])
+            return operator_jacobian(instance, x, *sampled(rows))
 
         out = solve_box_vi_batch(op, 0.0, upper, config, seeds=0.5 * upper,
                                  jacobian_batch=jac)

@@ -242,10 +242,27 @@ def _newton_direction(diag, col, free, rhs):
     return d
 
 
+def _take(a, idx):
+    """Columns idx of a, a sorted subset of them: a itself if it has all.
+
+    A sorted subset of arange(n) with n entries is arange(n), so the
+    gather would copy a unchanged; the caller must not write into it.
+    """
+    return a if idx.size == a.shape[1] else a.take(idx, axis=1)
+
+
+def _put(a, idx, v):
+    """a[:, idx] = v, for idx a sorted subset of a's columns."""
+    if idx.size == a.shape[1]:
+        np.copyto(a, v)
+    else:
+        a[:, idx] = v
+
+
 def _columns(bound, idx):
     """Columns idx of a bound that varies per column; others stay whole."""
     varies = bound.ndim == 2 and bound.shape[1] > 1
-    return bound.take(idx, axis=1) if varies else bound
+    return _take(bound, idx) if varies else bound
 
 
 def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
@@ -262,45 +279,50 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
     is not taken.
 
     Returns:
-        (take, x_new, f_new): a mask over the columns, and the taken
-        points with their operator values, in column order.
+        (take, x_new, f_new, res_new): a mask over the columns, and the
+        taken points with their operator values and natural residuals,
+        in column order.
     """
     z = xa - fx
     ref = np.clip(z, la, ua)
     free = (la < z) & (z < ua)
     d = _newton_direction(*jacobian_batch(xa, rows), free, ref - xa)
     idx = np.flatnonzero(np.isfinite(d).all(axis=0))
-    take = np.zeros(rows.size, dtype=bool)
-    if idx.size == 0:
-        return take, xa.take(idx, axis=1), fx.take(idx, axis=1)
     li, ui = _columns(la, idx), _columns(ua, idx)
-    xn = np.clip(xa.take(idx, axis=1) + d.take(idx, axis=1), li, ui)
-    fn = operator_batch(xn, rows[idx])
+    xn = np.clip(_take(xa, idx) + _take(d, idx), li, ui)
+    # with no trial point the operator is not called
+    fn = operator_batch(xn, rows[idx]) if idx.size else xn
     resn = residual_rows(xn, fn, li, ui)
-    kept = resn <= _NEWTON_DECREASE * res[idx]
+    kept = np.flatnonzero(resn <= _NEWTON_DECREASE * res[idx])
+    take = np.zeros(rows.size, dtype=bool)
     take[idx[kept]] = True
-    return take, xn.compress(kept, axis=1), fn.compress(kept, axis=1)
+    return take, _take(xn, kept), _take(fn, kept), resn[kept]
 
 
 def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
-                       jacobian_batch=None, values=None):
+                       jacobian_batch=None, values=None, residuals=None):
     """Solve a batch of box VIs sharing one vectorized operator.
 
     Batches are firm-major: column i of ``seeds`` is an independent VI
     and uses column i of ``operator_batch(X, rows)``, where ``rows`` are
-    original column indices. Columns are iterated with per-column steps
-    and are frozen the moment their natural residual passes tolerance,
-    so a column's result never depends on which other columns share the
-    batch. A column whose operator value is non-finite, at its iterate
-    or at its extragradient trial point, is frozen in that iteration as
-    well: unconverged, with an all-NaN solution and a NaN residual. The
-    operator is never called at a non-finite point the solver made.
+    original column indices, sorted. Columns are iterated with
+    per-column steps and are frozen the moment their natural residual
+    passes tolerance, so a column's result never depends on which other
+    columns share the batch. A column whose operator value is
+    non-finite, at its iterate or at its extragradient trial point, is
+    frozen in that iteration as well: unconverged, with an all-NaN
+    solution and a NaN residual. The operator is never called at a
+    non-finite point the solver made.
 
     Without ``jacobian_batch`` every step is an extragradient step with
     backtracking. With it, every column first tries a semismooth Newton
     step on the natural map and keeps it when the natural residual falls
     to at most _NEWTON_DECREASE of its value; the other columns take the
-    extragradient step.
+    extragradient step. When every column keeps its Newton point, the
+    operator values and residuals computed for the test are the next
+    iteration's. Rows covering all n columns are arange(n), so an
+    operator may skip its own gathers when ``rows.size`` is the batch
+    size.
 
     Args:
         operator_batch: callable (x: (m, B), rows: (B,) int) -> (m, B).
@@ -313,6 +335,9 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
             columnwise in aggregative form, J = diag(diag) + col 1^T.
         values: optional (m, n) operator values at the seeds projected
             onto the box; given, the operator is not called there again.
+        residuals: optional (n,) natural residuals at the seeds
+            projected onto the box, as residual_rows gives them with
+            ``values``; given, they are not computed there again.
 
     Returns:
         dict with keys ``solutions`` (m, n), ``residuals`` (n,),
@@ -331,48 +356,53 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
     lo, up = (b[:, None] if b.ndim == 1 else b for b in (lo, up))
     np.clip(x, lo, up, out=x)
 
-    residuals = np.zeros(n)
     iterations = np.zeros(n, dtype=np.int64)
     backtracks = np.zeros(n, dtype=np.int64)
     step = np.full(n, config.initial_step)
     active = np.arange(n)
+    final = np.zeros(n)
+    # the active columns' points, bounds, operator values and residuals;
+    # None where they must be gathered or computed anew
+    xa = None
     fx = None if values is None else np.asarray(values, dtype=float)
+    res = None if residuals is None else np.asarray(residuals, dtype=float)
 
     for it in range(config.max_iterations + 1):
-        xa = x.take(active, axis=1)
-        la, ua = _columns(lo, active), _columns(up, active)
+        if xa is None:
+            xa = _take(x, active)
+            la, ua = _columns(lo, active), _columns(up, active)
         if fx is None:
             # a batch emptied by trial-point freezes needs no call
             fx = operator_batch(xa, active) if active.size else xa
-        res = residual_rows(xa, fx, la, ua)
+        if res is None:
+            res = residual_rows(xa, fx, la, ua)
         lost = ~np.isfinite(res)
         # converged, non-finite and out-of-iterations columns all leave
         leave = ((res <= config.tolerance) | lost
                  | (it == config.max_iterations))
         if leave.any():
             idx = active[leave]
-            residuals[idx] = res[leave]
+            final[idx] = res[leave]
             iterations[idx] = it
             x[:, active[lost]] = np.nan
-            keep = ~leave
+            keep = np.flatnonzero(~leave)
             active = active[keep]
-            xa, fx, res = (xa.compress(keep, axis=1),
-                           fx.compress(keep, axis=1), res[keep])
+            xa, fx, res = _take(xa, keep), _take(fx, keep), res[keep]
             la, ua = _columns(lo, active), _columns(up, active)
         if active.size == 0:
             break
         rows = active
         if jacobian_batch is not None:
-            take, xn, fn = _newton_trial(operator_batch, jacobian_batch, xa,
-                                         la, ua, fx, res, active)
-            x[:, active[take]] = xn
+            take, xn, fn, resn = _newton_trial(
+                operator_batch, jacobian_batch, xa, la, ua, fx, res, active)
+            _put(x, active[take], xn)
             if take.all():
-                # F at the taken points is next iteration's fx
-                fx = fn
+                # xn is a fresh array: x's write-backs never reach it
+                xa, fx, res = xn, fn, resn
                 continue
-            eg = ~take
+            eg = np.flatnonzero(~take)
             rows = active[eg]
-            xa, fx = xa.compress(eg, axis=1), fx.compress(eg, axis=1)
+            xa, fx = _take(xa, eg), _take(fx, eg)
             la, ua = _columns(lo, rows), _columns(up, rows)
         st = step[rows]
         while True:
@@ -388,17 +418,17 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
             st = np.where(bad, st * _STEP_SHRINK, st)
             backtracks[rows] += bad
         step[rows] = st
-        x[:, rows] = np.clip(xa - st * fy, la, ua)
-        fx = None
+        _put(x, rows, np.clip(xa - st * fy, la, ua))
+        xa = fx = res = None
         if not np.isfinite(fy).all():
             # never step to, or evaluate the operator at, a non-finite point
             idx = rows[~np.isfinite(fy).all(axis=0)]
-            x[:, idx] = residuals[idx] = np.nan
+            x[:, idx] = final[idx] = np.nan
             iterations[idx] = it
             active = active[~np.isin(active, idx)]
 
-    return {"solutions": x, "residuals": residuals, "iterations": iterations,
-            "converged": residuals <= config.tolerance,
+    return {"solutions": x, "residuals": final, "iterations": iterations,
+            "converged": final <= config.tolerance,
             "backtracks": backtracks}
 
 

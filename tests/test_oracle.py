@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nashgrid import (CournotInstance, FirmParams, RandomFactor, SolverConfig,
-                      monte_carlo_mean, oracle)
+                      monte_carlo_mean, oracle, vi)
 from nashgrid.cli import load_config
 from nashgrid.oracle import CHUNK_SIZE, write_oracle_csv
 
@@ -194,6 +194,48 @@ def test_newton_and_extragradient_agree_on_a_shipped_chunk():
     (newton, plain, jac), = chunks
     assert_newton_matches_extragradient(newton, plain, jac, cfg.solver)
     assert newton["iterations"].max() < plain["iterations"].min()
+
+
+def test_a_full_shipped_chunk_does_each_residual_once_and_no_gather(
+        monkeypatch):
+    # chunk 0 of configs/monte_carlo.json, whose 4096 samples all take
+    # their Newton point in every iteration and converge together
+    cfg = load_config(ROOT / "configs" / "monte_carlo.json")
+    residuals, kernels, outs = [], [], []
+    real_residual_rows = vi.residual_rows
+    real_solve = oracle.solve_box_vi_batch
+
+    def residual_rows(x, *args):
+        residuals.append(x.shape)
+        return real_residual_rows(x, *args)
+
+    def recording(real):
+        def kernel(instance, x, *sampled):
+            kernels.append((x.shape, sampled))
+            return real(instance, x, *sampled)
+        return kernel
+
+    def solve(*args, **kwargs):
+        outs.append(real_solve(*args, **kwargs))
+        return outs[-1]
+
+    monkeypatch.setattr(vi, "residual_rows", residual_rows)
+    for name in ("operator_eval_sampled", "operator_jacobian"):
+        monkeypatch.setattr(oracle, name, recording(getattr(oracle, name)))
+    monkeypatch.setattr(oracle, "solve_box_vi_batch", solve)
+    report = monte_carlo_mean(cfg.instance, CHUNK_SIZE, cfg.run.seed,
+                              cfg.solver)
+    assert report.failed_solves == 0
+    (out,) = outs
+    assert (out["iterations"] == 4).all()
+    # the seeds' residuals, then one per Newton iteration at its trial
+    # points, which the next iteration reuses
+    assert residuals == [(5, CHUNK_SIZE)] * 5
+    # a Jacobian and an operator call per iteration, each on the whole
+    # chunk and given the drawn factor arrays themselves, not copies
+    assert [shape for shape, _ in kernels] == [(5, CHUNK_SIZE)] * 9
+    first = kernels[0][1]
+    assert all(v is w for _, sampled in kernels for v, w in zip(sampled, first))
 
 
 def _uniform(draw, lo, hi, width):

@@ -18,7 +18,10 @@ pinned mean in test_acceptance.py.
   5 x 20 and 10 x 40, where every cell misses at its seed;
 - summary.csv at 10 x 2000 cells and oracle.csv at 4096 samples of the
   nine-firm market of conftest.nine_firm_config, built here, whose sums
-  over the firms run past 8 items.
+  over the firms run past 8 items;
+- oracle.csv at 4096 samples, seed 1, of conftest.random_bounds_instance,
+  whose batch shrinks while it is solved (the shipped markets' samples
+  all converge at the same iteration).
 """
 import hashlib
 import io
@@ -28,8 +31,10 @@ from pathlib import Path
 import pytest
 
 from nashgrid.cli import load_config, parse_config, run_config
+from nashgrid.oracle import monte_carlo_mean, write_oracle_csv
+from nashgrid.vi import SolverConfig
 
-from conftest import nine_firm_config
+from conftest import nine_firm_config, random_bounds_instance
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 NINE_FIRMS = "nine firms"
@@ -68,3 +73,12 @@ def test_output_bytes_are_pinned(tmp_path, name, grid, run, output, digest):
     assert run_config(config, stdout=io.StringIO()) == 0
     data = (tmp_path / output).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_shrinking_oracle_batch_bytes_are_pinned(tmp_path):
+    report = monte_carlo_mean(random_bounds_instance(), 4096, 1,
+                              SolverConfig(initial_step=1.4))
+    path = tmp_path / "oracle.csv"
+    write_oracle_csv(report, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7edcab418fbe0974b12b830bc30886e8ad1f6ab8b30f61b27d099c46206599aa")

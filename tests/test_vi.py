@@ -7,6 +7,7 @@ from nashgrid import (BoxSet, CournotInstance, FirmParams, NonConvergenceError,
                       RandomFactor, SolverConfig, check_monotone,
                       natural_residual, operator_jacobian, project, solve_vi,
                       solve_box_vi_batch)
+from nashgrid import vi
 from nashgrid.vi import _newton_direction, _newton_trial, residual_rows
 
 from _oracles import active_set_box_vi, dense_jacobian, extragradient_box_vi
@@ -384,6 +385,49 @@ def test_newton_rows_do_not_depend_on_their_neighbours():
             alone[key][..., 0].tobytes(), key
 
 
+@pytest.mark.parametrize("newton", [False, True])
+def test_screened_residuals_give_the_bits_of_a_call_without_them(
+        newton, monkeypatch):
+    # F(x) = diag(delta)(x - t) + c sum(x - t) + (x - t)**3 vanishes at
+    # t. Column 0 is seeded at its t, so it leaves at iteration 0;
+    # column 1's operator is NaN; column 2 is an ordinary miss
+    delta, c = np.array([[2.0], [1.5]]), np.array([[0.5], [-0.3]])
+    t = np.array([[0.4, 0.0, 1.0], [0.3, 0.0, -0.5]])
+
+    def op(x, rows):
+        u = x - t[:, rows]
+        out = delta * u + c * (u[0] + u[1]) + u ** 3
+        return np.where(rows == 1, np.nan, out)
+
+    def jac(x, rows):
+        return delta + 3.0 * (x - t[:, rows]) ** 2, c + 0.0 * x
+
+    lo, hi = np.full((2, 1), -2.0), np.full((2, 1), 2.0)
+    seeds = np.array([[0.4, 1.5, -1.5], [0.3, 1.5, 1.5]])
+    values = op(seeds, np.arange(3))
+    screened = residual_rows(seeds, values, lo, hi)
+    assert screened[0] == 0.0 and np.isnan(screened[1]) and screened[2] > 1
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].shape[1])
+        return residual_rows(*args)
+
+    monkeypatch.setattr(vi, "residual_rows", counted)
+    cfg = SolverConfig(tolerance=1e-12)
+    kwargs = {"jacobian_batch": jac if newton else None, "values": values}
+    plain = solve_box_vi_batch(op, lo, hi, cfg, seeds, **kwargs)
+    n_plain = len(calls)
+    given = solve_box_vi_batch(op, lo, hi, cfg, seeds, residuals=screened,
+                               **kwargs)
+    # the given residuals stand in for the seeds' one call
+    assert calls[0] == 3 and calls[n_plain:] == calls[1:n_plain]
+    assert plain["iterations"].tolist()[:2] == [0, 0]
+    assert plain["iterations"][2] > 0 and plain["converged"][2]
+    for key in plain:
+        assert given[key].tobytes() == plain[key].tobytes(), key
+
+
 def test_newton_direction_matches_dense_solve():
     # random markets at random points, with random free masks: the
     # closed form solves the assembled generalized Jacobian
@@ -430,15 +474,16 @@ def test_newton_direction_matches_dense_solve():
 
     lo, up = np.zeros((2, 4)), np.ones((2, 4))
     rows = np.arange(4)
-    take, xn, fn = _newton_trial(op, lambda x, r: (diag[r].T, col[r].T),
-                                 xa.T, lo, up, fx.T,
-                                 residual_rows(xa.T, fx.T, lo, up), rows)
+    take, xn, fn, resn = _newton_trial(
+        op, lambda x, r: (diag[r].T, col[r].T), xa.T, lo, up, fx.T,
+        residual_rows(xa.T, fx.T, lo, up), rows)
     # row 0 steps to its projection, where the constant F is solved;
     # rows 1 and 2 get no trial point; row 3's does not halve its residual
     assert called == [0, 3]
     assert take.tolist() == [True, False, False, False]
     assert xn.T.tolist() == [[0.0, 1.0]]
     assert fn.T.tolist() == [[5.0, -5.0]]
+    assert resn.tolist() == [0.0]
 
 
 def test_check_monotone_classifies_operators():
