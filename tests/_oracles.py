@@ -21,6 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 # the sweep spec alone uses these
 from nashgrid import cournot
@@ -70,6 +71,80 @@ def quad_conditional_mean_fn(fn, pdf, a, b):
     if den == 0.0:
         return 0.0
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# an executable spec of the cell masses and conditional means, one cell at
+# a time: the scalar formulas the distributions module evaluated per cell
+# before it worked on whole partitions, operation for operation. They read
+# a factor's kind and params only, and take the standard normal CDF from
+# scipy.special.ndtr, which nashgrid._normal matches bit for bit.
+
+_SPEC_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _spec_anchor(za):
+    return ndtr(-za) if za >= 0 else ndtr(za)
+
+
+def _spec_normal_mass(za, zb, anchor):
+    return anchor - ndtr(-zb) if za >= 0 else ndtr(zb) - anchor
+
+
+def _spec_tn(factor):
+    """(mu, sigma, za, zb, mass, anchor) of a truncated normal factor."""
+    mu, sigma, lo, hi = factor.params
+    za, zb = (lo - mu) / sigma, (hi - mu) / sigma
+    anchor = _spec_anchor(za)
+    return mu, sigma, za, zb, _spec_normal_mass(za, zb, anchor), anchor
+
+
+def spec_cdf(factor, x):
+    """The factor's CDF at the scalar x."""
+    x = np.asarray(x, dtype=float)
+    if factor.kind == "constant":
+        out = np.where(x >= factor.params[0], 1.0, 0.0)
+    elif factor.kind == "uniform":
+        lo, hi = factor.params
+        out = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
+    else:
+        mu, sigma, za, zb, mass, anchor = _spec_tn(factor)
+        z = (x - mu) / sigma
+        out = np.clip(_spec_normal_mass(za, z, anchor) / mass, 0.0, 1.0)
+        lo, hi = factor.params[2:]
+        out = np.where(x <= lo, 0.0, out)
+        out = np.where(x >= hi, 1.0, out)
+    return float(out)
+
+
+def spec_cell_probability(factor, a, b):
+    """P(a <= X < b): 1 or 0 for a constant, else cdf(b) - cdf(a)."""
+    if not a < b:
+        raise ValueError("cell requires a < b")
+    if factor.kind == "constant":
+        return 1.0 if a <= factor.params[0] < b else 0.0
+    return max(spec_cdf(factor, b) - spec_cdf(factor, a), 0.0)
+
+
+def spec_cell_conditional_mean(factor, a, b):
+    """E[X | X in [a, b)]; cells of probability zero get the midpoint."""
+    if not a < b:
+        raise ValueError("cell requires a < b")
+    if spec_cell_probability(factor, a, b) == 0.0:
+        return 0.5 * (a + b)
+    if factor.kind == "constant":
+        return factor.params[0]
+    lo, hi = factor.params[-2:]
+    ca, cb = max(a, lo), min(b, hi)
+    if factor.kind == "uniform":
+        return 0.5 * (ca + cb)
+    mu, sigma, za, zb, mass, anchor = _spec_tn(factor)
+    zca = max((ca - mu) / sigma, za)
+    zcb = min((cb - mu) / sigma, zb)
+    phi_a = np.exp(-0.5 * zca * zca) / _SPEC_SQRT_2PI
+    phi_b = np.exp(-0.5 * zcb * zcb) / _SPEC_SQRT_2PI
+    return mu + sigma * (phi_a - phi_b) / _spec_normal_mass(
+        zca, zcb, _spec_anchor(zca))
 
 
 # ---------------------------------------------------------------------------
