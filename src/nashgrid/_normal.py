@@ -4,10 +4,9 @@ ndtr and ndtri are Moshier's Cephes algorithms (Methods and Programs
 for Mathematical Functions, 1989), the ones scipy.special evaluates:
 the coefficients are verbatim and every multiply and add runs in
 Cephes' order (polevl / p1evl Horner), so the results agree bit for
-bit. ndtr's branch kernels are written once and work on Python floats
-and numpy arrays alike: its float dispatcher picks the branch with
-``if``, its array one with masks. ndtri, called only on arrays, has the
-array dispatcher alone; a scalar argument comes back as a 0-d array.
+bit. Both work on float arrays and pick their branches with masks; a
+scalar argument is taken as a 0-d array and comes back as one. Their callers hand them whole
+partitions and sample chunks, so there is no per-float path.
 
 exp (erfc) and log (the ndtri tails) go through Python's ``math``, the
 C library call Cephes makes, and only on the elements that need them:
@@ -98,38 +97,22 @@ def _p1evl(x, coef):
     return ans
 
 
-# the branch kernels; ndtr's take Python floats and arrays alike, and
-# spell their Horner steps out, which spares a Python float the loop of
-# _polevl / _p1evl and keeps every operation in its order
+# the branch kernels
 
 def _erf(x):
     """erf(x) for |x| <= 1."""
-    t0, t1, t2, t3, t4 = _T
-    u0, u1, u2, u3, u4 = _U
     z = x * x
-    num = x * ((((t0 * z + t1) * z + t2) * z + t3) * z + t4)
-    den = ((((z + u0) * z + u1) * z + u2) * z + u3) * z + u4
-    return num / den
+    return x * _polevl(z, _T) / _p1evl(z, _U)
 
 
 def _erfc_near(x, ez):
     """erfc(x) for 1 <= x < 8, given ez = exp(-x*x)."""
-    p0, p1, p2, p3, p4, p5, p6, p7, p8 = _P
-    q0, q1, q2, q3, q4, q5, q6, q7 = _Q
-    num = ez * ((((((((p0 * x + p1) * x + p2) * x + p3) * x + p4) * x
-                   + p5) * x + p6) * x + p7) * x + p8)
-    den = (((((((x + q0) * x + q1) * x + q2) * x + q3) * x + q4) * x + q5)
-           * x + q6) * x + q7
-    return num / den
+    return ez * _polevl(x, _P) / _p1evl(x, _Q)
 
 
 def _erfc_far(x, ez):
     """erfc(x) for x >= 8, given ez = exp(-x*x)."""
-    r0, r1, r2, r3, r4, r5 = _R
-    s0, s1, s2, s3, s4, s5 = _S
-    num = ez * (((((r0 * x + r1) * x + r2) * x + r3) * x + r4) * x + r5)
-    den = (((((x + s0) * x + s1) * x + s2) * x + s3) * x + s4) * x + s5
-    return num / den
+    return ez * _polevl(x, _R) / _p1evl(x, _S)
 
 
 def _ndtri_central(y):
@@ -145,25 +128,7 @@ def _ndtri_tail(x, logx, coef_p, coef_q):
     return (x - logx / x) - z * _polevl(z, coef_p) / _p1evl(z, coef_q)
 
 
-# the float dispatcher
-
-def _ndtr_float(a):
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    # y = erfc(z) / 2, the lower tail; NaN runs through to a NaN
-    if z < 1.0:
-        y = 0.5 * (1.0 - _erf(z))
-    elif -z * z < -_MAXLOG:
-        y = 0.0
-    else:
-        ez = math.exp(-z * z)
-        y = 0.5 * (_erfc_near(z, ez) if z < 8.0 else _erfc_far(z, ez))
-    return 1.0 - y if x > 0 else y
-
-
-# the array dispatchers
+# the dispatchers
 
 def _libm(fn, v):
     """fn from Python's math applied to each element of the 1-d array v."""
@@ -221,11 +186,8 @@ def _ndtri_array(y0):
 def ndtr(a):
     """P(Z <= a) for standard normal Z.
 
-    A float (np.float64 included) gives a float; anything else is taken
-    as a float array and keeps its shape, 0-d included.
+    a is taken as a float array and keeps its shape, 0-d included.
     """
-    if isinstance(a, float):
-        return _ndtr_float(float(a))
     a = np.asarray(a, dtype=float)
     return _ndtr_array(a.ravel()).reshape(a.shape)
 

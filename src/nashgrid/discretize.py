@@ -35,8 +35,7 @@ import numpy as np
 
 from .aggregate import RunningMoments, _fmt, fold_moments, write_csv
 from .cournot import operator_eval
-from .distributions import (Partition1D, cell_probability, make_partition,
-                            pdf)
+from .distributions import Partition1D, _cell_masses, make_partition, pdf
 from .vi import (SolverConfig, _warm_heap, residual_rows,
                  solve_box_vi_batch)
 
@@ -474,28 +473,29 @@ def mean_truncation(target, factors, partitions):
         raise ValueError("need one partition per factor")
     shape = tuple(p.n_cells for p in partitions)
     gl_x, gl_w = np.polynomial.legendre.leggauss(_TRUNCATION_NODES)
+    # per factor, one row per cell: its nodes and density weights, and
+    # whether the cell has mass zero; a constant enters at its value
+    nodes, weights, empty = [], [], []
+    for factor, part in zip(factors, partitions):
+        n = part.n_cells
+        if factor.is_constant:
+            nodes.append(np.full((n, 1), factor.params[0]))
+            weights.append(np.ones((n, 1)))
+            empty.append(np.zeros(n, dtype=bool))
+            continue
+        bp = part.breakpoints
+        a, b = bp[:-1, None], bp[1:, None]
+        x = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
+        nodes.append(x)
+        weights.append(0.5 * (b - a) * gl_w * pdf(factor, x))
+        empty.append(_cell_masses(factor, bp) == 0.0)
     out = np.empty(shape)
     for idx in np.ndindex(shape):
-        coords = []
-        weights = []
-        zero = False
-        for d, (factor, part) in enumerate(zip(factors, partitions)):
-            a = part.breakpoints[idx[d]]
-            b = part.breakpoints[idx[d] + 1]
-            if factor.is_constant:
-                coords.append(np.array([factor.params[0]]))
-                weights.append(np.array([1.0]))
-                continue
-            if cell_probability(factor, a, b) == 0.0:
-                zero = True
-                break
-            x = 0.5 * (a + b) + 0.5 * (b - a) * gl_x
-            coords.append(x)
-            weights.append(0.5 * (b - a) * gl_w * pdf(factor, x))
-        if zero:
+        if any(e[i] for e, i in zip(empty, idx)):
             out[idx] = 0.0
             continue
-        grids = np.meshgrid(*coords, indexing="ij")
+        grids = np.meshgrid(*(xs[i] for xs, i in zip(nodes, idx)),
+                            indexing="ij")
         vals = np.asarray(target(*grids), dtype=float)
         if vals.shape != grids[0].shape:
             raise ValueError("target must return one value per node")
@@ -505,8 +505,8 @@ def mean_truncation(target, factors, partitions):
         if vmin == vmax:
             out[idx] = vmin
             continue
-        wgrid = weights[0]
+        wgrid = weights[0][idx[0]]
         for d in range(1, len(weights)):
-            wgrid = np.multiply.outer(wgrid, weights[d])
+            wgrid = np.multiply.outer(wgrid, weights[d][idx[d]])
         out[idx] = float((wgrid * vals).sum() / wgrid.sum())
     return out

@@ -1,10 +1,15 @@
 """Random factors and 1-d support partitions.
 
 Three factor kinds cover the models in scope: point masses, uniforms,
-and truncated normals. Factors expose their CDF, per-cell probabilities
-and conditional means, and inverse-CDF sampling. Partitions carve the
-support [lo, hi) into uniform cells with one representative value and
-one probability weight per cell.
+and truncated normals. Factors expose their CDF, density and
+inverse-CDF sampling. Partitions carve the support [lo, hi) into uniform
+cells with one representative value and one probability weight per cell.
+
+Cell masses and conditional means have one path, over all the cells of
+a breakpoint array: _cell_masses and _cell_means, the latter by the
+truncated normal's closed form mu + sigma (phi(z0) - phi(z1)) /
+(Phi(z1) - Phi(z0)) (Johnson, Kotz and Balakrishnan 1994, ch. 13).
+cell_probability and cell_conditional_mean are their one-cell calls.
 
 The standard normal CDF and quantile are _normal's ports of the Cephes
 ndtr and ndtri, bit-equal to scipy.special's, so truncated-normal
@@ -59,8 +64,8 @@ class RandomFactor:
         if self.kind == "truncated_normal":
             mu, sigma, lo, hi = params
             za, zb = (lo - mu) / sigma, (hi - mu) / sigma
-            anchor = _anchor(za)
-            mass = _normal_mass(za, zb, anchor)
+            anchor = float(_anchor(za))
+            mass = float(_normal_mass(za, zb, anchor))
             if not mass > 0:
                 raise ValueError("truncated_normal requires representable "
                                  "mass on [lo, hi)")
@@ -107,20 +112,22 @@ def _float_if_0d(out):
 
 
 def _anchor(za):
-    """The standard normal mass beyond za: above it when za >= 0, else below.
+    """The standard normal mass beyond za: above it where za >= 0, else below.
 
-    Taken from the tail on za's side, where it does not cancel.
+    Elementwise; taken from the tail on za's side, where it does not cancel.
     """
-    return ndtr(-za) if za >= 0 else ndtr(za)
+    return ndtr(np.where(za >= 0, -za, za))
 
 
 def _normal_mass(za, zb, anchor):
-    """P(za <= Z < zb) for standard normal Z, vectorized in zb.
+    """P(za <= Z < zb) for standard normal Z, elementwise.
 
-    anchor is _anchor(za). From the upper tail when za >= 0, where
+    anchor is _anchor(za). From the upper tail where za >= 0, where
     ndtr(zb) - ndtr(za) cancels.
     """
-    return anchor - ndtr(-zb) if za >= 0 else ndtr(zb) - anchor
+    upper = za >= 0
+    tail = ndtr(np.where(upper, -zb, zb))
+    return np.where(upper, anchor - tail, tail - anchor)
 
 
 def cdf(factor, x):
@@ -164,39 +171,60 @@ def pdf(factor, x):
     return _float_if_0d(out)
 
 
-def cell_probability(factor, a, b):
-    """P(a <= X < b): 1 or 0 for a constant, else cdf(b) - cdf(a)."""
-    if not a < b:
+def _cell_masses(factor, bp):
+    """P(a <= X < b) for each cell [a, b) of the breakpoint array bp."""
+    a, b = bp[:-1], bp[1:]
+    if not (a < b).all():
         raise ValueError("cell requires a < b")
     if factor.is_constant:
-        return 1.0 if a <= factor.params[0] < b else 0.0
-    return max(cdf(factor, b) - cdf(factor, a), 0.0)
+        v = factor.params[0]
+        return np.where((a <= v) & (v < b), 1.0, 0.0)
+    d = np.diff(cdf(factor, bp))
+    # max(d, 0.0) as Python computes it, which keeps a -0.0
+    return np.where(d < 0.0, 0.0, d)
+
+
+def _cell_means(factor, bp, masses):
+    """E[X | a <= X < b] for each cell [a, b) of bp, given their masses.
+
+    Cells of mass zero get their midpoint.
+    """
+    a, b = bp[:-1], bp[1:]
+    if factor.is_constant:
+        inside = factor.params[0]
+    else:
+        lo, hi = factor.support
+        ca, cb = np.maximum(a, lo), np.minimum(b, hi)
+        if factor.kind == "uniform":
+            inside = 0.5 * (ca + cb)
+        else:
+            mu, sigma, za, zb, mass = factor._tn
+            zca = np.maximum((ca - mu) / sigma, za)
+            zcb = np.minimum((cb - mu) / sigma, zb)
+            phi_a = np.exp(-0.5 * zca * zca) / _SQRT_2PI
+            phi_b = np.exp(-0.5 * zcb * zcb) / _SQRT_2PI
+            # a zero-mass cell may divide 0 by 0; it takes the midpoint
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inside = mu + sigma * (phi_a - phi_b) / _normal_mass(
+                    zca, zcb, _anchor(zca))
+    return np.where(masses == 0.0, 0.5 * (a + b), inside)
+
+
+def cell_probability(factor, a, b):
+    """P(a <= X < b): 1 or 0 for a constant, else cdf(b) - cdf(a)."""
+    return float(_cell_masses(factor, np.array([a, b], dtype=float))[0])
 
 
 def cell_conditional_mean(factor, a, b):
     """E[X | X in [a, b)]; cells of probability zero get the midpoint."""
-    if not a < b:
-        raise ValueError("cell requires a < b")
-    if cell_probability(factor, a, b) == 0.0:
-        return 0.5 * (a + b)
-    if factor.is_constant:
-        return factor.params[0]
-    lo, hi = factor.support
-    ca, cb = max(a, lo), min(b, hi)
-    if factor.kind == "uniform":
-        return 0.5 * (ca + cb)
-    mu, sigma, za, zb, mass = factor._tn
-    zca = max((ca - mu) / sigma, za)
-    zcb = min((cb - mu) / sigma, zb)
-    phi_a = np.exp(-0.5 * zca * zca) / _SQRT_2PI
-    phi_b = np.exp(-0.5 * zcb * zcb) / _SQRT_2PI
-    return mu + sigma * (phi_a - phi_b) / _normal_mass(zca, zcb, _anchor(zca))
+    bp = np.array([a, b], dtype=float)
+    return float(_cell_means(factor, bp, _cell_masses(factor, bp))[0])
 
 
 def ppf(factor, u):
     """Inverse CDF; vectorized in u over [0, 1]."""
     u = np.asarray(u, dtype=float)
-    if np.any((u < 0.0) | (u > 1.0)):
+    if not ((u >= 0) & (u <= 1)).all():
         raise ValueError("ppf argument must lie in [0, 1]")
     if factor.kind == "constant":
         out = np.full_like(u, factor.params[0])
@@ -263,8 +291,8 @@ def make_partition(factor, n_cells, representative_rule="lower_endpoint"):
     zero and never contribute to aggregates). Constants always yield
     the single-cell partition regardless of n_cells.
     """
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
+    if not (isinstance(n_cells, (int, np.integer)) and n_cells >= 1):
+        raise ValueError("n_cells must be an integer >= 1")
     if representative_rule not in REPRESENTATIVE_RULES:
         raise ValueError(f"unknown representative rule {representative_rule!r}")
     if factor.is_constant:
@@ -273,13 +301,11 @@ def make_partition(factor, n_cells, representative_rule="lower_endpoint"):
     lo, hi = factor.support
     bp = np.linspace(lo, hi, n_cells + 1)
     bp[0], bp[-1] = lo, hi
-    probs = np.diff(cdf(factor, bp))
-    np.maximum(probs, 0.0, out=probs)
+    probs = _cell_masses(factor, bp)
     if representative_rule == "lower_endpoint":
         reps = bp[:-1].copy()
     elif representative_rule == "midpoint":
         reps = 0.5 * (bp[:-1] + bp[1:])
     else:
-        reps = np.array([cell_conditional_mean(factor, bp[i], bp[i + 1])
-                         for i in range(n_cells)])
+        reps = _cell_means(factor, bp, probs)
     return Partition1D(bp, reps, probs)

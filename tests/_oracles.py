@@ -5,10 +5,11 @@ Gauss-Legendre quadrature, central differences, brute-force active-set
 enumeration, a one-problem extragradient loop, and best-response
 iteration written with the math module.
 None of it uses the package under test, so agreement between the two
-is meaningful evidence. The one exception is the executable spec of the
-grid sweep at the end: it pins the sweep's cell order, seed rule and
-fold order, so it solves and folds each cell with the package's own
-one-column solver and moment accumulator.
+is meaningful evidence; the spec of the cell masses and means reads a
+factor's kind and params, nothing else. The one exception is the
+executable spec of the grid sweep at the end: it pins the sweep's cell
+order, seed rule and fold order, so it solves and folds each cell with
+the package's own one-column solver and moment accumulator.
 
 FROZEN_* constants were produced by the functions in this file; tests
 assert both that the oracle still reproduces them (guards environment

@@ -73,13 +73,6 @@ def cells(bp):
     return list(zip(bp[:-1].tolist(), bp[1:].tolist()))
 
 
-def test_the_factors_cover_zero_mass_cells_and_both_sides_of_mu():
-    za = [f.params[2] - f.params[0] for f in FACTORS if f.kind != "uniform"]
-    assert min(za) < -10.0 and max(za) > 8.0
-    part = make_partition(TN(0.0, 0.01, -1.0, 1.0), 100)
-    assert (part.probabilities == 0.0).sum() > 50
-
-
 @pytest.mark.parametrize("rule", ["lower_endpoint", "midpoint",
                                   "conditional_mean"])
 def test_make_partition_matches_the_per_cell_spec(rule):

@@ -168,6 +168,27 @@ def test_ppf_inverts_cdf():
     assert ppf(tn_r(), 1.0) == hi
 
 
+def test_ppf_refuses_nan_for_every_kind():
+    for f in (RandomFactor.constant(3.0), RandomFactor.uniform(0.0, 1.0),
+              tn_r()):
+        for u in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                ppf(f, u)
+        assert ppf(f, [0.0, 1.0]).shape == (2,)
+
+
+def test_make_partition_needs_an_integer_cell_count():
+    f = tn_r()
+    for n in (2.0, np.float64(2.0), 2.5, "2", None):
+        with pytest.raises(ValueError, match="integer"):
+            make_partition(f, n)
+    for n in (0, np.int64(0), -3):
+        with pytest.raises(ValueError, match=">= 1"):
+            make_partition(f, n)
+    assert make_partition(f, np.int64(3)).n_cells == 3
+    assert make_partition(RandomFactor.constant(1.0), np.int64(3)).n_cells == 1
+
+
 def test_make_partition_breakpoints_and_weights():
     part = make_partition(tn_r(), 4)
     assert part.n_cells == 4
