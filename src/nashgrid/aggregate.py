@@ -7,6 +7,9 @@ accumulators in one canonical order at the end into the MomentReport,
 so results are reproducible to full precision. Values come firm-major,
 (k, dim) + lead, with a sweep's blocks on the last axis, so each step
 runs over the blocks. Stored per-cell arrays are never summed again.
+RunningMoments.folded_in_child moves an accumulator's steps, in the
+same order, to a forked child process, so the caller can go on working
+while they run.
 
 Every CSV output of the package (summary, ladder, oracle and cell dump)
 is written by write_csv, with floats in one format, _fmt's repr.
@@ -14,6 +17,8 @@ is written by write_csv, with floats in one format, _fmt's repr.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +67,8 @@ class RunningMoments:
         self.total = np.zeros((1 + 2 * self.dim,) + lead)
         self.comp = np.zeros((1 + 2 * self.dim,) + lead)
         self._work = np.empty((3,) + self.total.shape)
+        # the ring of folded_in_child while its block runs
+        self._child = None
 
     def add(self, weight, values):
         """Fold k weighted observations per accumulator, in order.
@@ -69,22 +76,60 @@ class RunningMoments:
         weight has shape ``(k,) + lead`` and values ``(k, dim) + lead``;
         they are k compensated steps, one per observation. A zero weight
         with finite values is a no-op, so an accumulator can sit out
-        some of the k slots.
+        some of the k slots. Inside folded_in_child the steps run in the
+        child: add checks its arguments, copies them into the ring and
+        returns.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
         if w.ndim != 1 + len(self.lead):
             raise ValueError("weight must have shape (k,) + lead")
+        if self._child is not None:
+            self._child.send(w, x)
+            return
+        shape = np.broadcast_shapes(w[:, None].shape, x.shape)
+        self._fold(w, x, np.empty((shape[0], 1 + 2 * self.dim) + shape[2:]))
+
+    def _fold(self, w, x, terms):
+        """The k compensated steps of add, with terms as their buffer."""
         # the terms [w, w*x, w*x*x] of all k slots, built at once
         w = w[:, None]
-        shape = np.broadcast_shapes(w.shape, x.shape)
-        terms = np.empty((shape[0], 1 + 2 * self.dim) + shape[2:])
         wx = terms[:, 1:1 + self.dim]
         terms[:, :1] = w
         np.multiply(w, x, out=wx)
         np.multiply(wx, x, out=terms[:, 1 + self.dim:])
         for term in terms:
             neumaier_add(self.total, self.comp, term, self._work)
+
+    @contextmanager
+    def folded_in_child(self):
+        """Run the compensated steps of the block's adds in a forked child.
+
+        add still checks its arguments in the caller, then copies them
+        into a slot of a small shared ring (a long add takes several)
+        and returns; the caller waits only while every slot is in
+        flight. The child folds the slots in the order they were filled,
+        with add's own steps, so total and comp come out bit for bit as
+        in-process adds would leave them; they are installed when the
+        block ends. If the child fails, the block raises RuntimeError.
+        Without os.fork the adds fold in-process.
+        """
+        if not hasattr(os, "fork"):
+            yield self
+            return
+        # imported on first use (see _forkfold)
+        from ._forkfold import ForkedFold
+        child = ForkedFold(self)
+        self._child = child
+        try:
+            yield self
+        finally:
+            self._child = None
+            status = child.reap()
+        if status != 0:
+            raise RuntimeError("the moment fold's child process failed")
+        np.copyto(self.total, child.sums[0])
+        np.copyto(self.comp, child.sums[1])
 
 
 @dataclass

@@ -351,7 +351,8 @@ def run_config(config, stdout=None):
                          n_alpha=disc.n_alpha, rules=disc.rules_dict())
         return solve_all(config.instance, grid, config.solver,
                          keep_cells=keep_cells,
-                         max_flagged_fraction=run.max_flagged_fraction)
+                         max_flagged_fraction=run.max_flagged_fraction,
+                         parallelism=run.parallelism)
 
     if run.mode == "oracle":
         report = monte_carlo_mean(config.instance, run.n_samples, run.seed,
@@ -398,7 +399,9 @@ def main(argv=None):
     solve.add_argument("--out", help="override run.out_dir")
     solve.add_argument("--threads", type=int,
                        help="override run.parallelism (Monte Carlo chunk "
-                            "threads in oracle mode; grid sweeps ignore it)")
+                            "threads in oracle mode; at 2 or more, grid "
+                            "sweeps fold their moments in one forked child "
+                            "process)")
     solve.add_argument("--dump-config", action="store_true",
                        help="print the normalized config and exit")
     args = parser.parse_args(argv)

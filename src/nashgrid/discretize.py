@@ -21,11 +21,15 @@ solve. Columns of a batch are frozen individually the moment they
 converge and all elementwise arithmetic is position-stable, so each
 cell lands exactly where a single-cell solve from the same seed would,
 whatever the window length; per-block moment accumulators fold each
-chain in order and are merged in canonical block order.
+chain in order and are merged in canonical block order. At parallelism
+2 or more, one forked child process runs those folds while the caller
+goes on seeding, screening and solving; the fold order, and so every
+output bit, is the same.
 """
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 # unused by the sweep; the benchmark tracer (perfbench/trace.py) rebinds it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
@@ -170,7 +174,7 @@ class FlaggedCellsError(RuntimeError):
 
 
 def solve_all(instance, grid, solver_config=None, keep_cells=False,
-              max_flagged_fraction=0.0):
+              max_flagged_fraction=0.0, parallelism=1):
     """Solve every cell problem of the grid.
 
     Cells are organized into one chain per r-cell (an r-block) over the
@@ -198,7 +202,11 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     are decoded by one np.unravel_index over the factors with more than
     one cell. Every kernel call takes a factor with one cell in the grid
     as a scalar (an (m,) vector for bounds and betas) and every other
-    factor per cell.
+    factor per cell. Each round's used cells fold into per-block
+    compensated accumulators, in chain order; at parallelism >= 2 that
+    fold runs in one forked child process
+    (RunningMoments.folded_in_child), in the same order, so the result
+    does not depend on parallelism.
 
     Args:
         instance: the market model.
@@ -208,6 +216,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             cells into the moments (False, the default).
         max_flagged_fraction: tolerated fraction of non-converged cells,
             in [0, 1], before FlaggedCellsError (default: none).
+        parallelism: an integer >= 1; at 2 or more the moment fold runs
+            in one forked child process. Never changes the results.
 
     Returns:
         StepSolution; its report carries the weighted moments.
@@ -217,6 +227,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     # the ``not`` form refuses NaN as well
     if not 0.0 <= max_flagged_fraction <= 1.0:
         raise ValueError("max_flagged_fraction must lie in [0, 1]")
+    if not (isinstance(parallelism, (int, np.integer)) and parallelism >= 1):
+        raise ValueError("parallelism must be an integer >= 1")
     config = solver_config or SolverConfig()
     n = grid.n_cells
     if n > CELL_CAP:
@@ -299,6 +311,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             "iterations": np.empty(n, dtype=np.int64)} if keep_cells else {}
 
     acc = RunningMoments(m, lead=(n_blocks,))
+    fold = acc.folded_in_child() if parallelism > 1 else nullcontext()
     flagged = 0
     worst = 0.0
     lost = False
@@ -311,104 +324,108 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
                       (n_blocks, 1))
     offsets = np.arange(_WINDOW_CAP)[:, None]
     grow = 1
-    while blocks.size:
-        na = blocks.size
-        k = max(1, min(grow, _WINDOW_CAP, _WINDOW_CELLS // na))
-        # the window's cells, j-major: cell (j, b) is entry j*na + b; a
-        # window that runs past its chain repeats the chain's last cell,
-        # and only its first `real` cells are cells of the chain
-        real = np.minimum(inner_count - pos, k)
-        ii = np.minimum(pos + offsets[:k], inner_count - 1).ravel()
-        cell_blocks = np.tile(blocks, k)
-        factors, upper, w = cell_factors(ii, cell_blocks)
-        ucol = upper.reshape(m, -1)  # an (m,) vector as one column
+    with fold:
+        while blocks.size:
+            na = blocks.size
+            k = max(1, min(grow, _WINDOW_CAP, _WINDOW_CELLS // na))
+            # the window's cells, j-major: cell (j, b) is entry j*na + b; a
+            # window that runs past its chain repeats the chain's last cell,
+            # and only its first `real` cells are cells of the chain
+            real = np.minimum(inner_count - pos, k)
+            ii = np.minimum(pos + offsets[:k], inner_count - 1).ravel()
+            cell_blocks = np.tile(blocks, k)
+            factors, upper, w = cell_factors(ii, cell_blocks)
+            ucol = upper.reshape(m, -1)  # an (m,) vector as one column
 
-        # chain[2 + j] is window cell j's (m, na) block of seeds, made as
-        # if every earlier cell were accepted at its seed, and clipped as
-        # the solver would clip it: the cell's solution if it is accepted
-        chain = np.empty((k + 2, m, na))
-        chain[0], chain[1] = x0.T, x1.T
-        X = chain[2:]
-        for j in range(k):
-            a0, a1, seed = chain[j], chain[j + 1], X[j]
-            uj = ucol if ucol.shape[1] == 1 else ucol[:, j * na:(j + 1) * na]
-            np.multiply(a1, 2.0, out=seed)
-            np.subtract(seed, a0, out=seed)
-            # np.clip's min(max(x, lower), upper), NaN kept; the forms
-            # differ only at -0.0, which 2*a1 - a0 of values >= +0 is not
-            np.maximum(seed, lower, out=seed)
-            np.minimum(seed, uj, out=seed)
-            if lost:
-                # a frozen non-finite cell must not seed the operator with NaN
-                np.copyto(seed, 0.5 * (lower + uj),
-                          where=~np.isfinite(seed).all(axis=0))
+            # chain[2 + j] is window cell j's (m, na) block of seeds, made as
+            # if every earlier cell were accepted at its seed, and clipped as
+            # the solver would clip it: the cell's solution if it is accepted
+            chain = np.empty((k + 2, m, na))
+            chain[0], chain[1] = x0.T, x1.T
+            X = chain[2:]
+            for j in range(k):
+                a0, a1, seed = chain[j], chain[j + 1], X[j]
+                uj = (ucol if ucol.shape[1] == 1
+                      else ucol[:, j * na:(j + 1) * na])
+                np.multiply(a1, 2.0, out=seed)
+                np.subtract(seed, a0, out=seed)
+                # np.clip's min(max(x, lower), upper), NaN kept; the forms
+                # differ only at -0.0, which 2*a1 - a0 of values >= +0 is not
+                np.maximum(seed, lower, out=seed)
+                np.minimum(seed, uj, out=seed)
+                if lost:
+                    # a frozen non-finite cell must not seed the operator
+                    # with NaN
+                    np.copyto(seed, 0.5 * (lower + uj),
+                              where=~np.isfinite(seed).all(axis=0))
 
-        # screen the window: one operator call for all its cells, on one
-        # (m, k*na) copy of the seeds
-        x = X.transpose(1, 0, 2).reshape(m, k * na)
-        F = evaluate(x, factors)
-        res = residual_rows(x, F, lower, ucol)
-        # a row's accepted run ends at its first miss or its chain's end
-        ok = np.zeros((k + 1, na), dtype=bool)
-        np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
-        run = np.minimum(ok.argmin(axis=0), real)
-        hit = run < real
-        missed = np.flatnonzero(hit)
-        its = np.zeros(k * na, dtype=np.int64)
-        if missed.size:
-            # the misses, solved from their seeds with the screened values
-            # and residuals
-            cells = run[missed] * na + missed
-            out = solve_box_vi_batch(
-                kernel(take(factors, cells), cells.size), lower,
-                upper.take(cells, axis=1) if upper.ndim > 1 else upper,
-                config, x.take(cells, axis=1), values=F.take(cells, axis=1),
-                residuals=res.take(cells))
-            x[:, cells] = out["solutions"]
-            X[run[missed], :, missed] = out["solutions"].T
-            res[cells] = out["residuals"]
-            its[cells] = out["iterations"]
-            if not out["converged"].all():
-                bad = out["residuals"][~out["converged"]]
-                flagged += bad.size
-                lost = lost or not np.isfinite(bad).all()
-                # a non-finite residual must not vanish from the report
-                worst = max(worst, float(
-                    np.where(np.isfinite(bad), bad, np.inf).max()))
+            # screen the window: one operator call for all its cells, on one
+            # (m, k*na) copy of the seeds
+            x = X.transpose(1, 0, 2).reshape(m, k * na)
+            F = evaluate(x, factors)
+            res = residual_rows(x, F, lower, ucol)
+            # a row's accepted run ends at its first miss or its chain's end
+            ok = np.zeros((k + 1, na), dtype=bool)
+            np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
+            run = np.minimum(ok.argmin(axis=0), real)
+            hit = run < real
+            missed = np.flatnonzero(hit)
+            its = np.zeros(k * na, dtype=np.int64)
+            if missed.size:
+                # the misses, solved from their seeds with the screened values
+                # and residuals
+                cells = run[missed] * na + missed
+                out = solve_box_vi_batch(
+                    kernel(take(factors, cells), cells.size), lower,
+                    upper.take(cells, axis=1) if upper.ndim > 1 else upper,
+                    config, x.take(cells, axis=1),
+                    values=F.take(cells, axis=1), residuals=res.take(cells))
+                x[:, cells] = out["solutions"]
+                X[run[missed], :, missed] = out["solutions"].T
+                res[cells] = out["residuals"]
+                its[cells] = out["iterations"]
+                if not out["converged"].all():
+                    bad = out["residuals"][~out["converged"]]
+                    flagged += bad.size
+                    lost = lost or not np.isfinite(bad).all()
+                    # a non-finite residual must not vanish from the report
+                    worst = max(worst, float(
+                        np.where(np.isfinite(bad), bad, np.inf).max()))
 
-        took = run + hit
-        # fold the used cells; every other slot holds a finite seed and
-        # gets weight zero, which makes its terms no-ops
-        used = offsets[:k] < took
-        kk = int(took.max())
-        wf = np.where(used, w.reshape(k, na), 0.0)[:kk]
-        xf = X[:kk]
-        if na < n_blocks:
-            # finished blocks sit out with zero terms
-            wf_all = np.zeros((kk, n_blocks))
-            xf_all = np.zeros((kk, m, n_blocks))
-            wf_all[:, blocks], xf_all[:, :, blocks] = wf, xf
-            wf, xf = wf_all, xf_all
-        acc.add(wf, xf)
-        if kept:
-            sel = used.ravel()
-            ids = (cell_blocks * inner_count + ii)[sel]
-            for stored, v in zip(kept.values(), (x.T, w, res, its)):
-                stored[ids] = v[sel]
+            took = run + hit
+            # fold the used cells; every other slot holds a finite seed and
+            # gets weight zero, which makes its terms no-ops
+            used = offsets[:k] < took
+            kk = int(took.max())
+            wf = np.where(used, w.reshape(k, na), 0.0)[:kk]
+            xf = X[:kk]
+            if na < n_blocks:
+                # finished blocks sit out with zero terms
+                wf_all = np.zeros((kk, n_blocks))
+                xf_all = np.zeros((kk, m, n_blocks))
+                wf_all[:, blocks], xf_all[:, :, blocks] = wf, xf
+                wf, xf = wf_all, xf_all
+            acc.add(wf, xf)
+            if kept:
+                sel = used.ravel()
+                ids = (cell_blocks * inner_count + ii)[sel]
+                for stored, v in zip(kept.values(), (x.T, w, res, its)):
+                    stored[ids] = v[sel]
 
-        # a block that has solved only its first cell takes that solution
-        # as x0 too; the first round's window is one cell long, so no
-        # window reaches a chain's second cell before this
-        cols = np.arange(na)
-        x0 = chain[np.maximum(took, 2 - pos), :, cols]
-        x1 = chain[took + 1, :, cols]
-        pos = pos + took
-        if np.maximum.reduce(pos) >= inner_count:
-            going = pos < inner_count
-            blocks, pos, x0, x1 = (v[going] for v in (blocks, pos, x0, x1))
-        # twice the (upper) median accepted run
-        run.sort()
-        grow = 2 * int(run[na // 2])
+            # a block that has solved only its first cell takes that solution
+            # as x0 too; the first round's window is one cell long, so no
+            # window reaches a chain's second cell before this
+            cols = np.arange(na)
+            x0 = chain[np.maximum(took, 2 - pos), :, cols]
+            x1 = chain[took + 1, :, cols]
+            pos = pos + took
+            if np.maximum.reduce(pos) >= inner_count:
+                going = pos < inner_count
+                blocks, pos, x0, x1 = (v[going]
+                                       for v in (blocks, pos, x0, x1))
+            # twice the (upper) median accepted run
+            run.sort()
+            grow = 2 * int(run[na // 2])
 
     report = fold_moments(acc)
     if flagged > max_flagged_fraction * n:

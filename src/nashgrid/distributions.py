@@ -187,7 +187,8 @@ def _cell_masses(factor, bp):
 def _cell_means(factor, bp, masses):
     """E[X | a <= X < b] for each cell [a, b) of bp, given their masses.
 
-    Cells of mass zero get their midpoint.
+    Cells of mass zero get their midpoint; a mean is clamped into the
+    part of its cell inside the support.
     """
     a, b = bp[:-1], bp[1:]
     if factor.is_constant:
@@ -207,6 +208,9 @@ def _cell_means(factor, bp, masses):
             with np.errstate(divide="ignore", invalid="ignore"):
                 inside = mu + sigma * (phi_a - phi_b) / _normal_mass(
                     zca, zcb, _anchor(zca))
+            # rounding, or a subnormal mass, can put the quotient outside
+            # the cell
+            inside = np.minimum(np.maximum(inside, ca), cb)
     return np.where(masses == 0.0, 0.5 * (a + b), inside)
 
 

@@ -144,8 +144,11 @@ def spec_cell_conditional_mean(factor, a, b):
     zcb = min((cb - mu) / sigma, zb)
     phi_a = np.exp(-0.5 * zca * zca) / _SPEC_SQRT_2PI
     phi_b = np.exp(-0.5 * zcb * zcb) / _SPEC_SQRT_2PI
-    return mu + sigma * (phi_a - phi_b) / _spec_normal_mass(
+    mean = mu + sigma * (phi_a - phi_b) / _spec_normal_mass(
         zca, zcb, _spec_anchor(zca))
+    # clamped into the cell's part of the support, which rounding or a
+    # subnormal mass can leave
+    return min(max(mean, ca), cb)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from nashgrid.cli import load_config, run_config
 from nashgrid.oracle import CHUNK_SIZE
 
 import _oracles as o
-from conftest import five_firm_instance, randomized_instance
+from conftest import (assert_no_child_left, five_firm_instance,
+                      randomized_instance)
 
 # reference values for this market configuration
 GOLDEN_DETERMINISTIC = (36.937, 41.817, 43.706, 42.659, 39.179)
@@ -255,9 +256,10 @@ def test_criterion_08_solver_matches_active_set_oracle():
 
 
 def test_criterion_09_worker_counts_agree(tmp_path):
-    # Threads remain only in the Monte Carlo oracle's chunk pool; the grid
-    # sweep runs in the calling thread and the reference-chain test in
-    # test_discretize.py pins it bit for bit.
+    # parallelism is the Monte Carlo oracle's chunk thread count. A grid
+    # sweep runs in the calling thread; at parallelism >= 2 one forked
+    # child folds its moments in the same order, and the grid tests below
+    # hold its outputs to the bytes of parallelism 1.
     base = load_config(ROOT / "configs" / "monte_carlo.json")
     written = []
     for workers in (1, 2, 3):
@@ -269,6 +271,44 @@ def test_criterion_09_worker_counts_agree(tmp_path):
         written.append((out / "oracle.csv").read_bytes())
     assert written[1] == written[0]
     assert written[2] == written[0]
+
+
+# (config, discretization overrides, run overrides, output file)
+GRID_OUTPUTS = [
+    ("expectation_grid_small.json", {}, {}, "summary.csv"),
+    ("expectation_grid_small.json", {"n_r": 10, "n_s": 300},
+     {"dump_cells": True}, "cells.csv"),
+    ("refinement_ladder.json", {}, {}, "ladder.csv"),
+]
+
+
+@pytest.mark.parametrize("name, grid, run, output", GRID_OUTPUTS,
+                         ids=[p[3] for p in GRID_OUTPUTS])
+def test_grid_outputs_agree_across_worker_counts(tmp_path, name, grid, run,
+                                                 output):
+    base = load_config(ROOT / "configs" / name)
+    written = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}"
+        config = replace(
+            base, discretization=replace(base.discretization, **grid),
+            run=replace(base.run, parallelism=workers, out_dir=str(out),
+                        **run))
+        assert run_config(config, stdout=io.StringIO()) == 0
+        written.append((out / output).read_bytes())
+    assert written[1] == written[0]
+    assert written[2] == written[0]
+    assert_no_child_left()
+
+
+def test_pinned_sweep_is_the_same_at_parallelism_two(run_200_20000):
+    inst = randomized_instance()
+    got = solve_all(inst, make_grid(inst, n_r=200, n_s=20000), SOLVER,
+                    parallelism=2)
+    for key in ("mean", "second_moment", "variance", "total_weight"):
+        assert (np.asarray(getattr(got.report, key)).tobytes()
+                == np.asarray(getattr(run_200_20000.report, key)).tobytes())
+    assert got.flagged_cells == run_200_20000.flagged_cells == 0
 
 
 def test_pinned_expectation_regression(run_200_20000):

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from nashgrid import ConvergenceRow, MomentReport
+from nashgrid import ConvergenceRow, MomentReport, _forkfold, aggregate
 from nashgrid.aggregate import (RunningMoments, convergence_report,
                                 fold_moments, neumaier_add,
                                 write_summary_csv, write_convergence_csv)
+
+from conftest import assert_no_child_left, fails_if_it_hangs
 
 
 def test_compensated_add_survives_cancellation():
@@ -141,6 +143,83 @@ def test_add_refuses_an_unstacked_observation():
         with pytest.raises(ValueError, match="weight must have shape"):
             acc.add(w, x)
     assert not acc.total.any() and not acc.comp.any()
+
+
+def _random_adds(rng, lead, dim):
+    """Adds of 0 to 7 observations, a NaN and zero weights among them."""
+    adds = []
+    for k in (3, 7, 1, 0, 5, 2, 6, 4):
+        w = rng.random((k,) + lead) * np.logspace(-6, 6, lead[-1])
+        w[rng.random(w.shape) < 0.3] = 0.0
+        x = rng.standard_normal((k, dim) + lead) * 40.0
+        adds.append((w, x))
+    adds[4][1][2, 1, 0, 3] = np.nan
+    # one add whose values broadcast over the accumulators
+    adds.append((rng.random((3,) + lead), rng.standard_normal((3, dim, 1, 1))))
+    return adds
+
+
+@pytest.mark.parametrize("rows, slots", [(8, 4), (2, 2), (1, 1)])
+def test_a_fold_in_a_child_equals_the_fold_in_process_bitwise(monkeypatch,
+                                                               rows, slots):
+    # rows and slots below an add's k split it over several slots and
+    # make the caller wait for the child
+    monkeypatch.setattr(_forkfold, "ROWS", rows)
+    monkeypatch.setattr(_forkfold, "SLOTS", slots)
+    rng = np.random.default_rng(17)
+    lead, dim = (3, 4), 2
+    adds = _random_adds(rng, lead, dim)
+    here = RunningMoments(dim, lead=lead)
+    there = RunningMoments(dim, lead=lead)
+    start = rng.standard_normal(here.total.shape)
+    for acc in (here, there):
+        acc.total[...] = start
+    for w, x in adds:
+        here.add(w, x)
+    with fails_if_it_hangs():
+        with there.folded_in_child():
+            for w, x in adds:
+                there.add(w, x)
+            with pytest.raises(ValueError, match="weight must have shape"):
+                there.add(np.ones(3), np.ones((3, dim)))
+    assert there.total.tobytes() == here.total.tobytes()
+    assert there.comp.tobytes() == here.comp.tobytes()
+    assert np.isnan(there.total[[2, 4], 0, 3]).all()
+    assert_no_child_left()
+    # the accumulator folds in-process again after the block
+    for acc in (here, there):
+        acc.add(*adds[0])
+    assert there.total.tobytes() == here.total.tobytes()
+
+
+def test_a_failing_fold_in_the_child_raises_in_the_caller(monkeypatch):
+    def broken(*args):
+        raise FloatingPointError("a fold step failed")
+
+    # the child is forked inside the block, so it inherits the patch
+    monkeypatch.setattr(aggregate, "neumaier_add", broken)
+    monkeypatch.setattr(_forkfold, "ROWS", 1)
+    monkeypatch.setattr(_forkfold, "SLOTS", 2)
+    acc = RunningMoments(2, lead=(3,))
+    with fails_if_it_hangs():
+        for n_adds in (1, 50):
+            with pytest.raises(RuntimeError, match="child process"):
+                with acc.folded_in_child():
+                    for _ in range(n_adds):
+                        acc.add(np.ones((2, 3)), np.ones((2, 2, 3)))
+            assert_no_child_left()
+    assert not acc.total.any() and not acc.comp.any()
+
+
+def test_an_error_in_the_block_leaves_no_child():
+    acc = RunningMoments(1)
+    with fails_if_it_hangs():
+        with pytest.raises(KeyError):
+            with acc.folded_in_child():
+                acc.add([0.5], [[2.0]])
+                raise KeyError("in the block")
+    assert_no_child_left()
+    assert not acc.total.any()
 
 
 def test_fold_moments_is_order_invariant_to_tolerance():

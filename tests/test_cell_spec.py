@@ -93,6 +93,20 @@ def test_make_partition_matches_the_per_cell_spec(rule):
             assert_same_bits(part.representatives, want)
 
 
+def test_a_subnormal_cell_mass_keeps_its_mean_inside_the_cell():
+    # at z = -37.7 the cell [-0.377, -0.3765) has mass 1.6e-310, and the
+    # closed form's quotient of two subnormal differences is -0.3195,
+    # outside the cell; clamped, it is the cell's upper end
+    f = TN(0.0, 0.01, -1.0, 1.0)
+    part = make_partition(f, 4000, "conditional_mean")
+    bp, reps = part.breakpoints, part.representatives
+    assert ((bp[:-1] <= reps) & (reps <= bp[1:])).all()
+    assert 0.0 < part.probabilities[1246] < np.finfo(float).tiny
+    assert reps[1246] == bp[1247]
+    assert_same_bits(reps, [o.spec_cell_conditional_mean(f, a, b)
+                            for a, b in cells(bp)])
+
+
 def probe_cells(f, rng):
     """Cells of f's 7-cell partition, and cells partly or wholly outside
     its support, ending at signed zeros, or one ulp wide."""

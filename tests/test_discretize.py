@@ -11,12 +11,14 @@ from nashgrid import (BoxSet, CournotInstance, FirmParams, FlaggedCellsError,
                       discretize, expectation, make_grid, make_partition,
                       mean_truncation, natural_residual, operator_eval,
                       solve_all, solve_vi, write_cells_csv)
-from nashgrid import cournot
+from nashgrid import aggregate, cournot
 from nashgrid.cli import load_config, parse_config
 
 import _oracles as o
 from _oracles import cell_operator, grid_cells
-from conftest import five_firm_instance, nine_firm_config, randomized_instance
+from conftest import (assert_no_child_left, fails_if_it_hangs,
+                      five_firm_instance, nine_firm_config,
+                      randomized_instance)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -422,9 +424,70 @@ def test_sweep_matches_its_executable_spec(monkeypatch, inst, counts, cfg,
         op = poisoned_operator(g, *poison)
         monkeypatch.setattr(discretize, "operator_eval", op)
         monkeypatch.setattr(cournot, "operator_eval", op)
-    got = solve_all(inst, g, cfg, keep_cells=True, max_flagged_fraction=1.0)
-    assert_same_sweep(got, o.reference_sweep(inst, g, cfg))
-    assert got.flagged_cells == (1 if poison else 0)
+    want = o.reference_sweep(inst, g, cfg)
+    # at 2 a forked child folds the moments
+    for parallelism in (1, 2):
+        got = solve_all(inst, g, cfg, keep_cells=True,
+                        max_flagged_fraction=1.0, parallelism=parallelism)
+        assert_same_sweep(got, want)
+        assert got.flagged_cells == (1 if poison else 0)
+
+
+def test_solve_all_needs_an_integer_parallelism():
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=2, n_s=3)
+    for bad in (0, -2, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError,
+                           match="parallelism must be an integer >= 1"):
+            solve_all(inst, g, parallelism=bad)
+    want = solve_all(inst, g, keep_cells=True)
+    assert_same_sweep(solve_all(inst, g, keep_cells=True,
+                                parallelism=np.int64(2)), want)
+    assert_no_child_left()
+
+
+def test_an_operator_error_at_parallelism_two_leaves_no_child(monkeypatch):
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=3, n_s=400)
+    real = discretize.operator_eval
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 50:
+            raise ZeroDivisionError("the operator failed mid-sweep")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(discretize, "operator_eval", failing)
+    with fails_if_it_hangs():
+        with pytest.raises(ZeroDivisionError, match="mid-sweep"):
+            solve_all(inst, g, SolverConfig(initial_step=1.4), parallelism=2)
+    assert_no_child_left()
+
+
+def test_flagged_cells_at_parallelism_two_leave_no_child():
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=2, n_s=2)
+    starved = SolverConfig(max_iterations=1, initial_step=1e-9)
+    with fails_if_it_hangs():
+        with pytest.raises(FlaggedCellsError) as err:
+            solve_all(inst, g, starved, parallelism=2)
+    assert err.value.flagged == 4
+    assert_no_child_left()
+
+
+def test_a_fold_error_in_the_child_raises_runtime_error(monkeypatch):
+    def broken(*args):
+        raise FloatingPointError("a fold step failed")
+
+    # the fold's child is forked inside solve_all and inherits the patch
+    monkeypatch.setattr(aggregate, "neumaier_add", broken)
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=3, n_s=400)
+    with fails_if_it_hangs():
+        with pytest.raises(RuntimeError, match="child process"):
+            solve_all(inst, g, SolverConfig(initial_step=1.4), parallelism=2)
+    assert_no_child_left()
 
 
 def test_cells_csv_round_trip(tmp_path, monkeypatch):
