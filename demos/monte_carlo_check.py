@@ -37,7 +37,7 @@ def main():
     print("  ", "  ".join(f"{v:.4f}" for v in report.mean))
 
     mc = monte_carlo_mean(market, n_samples=4096, seed=1,
-                          solver_config=solver, parallelism=2)
+                          solver_config=solver)
     print(f"\nmonte carlo estimate ({mc.n_samples} draws, "
           f"{mc.failed_solves} failed solves):")
     print("  ", "  ".join(f"{v:.4f}" for v in mc.mean))

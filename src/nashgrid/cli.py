@@ -356,7 +356,7 @@ def run_config(config, stdout=None):
 
     if run.mode == "oracle":
         report = monte_carlo_mean(config.instance, run.n_samples, run.seed,
-                                  config.solver, parallelism=run.parallelism)
+                                  config.solver)
         path = write_oracle_csv(report, out_path("oracle.csv"))
         _print_mean(f"sample mean over {report.n_samples} draws", report.mean,
                     stdout)
@@ -398,10 +398,9 @@ def main(argv=None):
     solve.add_argument("--mode", choices=MODES, help="override run.mode")
     solve.add_argument("--out", help="override run.out_dir")
     solve.add_argument("--threads", type=int,
-                       help="override run.parallelism (Monte Carlo chunk "
-                            "threads in oracle mode; at 2 or more, grid "
+                       help="override run.parallelism (at 2 or more, grid "
                             "sweeps fold their moments in one forked child "
-                            "process)")
+                            "process; no effect in oracle mode)")
     solve.add_argument("--dump-config", action="store_true",
                        help="print the normalized config and exit")
     args = parser.parse_args(argv)

@@ -17,13 +17,13 @@ mean depends on the iteration path, not only on the tolerance.
 
 Sampling is counter-based: sample i lives in chunk i // 4096, and each
 chunk draws from its own Philox stream keyed by (seed, chunk index).
-A chunk's samples are therefore a pure function of the seed, so the
-report is bit-identical across runs and worker counts.
+A chunk's samples are therefore a pure function of the seed, and the
+chunks run one after another in the calling thread, their sums merged in
+chunk order, so the report is bit-identical across runs.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +51,7 @@ def _chunk_rng(seed, chunk):
     return np.random.Generator(np.random.Philox(key=seed).jumped(chunk))
 
 
-def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
-                     parallelism=1):
+def monte_carlo_mean(instance, n_samples, seed, solver_config=None):
     """Estimate E(u) by sample averaging over factor draws.
 
     Args:
@@ -60,8 +59,6 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
         n_samples: number of i.i.d. factor realizations, an integer >= 1.
         seed: integer in [0, 2**128) keying the sample stream.
         solver_config: SolverConfig for the per-sample solves.
-        parallelism: worker threads for the chunks, an integer >= 1;
-            never changes the results.
 
     Returns:
         OracleReport. standard_error is sample stddev / sqrt(n);
@@ -74,8 +71,6 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
     # refused, not cut to an int: a float seed, and keys Philox refuses
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2 ** 128):
         raise ValueError("seed must be an integer in [0, 2**128)")
-    if not (isinstance(parallelism, (int, np.integer)) and parallelism >= 1):
-        raise ValueError("parallelism must be an integer >= 1")
     seed = int(seed)
     config = solver_config or SolverConfig()
     _warm_heap()
@@ -85,9 +80,10 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
     factors = ([instance.r_factor, instance.s_factor]
                + list(f.q_bar for f in instance.firms)
                + list(instance.beta_factors) + [instance.alpha_factor])
-    n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
-
-    def run_chunk(chunk):
+    # chunk partials merge in chunk order as each chunk is done, compensated
+    sums, comp = np.zeros((2, 2, m))
+    failed = 0
+    for chunk in range((n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE):
         nc = min(CHUNK_SIZE, n_samples - chunk * CHUNK_SIZE)
         rng = _chunk_rng(seed, chunk)
         draws = [ppf(fac, rng.random(nc)) for fac in factors]
@@ -113,23 +109,13 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None,
         out = solve_box_vi_batch(op, 0.0, upper, config, seeds=0.5 * upper,
                                  jacobian_batch=jac)
         sols = out["solutions"]
-        failed = int(nc - out["converged"].sum())
+        failed += int(nc - out["converged"].sum())
         # a memoryview yields each value as a Python float, which fsum
         # takes faster than numpy scalars or a list of floats built first
-        sums = np.array([[math.fsum(memoryview(row)) for row in v]
-                         for v in (sols, sols ** 2)])
-        return sums, failed
-
-    # map yields in chunk order, so one worker is the serial run
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        results = list(pool.map(run_chunk, range(n_chunks)))
-
-    # merge chunk partials in chunk order, compensated
-    sums, comp = np.zeros((2, 2, m))
-    for chunk_sums, _ in results:
-        neumaier_add(sums, comp, chunk_sums)
+        neumaier_add(sums, comp,
+                     np.array([[math.fsum(memoryview(row)) for row in v]
+                               for v in (sols, sols ** 2)]))
     s1, s2 = sums + comp
-    failed = sum(cf for _, cf in results)
 
     mean = s1 / n_samples
     if n_samples > 1:

@@ -256,10 +256,11 @@ def test_criterion_08_solver_matches_active_set_oracle():
 
 
 def test_criterion_09_worker_counts_agree(tmp_path):
-    # parallelism is the Monte Carlo oracle's chunk thread count. A grid
-    # sweep runs in the calling thread; at parallelism >= 2 one forked
-    # child folds its moments in the same order, and the grid tests below
-    # hold its outputs to the bytes of parallelism 1.
+    # the oracle runs its chunks in the calling thread whatever the
+    # parallelism, which the CLI still accepts in oracle mode. A grid
+    # sweep also runs in the calling thread; at parallelism >= 2 one
+    # forked child folds its moments in the same order, and the grid
+    # tests below hold its outputs to the bytes of parallelism 1.
     base = load_config(ROOT / "configs" / "monte_carlo.json")
     written = []
     for workers in (1, 2, 3):

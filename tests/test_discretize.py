@@ -1,5 +1,7 @@
 import csv
+import errno
 import math
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -488,6 +490,40 @@ def test_a_fold_error_in_the_child_raises_runtime_error(monkeypatch):
         with pytest.raises(RuntimeError, match="child process"):
             solve_all(inst, g, SolverConfig(initial_step=1.4), parallelism=2)
     assert_no_child_left()
+
+
+def test_without_fork_parallelism_two_folds_in_process(monkeypatch):
+    # where os has no fork, folded_in_child folds in the calling process
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=3, n_s=40)
+    want = solve_all(inst, g, keep_cells=True)
+    monkeypatch.delattr(os, "fork")
+    assert_same_sweep(solve_all(inst, g, keep_cells=True, parallelism=2),
+                      want)
+
+
+def test_a_failed_fork_raises_and_closes_every_pipe_end(monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "no process to spare")
+
+    pipes = []
+    real_pipe = os.pipe
+
+    def pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=2, n_s=3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "pipe", pipe)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError) as err:
+        solve_all(inst, g, parallelism=2)
+    assert err.value.errno == errno.EAGAIN
+    # the token and the ack pipe were both made, and all four ends closed
+    assert len(pipes) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
 
 
 def test_cells_csv_round_trip(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -110,13 +111,21 @@ def test_same_seed_reproduces_bitwise():
     assert a.standard_error.tolist() == b.standard_error.tolist()
 
 
-def test_worker_counts_do_not_change_the_estimate():
-    inst = randomized_instance()
-    one = monte_carlo_mean(inst, 3 * CHUNK_SIZE, seed=7, parallelism=1)
-    two = monte_carlo_mean(inst, 3 * CHUNK_SIZE, seed=7, parallelism=2)
-    three = monte_carlo_mean(inst, 3 * CHUNK_SIZE, seed=7, parallelism=3)
-    assert one.mean.tolist() == two.mean.tolist() == three.mean.tolist()
-    assert one.standard_error.tolist() == two.standard_error.tolist()
+def test_chunks_run_in_the_calling_thread(monkeypatch):
+    # the oracle starts no thread: every kernel call of a three-chunk
+    # run happens in the thread that called monte_carlo_mean
+    idents = []
+    real = oracle.operator_eval_sampled
+
+    def recording(*args):
+        idents.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "operator_eval_sampled", recording)
+    rep = monte_carlo_mean(randomized_instance(), 3 * CHUNK_SIZE, seed=7)
+    assert rep.failed_solves == 0
+    assert len(idents) >= 3
+    assert set(idents) == {threading.get_ident()}
 
 
 def test_different_seeds_differ():
@@ -160,12 +169,8 @@ def test_validation():
     for seed in (-1, -0.5, 1.5, 2.0, 2 ** 128):
         with pytest.raises(ValueError, match="seed must be an integer"):
             monte_carlo_mean(inst, 10, seed=seed)
-    for parallelism in (0, 1.5):
-        with pytest.raises(ValueError, match="parallelism must be an integer"):
-            monte_carlo_mean(inst, 10, seed=0, parallelism=parallelism)
     # numpy integers are integers, and the top of the key range runs
-    rep = monte_carlo_mean(inst, 10, seed=np.uint64(3),
-                           parallelism=np.int64(2))
+    rep = monte_carlo_mean(inst, 10, seed=np.uint64(3))
     assert rep.seed == 3 and type(rep.seed) is int
     assert monte_carlo_mean(inst, 10, seed=2 ** 128 - 1).seed == 2 ** 128 - 1
 
