@@ -252,6 +252,14 @@ def operator_eval_sampled(instance, q, r, s, beta, alpha):
                          alpha)
 
 
+def _price_slopes(instance, q, s):
+    """-p'(Q) = a s^a/(Q+e)^{a+1} and p''(Q) at q, (m,) or (m, B)."""
+    a = instance.a
+    Qe = _sum_firms(q) + instance.e
+    g = a * np.asarray(s, dtype=float) ** a / Qe ** (a + 1.0)
+    return g, (a + 1.0) * g / Qe
+
+
 def operator_jacobian(instance, q, r, s, beta=None, alpha=0.0):
     """Closed-form Jacobian dF/dq of operator_eval as J = diag(diag) + col 1^T.
 
@@ -269,10 +277,7 @@ def operator_jacobian(instance, q, r, s, beta=None, alpha=0.0):
         (diag, col), each with the shape operator_eval returns.
     """
     q, beta, point = _checked(instance, q, s, beta, r, alpha)
-    a = instance.a
-    Qe = _sum_firms(q) + instance.e
-    g = a * np.asarray(s, dtype=float) ** a / Qe ** (a + 1.0)
-    h = (a + 1.0) * g / Qe
+    g, h = _price_slopes(instance, q, s)
     with np.errstate(divide="ignore"):
         slope = np.power(q, instance._inv_b - 1.0)
     d = beta * instance._cost_scale * instance._inv_b * slope
@@ -310,10 +315,7 @@ def jacobian_form_test(instance, q_point, h, s):
         raise ValueError("quantities must be >= 0")
     if not s > 0:
         raise ValueError("price scale s must be > 0")
-    a = instance.a
-    sa = s ** a
-    Qe = float(_sum_firms(q)) + instance.e
-    p1 = -a * sa / Qe ** (a + 1.0)
-    p2 = a * (a + 1.0) * sa / Qe ** (a + 2.0)
+    slope, curvature = _price_slopes(instance, q, s)
     sh = float(h.sum())
-    return float(-p1 * (sh * sh + float(h @ h)) - p2 * float(q @ h) * sh)
+    return float(slope * (sh * sh + float(h @ h))
+                 - curvature * float(q @ h) * sh)

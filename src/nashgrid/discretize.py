@@ -40,7 +40,7 @@ import numpy as np
 from .aggregate import RunningMoments, _fmt, fold_moments, write_csv
 from .cournot import operator_eval
 from .distributions import Partition1D, _cell_masses, make_partition, pdf
-from .vi import (SolverConfig, _warm_heap, residual_rows,
+from .vi import (SolverConfig, _columns, _warm_heap, frozen, residual_rows,
                  solve_box_vi_batch)
 
 # solve_all refuses grids with more cells than this
@@ -201,10 +201,10 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     or natural residual is computed twice. A window's inner cell indices
     are decoded by one np.unravel_index over the factors with more than
     one cell. Every kernel call takes a factor with one cell in the grid
-    as a scalar (an (m,) vector for bounds and betas) and every other
-    factor per cell. Each round's used cells fold into per-block
-    compensated accumulators, in chain order; at parallelism >= 2 that
-    fold runs in one forked child process
+    as a scalar (an (m, 1) column for bounds and betas) and every other
+    factor per cell, as vi._columns reads them. Each round's used cells
+    fold into per-block compensated accumulators, in chain order; at
+    parallelism >= 2 that fold runs in one forked child process
     (RunningMoments.folded_in_child), in the same order, so the result
     does not depend on parallelism.
 
@@ -256,7 +256,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     # in for the empty shape, which np.unravel_index refuses
     varying_shape = tuple(inner_parts[d].n_cells for d in varying) or (1,)
 
-    # the (m,) vector of a bound or beta group without a varying factor
+    # the (m, 1) column of a bound or beta group without a varying factor
     # is the same in every cell, so it is built once; None marks a group
     # that varies, whose cells come firm-major, as (m, cells)
     groups = [range(1 + g * m, 1 + (g + 1) * m) for g in (0, 1)]
@@ -265,15 +265,15 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         return np.stack(np.broadcast_arrays(*(reps[d] for d in groups[g])))
 
     first_reps = [p.representatives[0] for p in inner_parts]
-    fixed_vectors = [None if any(d in varying for d in groups[g])
-                     else group_vector(first_reps, g) for g in (0, 1)]
+    fixed_columns = [None if any(d in varying for d in groups[g])
+                     else group_vector(first_reps, g)[:, None] for g in (0, 1)]
 
     def cell_factors(ii, blocks):
         """Factors and weights of inner cells ii (1-d) of r-blocks blocks.
 
         Returns operator_eval's factor arguments (r, s, beta, alpha,
         s_pow), the upper bounds and the weights. A factor with one cell
-        in the grid comes as a scalar (an (m,) vector for bounds and
+        in the grid comes as a scalar (an (m, 1) column for bounds and
         betas); every other factor comes as one entry per cell.
         """
         idx = [0] * len(inner_parts)
@@ -284,27 +284,14 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             idx[d] = i
             w = w * inner_parts[d].probabilities[i]
         reps = [p.representatives[i] for p, i in zip(inner_parts, idx)]
-        upper, beta = (group_vector(reps, g) if vec is None else vec
-                       for g, vec in enumerate(fixed_vectors))
+        upper, beta = (group_vector(reps, g) if col is None else col
+                       for g, col in enumerate(fixed_columns))
         return ((r_reps[blocks], reps[0], beta, reps[-1], s_pows[idx[0]]),
                 upper, w)
 
-    def take(factors, cells):
-        """The factors of the given cells; single-cell factors stay whole."""
-        # one cell's r, s, beta, alpha and s_pow have ranks 0, 0, 1, 0, 0
-        return [v[..., cells] if getattr(v, "ndim", 0) > rank else v
-                for v, rank in zip(factors, (0, 0, 1, 0, 0))]
-
-    def evaluate(q, factors):
+    def evaluate(q, r, s, beta, alpha, s_pow):
         """The operator at the points q of cells with the given factors."""
-        r, s, beta, alpha, s_pow = factors
         return operator_eval(instance, q, r, s, beta, alpha, s_pow=s_pow)
-
-    def kernel(factors, n):
-        """The solver's operator on n cells, their factors frozen."""
-        # rows covering all n cells are arange(n): the factors as they are
-        return lambda q, rows: evaluate(
-            q, factors if rows.size == n else take(factors, rows))
 
     kept = {"solutions": np.empty((n, m)), "weights": np.empty(n),
             "residuals": np.empty(n),
@@ -335,7 +322,6 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             ii = np.minimum(pos + offsets[:k], inner_count - 1).ravel()
             cell_blocks = np.tile(blocks, k)
             factors, upper, w = cell_factors(ii, cell_blocks)
-            ucol = upper.reshape(m, -1)  # an (m,) vector as one column
 
             # chain[2 + j] is window cell j's (m, na) block of seeds, made as
             # if every earlier cell were accepted at its seed, and clipped as
@@ -343,10 +329,10 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             chain = np.empty((k + 2, m, na))
             chain[0], chain[1] = x0.T, x1.T
             X = chain[2:]
-            for j in range(k):
-                a0, a1, seed = chain[j], chain[j + 1], X[j]
-                uj = (ucol if ucol.shape[1] == 1
-                      else ucol[:, j * na:(j + 1) * na])
+            # window cell j's (m, na) block of upper bounds, shared or not
+            U = np.broadcast_to(upper, (m, k * na)).reshape(m, k, na)
+            for a0, a1, seed, uj in zip(chain, chain[1:], X,
+                                        U.transpose(1, 0, 2)):
                 np.multiply(a1, 2.0, out=seed)
                 np.subtract(seed, a0, out=seed)
                 # np.clip's min(max(x, lower), upper), NaN kept; the forms
@@ -362,8 +348,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             # screen the window: one operator call for all its cells, on one
             # (m, k*na) copy of the seeds
             x = X.transpose(1, 0, 2).reshape(m, k * na)
-            F = evaluate(x, factors)
-            res = residual_rows(x, F, lower, ucol)
+            F = evaluate(x, *factors)
+            res = residual_rows(x, F, lower, upper)
             # a row's accepted run ends at its first miss or its chain's end
             ok = np.zeros((k + 1, na), dtype=bool)
             np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
@@ -376,8 +362,8 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
                 # and residuals
                 cells = run[missed] * na + missed
                 out = solve_box_vi_batch(
-                    kernel(take(factors, cells), cells.size), lower,
-                    upper.take(cells, axis=1) if upper.ndim > 1 else upper,
+                    frozen(evaluate, [_columns(v, cells) for v in factors],
+                           cells.size), lower, _columns(upper, cells),
                     config, x.take(cells, axis=1),
                     values=F.take(cells, axis=1), residuals=res.take(cells))
                 x[:, cells] = out["solutions"]

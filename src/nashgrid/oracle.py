@@ -31,7 +31,7 @@ import numpy as np
 from .aggregate import _fmt, neumaier_add, write_csv
 from .cournot import operator_eval_sampled, operator_jacobian
 from .distributions import ppf
-from .vi import SolverConfig, _warm_heap, solve_box_vi_batch
+from .vi import SolverConfig, _warm_heap, frozen, solve_box_vi_batch
 
 CHUNK_SIZE = 4096
 
@@ -87,27 +87,16 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None):
         nc = min(CHUNK_SIZE, n_samples - chunk * CHUNK_SIZE)
         rng = _chunk_rng(seed, chunk)
         draws = [ppf(fac, rng.random(nc)) for fac in factors]
-        r = draws[0]
-        s = draws[1]
         upper = np.stack(draws[2:2 + m])
-        beta = np.stack(draws[2 + m:2 + 2 * m])
-        alpha = draws[-1]
-
-        def sampled(rows):
-            """The draws r, s, beta and alpha of the sorted samples rows."""
-            # nc sorted rows are arange(nc): the draws need no gather
-            if rows.size == nc:
-                return r, s, beta, alpha
-            return r[rows], s[rows], beta.take(rows, axis=1), alpha[rows]
-
-        def op(x, rows):
-            return operator_eval_sampled(instance, x, *sampled(rows))
-
-        def jac(x, rows):
-            return operator_jacobian(instance, x, *sampled(rows))
-
-        out = solve_box_vi_batch(op, 0.0, upper, config, seeds=0.5 * upper,
-                                 jacobian_batch=jac)
+        # r, s, beta and alpha, one entry per sample
+        sample = (draws[0], draws[1], np.stack(draws[2 + m:2 + 2 * m]),
+                  draws[-1])
+        out = solve_box_vi_batch(
+            frozen(lambda x, *f: operator_eval_sampled(instance, x, *f),
+                   sample, nc),
+            0.0, upper, config, seeds=0.5 * upper,
+            jacobian_batch=frozen(
+                lambda x, *f: operator_jacobian(instance, x, *f), sample, nc))
         sols = out["solutions"]
         failed += int(nc - out["converged"].sum())
         # a memoryview yields each value as a Python float, which fsum

@@ -243,12 +243,12 @@ def _newton_direction(diag, col, free, rhs):
 
 
 def _take(a, idx):
-    """Columns idx of a, a sorted subset of them: a itself if it has all.
+    """Entries idx of a's last axis, a sorted subset: a itself if it has all.
 
     A sorted subset of arange(n) with n entries is arange(n), so the
     gather would copy a unchanged; the caller must not write into it.
     """
-    return a if idx.size == a.shape[1] else a.take(idx, axis=1)
+    return a if idx.size == a.shape[-1] else a.take(idx, axis=-1)
 
 
 def _put(a, idx, v):
@@ -259,10 +259,26 @@ def _put(a, idx, v):
         a[:, idx] = v
 
 
-def _columns(bound, idx):
-    """Columns idx of a bound that varies per column; others stay whole."""
-    varies = bound.ndim == 2 and bound.shape[1] > 1
-    return _take(bound, idx) if varies else bound
+def _columns(a, idx):
+    """Columns idx of one batch input, by the rule solve_box_vi_batch states.
+
+    So a per-firm input shared by the batch is (m, 1), never (m,).
+    """
+    # getattr, not the slower np.ndim: this runs in every solver iteration
+    return _take(a, idx) if getattr(a, "ndim", 0) and a.shape[-1] > 1 else a
+
+
+def frozen(fn, factors, n):
+    """fn(x, *factors) as a solver operator on n columns, factors frozen.
+
+    Rows covering all n columns are arange(n) and get the factor objects
+    themselves; other rows get each factor's columns by _columns.
+    """
+    def operator(x, rows):
+        if rows.size == n:
+            return fn(x, *factors)
+        return fn(x, *[_columns(v, rows) for v in factors])
+    return operator
 
 
 def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
@@ -322,12 +338,18 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
     operator values and residuals computed for the test are the next
     iteration's. Rows covering all n columns are arange(n), so an
     operator may skip its own gathers when ``rows.size`` is the batch
-    size.
+    size; ``frozen`` builds such an operator.
+
+    One rule, ``_columns``, says which batch inputs follow the columns:
+    the bounds here, and the factors a ``frozen`` operator holds. A
+    scalar, or an array with one entry on its last axis, is shared by
+    every column; any other array has one entry per column on its last
+    axis and is gathered with the rows.
 
     Args:
         operator_batch: callable (x: (m, B), rows: (B,) int) -> (m, B).
-        lower, upper: box bounds, (m,) per firm or broadcastable to
-            (m, n); an (m, 1) bound is never gathered per column.
+        lower, upper: box bounds: a scalar, an (m, 1) column (an (m,)
+            vector is taken as one) or (m, n), one column per VI.
         config: SolverConfig.
         seeds: (m, n) start points, projected onto the box first.
         jacobian_batch: optional callable (x: (m, B), rows: (B,) int)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from nashgrid import SolverConfig, cli
+from nashgrid import SolverConfig, cli, discretize, make_grid, solve_all
 from nashgrid.cli import (BLOCKS, ConfigError, DiscretizationConfig,
                           RunSettings, config_to_json, load_config, main,
                           parse_config)
@@ -558,3 +558,23 @@ def test_cli_transcript_per_mode(tmp_path, capsys, mode):
         if mode == "discretize":
             want.append(f"wrote {out / 'cells.csv'}")
     assert lines == want
+
+
+def test_cell_weights_that_miss_one_fail_the_run(tmp_path, capsys,
+                                               monkeypatch):
+    real_fold = discretize.fold_moments
+
+    def off_by_2e_9(acc):
+        report = real_fold(acc)
+        report.total_weight += 2e-9
+        return report
+
+    monkeypatch.setattr(discretize, "fold_moments", off_by_2e_9)
+    config = parse_config(small_config())
+    grid = make_grid(config.instance, n_r=3, n_s=4)
+    with pytest.raises(RuntimeError,
+                       match=r"^cell weights sum to 1\.00000000\d*, not 1$"):
+        solve_all(config.instance, grid)
+    path = write_config(tmp_path, small_config())
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: cell weights sum to ")

@@ -442,3 +442,18 @@ def test_model_input_checks():
                         s_factor=RandomFactor.constant(5000.0))
     with pytest.raises(ValueError, match="one component per firm"):
         operator_eval(five_firm_instance(), np.ones(3), 0.0, 5000.0)
+
+
+def test_welfare_refuses_q_of_the_wrong_shape():
+    inst = five_firm_instance()
+    for q in (np.ones(4), np.ones((5, 1))):
+        with pytest.raises(ValueError, match="^q must be a vector with one "
+                                             "component per firm$"):
+            welfare(inst, 0, q, 0.0, 5000.0)
+
+
+def test_jacobian_form_test_refuses_q_and_h_of_different_shapes():
+    with pytest.raises(ValueError, match="^q_point and h must be vectors "
+                                         "with one entry per firm$"):
+        jacobian_form_test(five_firm_instance(), np.ones(5), np.ones(4),
+                           5000.0)

@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nashgrid import (BoxSet, CournotInstance, FirmParams, FlaggedCellsError,
-                      RandomFactor, SolverConfig, cell_conditional_mean,
-                      discretize, expectation, make_grid, make_partition,
-                      mean_truncation, natural_residual, operator_eval,
-                      solve_all, solve_vi, write_cells_csv)
+from nashgrid import (BoxSet, CournotInstance, FactorGrid, FirmParams,
+                      FlaggedCellsError, RandomFactor, SolverConfig,
+                      cell_conditional_mean, discretize, expectation,
+                      make_grid, make_partition, mean_truncation,
+                      natural_residual, operator_eval, solve_all, solve_vi,
+                      write_cells_csv)
 from nashgrid import aggregate, cournot
 from nashgrid.cli import load_config, parse_config
 
@@ -343,20 +344,22 @@ def test_window_sweep_matches_one_cell_windows_across_bound_cells(
 def test_window_sweep_matches_one_cell_windows_with_one_group_fixed(
         monkeypatch, counts, bounds_vary):
     # a bound or beta group without a varying factor reaches the kernel
-    # as one (m,) vector built once per grid; the other group per cell
+    # and the solver as one (m, 1) column built once per grid; the other
+    # group as one column per cell
     inst = three_firm_instance()
     g = make_grid(inst, **counts)
-    ranks = {"upper": set(), "beta": set()}
+    # (shape, cells of the call) of every upper and beta passed
+    calls = {"upper": [], "beta": []}
     real_eval = discretize.operator_eval
     real_batch = discretize.solve_box_vi_batch
 
     def eval_spy(instance, q, r, s, beta, *args, **kwargs):
-        ranks["beta"].add(np.ndim(beta))
+        calls["beta"].append((beta.shape, q.shape[1]))
         return real_eval(instance, q, r, s, beta, *args, **kwargs)
 
-    def batch_spy(operator, lower, upper, *args, **kwargs):
-        ranks["upper"].add(np.ndim(upper))
-        return real_batch(operator, lower, upper, *args, **kwargs)
+    def batch_spy(operator, lower, upper, config, seeds, **kwargs):
+        calls["upper"].append((upper.shape, seeds.shape[1]))
+        return real_batch(operator, lower, upper, config, seeds, **kwargs)
 
     monkeypatch.setattr(discretize, "operator_eval", eval_spy)
     monkeypatch.setattr(discretize, "solve_box_vi_batch", batch_spy)
@@ -366,8 +369,11 @@ def test_window_sweep_matches_one_cell_windows_with_one_group_fixed(
     assert widest > g.r.n_cells
     assert windowed.converged.all()
     assert_same_sweep(windowed, one_cell)
-    assert ranks == ({"upper": {2}, "beta": {1}} if bounds_vary
-                     else {"upper": {1}, "beta": {2}})
+    fixed, varying = ("beta", "upper") if bounds_vary else ("upper", "beta")
+    assert {shape for shape, _ in calls[fixed]} == {(3, 1)}
+    assert all(shape == (3, cells) for shape, cells in calls[varying])
+    for group in calls.values():
+        assert max(cells for _, cells in group) > 1
 
 
 def poisoned_operator(grid, r_cell, s_cell):
@@ -652,3 +658,11 @@ def test_grid_sweep_and_truncation_inputs():
     assert mean_truncation(lambda x: x * x, [c], parts[:1]).tolist() == [4.0]
     with pytest.raises(ValueError, match="one partition per factor"):
         mean_truncation(lambda x: x, [u], parts)
+
+
+def test_a_factor_grid_needs_one_bound_and_one_beta_group_per_firm():
+    g = make_grid(five_firm_instance())
+    with pytest.raises(ValueError, match="^need one bound and one beta "
+                                         "partition per firm$"):
+        FactorGrid(r=g.r, s=g.s, bounds=g.bounds, betas=g.betas[:4],
+                   alpha=g.alpha)

@@ -273,3 +273,22 @@ def test_constant_factor_cells_and_argument_checks():
         ppf(f, 1.5)
     with pytest.raises(ValueError, match="a < b"):
         cell_probability(f, 1, 1)
+
+
+def test_a_factor_with_the_wrong_parameter_count_is_refused():
+    with pytest.raises(ValueError,
+                       match=r"^uniform factor takes \(lo, hi\)$"):
+        RandomFactor("uniform", (0.0, 1.0, 2.0))
+
+
+def test_a_partition_needs_at_least_two_breakpoints():
+    with pytest.raises(ValueError, match="^breakpoints must be a 1-d array "
+                                         "of length >= 2$"):
+        Partition1D(np.array([0.0]), np.array([]), np.array([]))
+
+
+def test_a_partition_needs_one_representative_per_cell():
+    with pytest.raises(ValueError, match="^need one representative and one "
+                                         "probability per cell$"):
+        Partition1D(np.array([0.0, 0.5, 1.0]), np.array([0.25]),
+                    np.array([0.5, 0.5]))

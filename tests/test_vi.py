@@ -5,12 +5,14 @@ import pytest
 
 from nashgrid import (BoxSet, CournotInstance, FirmParams, NonConvergenceError,
                       RandomFactor, SolverConfig, check_monotone,
-                      natural_residual, operator_jacobian, project, solve_vi,
-                      solve_box_vi_batch)
+                      natural_residual, operator_eval, operator_jacobian,
+                      project, solve_vi, solve_box_vi_batch)
 from nashgrid import vi
-from nashgrid.vi import _newton_direction, _newton_trial, residual_rows
+from nashgrid.vi import (_columns, _newton_direction, _newton_trial, frozen,
+                         residual_rows)
 
 from _oracles import active_set_box_vi, dense_jacobian, extragradient_box_vi
+from conftest import five_firm_instance
 
 
 def affine_problem(M, d, lo, hi):
@@ -383,6 +385,63 @@ def test_newton_rows_do_not_depend_on_their_neighbours():
                 "backtracks"):
         assert batch[key][..., 0].tobytes() == \
             alone[key][..., 0].tobytes(), key
+
+
+def recording_operator(factors, n):
+    """A frozen operator on n columns that records the factors it gets."""
+    seen = []
+
+    def fn(x, *got):
+        seen.append(got)
+        return x
+    return frozen(fn, factors, n), seen
+
+
+def test_frozen_passes_the_factor_objects_when_rows_cover_every_column():
+    factors = (np.arange(4.0), 2.0, np.ones((3, 4)), np.ones((3, 1)))
+    op, seen = recording_operator(factors, 4)
+    op(np.zeros((3, 4)), np.arange(4))
+    assert len(seen) == 1
+    assert all(got is v for got, v in zip(seen[0], factors))
+
+
+def test_frozen_gathers_per_column_factors_and_keeps_shared_ones_whole():
+    rng = np.random.default_rng(5)
+    r, beta = rng.random(6), rng.random((3, 6))
+    shared = (2.0, np.float64(3.0), np.array(4.0), np.ones(1),
+              np.ones((3, 1)))
+    op, seen = recording_operator((r, beta, *shared), 6)
+    rows = np.array([1, 2, 5])
+    op(np.zeros((3, 3)), rows)
+    got_r, got_beta, *got_shared = seen[0]
+    assert got_r.tolist() == r[rows].tolist()
+    assert got_beta.tobytes() == beta[:, rows].tobytes()
+    assert all(got is v for got, v in zip(got_shared, shared))
+    # the bounds follow the same rule
+    assert _columns(beta, rows).tobytes() == beta[:, rows].tobytes()
+    assert _columns(shared[-1], rows) is shared[-1]
+
+
+def test_frozen_operator_with_as_many_columns_as_firms():
+    # five firms, five columns: a shared (m,) beta could not be told from
+    # a per-column one, so shared per-firm inputs are (m, 1) columns
+    inst = five_firm_instance()
+    rng = np.random.default_rng(11)
+    q = rng.uniform(5.0, 95.0, (5, 5))
+    r = rng.uniform(-0.5, 0.5, 5)
+    s = rng.uniform(4950.0, 5050.0, 5)
+    beta = rng.uniform(0.5, 1.5, (5, 1))
+    alpha = 0.25
+    op = frozen(lambda x, *f: operator_eval(inst, x, *f),
+                (r, s, beta, alpha), 5)
+    rows = np.array([0, 2])
+    got = op(q[:, rows], rows)
+    for j, row in enumerate(rows):
+        one = [row]
+        want = operator_eval(inst, q[:, one], r[one], s[one], beta, alpha)
+        assert got[:, j].tobytes() == want[:, 0].tobytes()
+    # an (m,) vector here would be gathered as if it had one entry a column
+    assert _columns(beta[:, 0], rows).shape == (2,)
 
 
 @pytest.mark.parametrize("newton", [False, True])
