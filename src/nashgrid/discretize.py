@@ -40,10 +40,10 @@ import numpy as np
 from .aggregate import RunningMoments, _fmt, fold_moments, write_csv
 from .cournot import operator_eval
 from .distributions import Partition1D, _cell_masses, make_partition, pdf
-from .vi import (SolverConfig, _columns, _warm_heap, frozen, residual_rows,
+from .vi import (SolverConfig, _columns, _warm_heap, residual_rows,
                  solve_box_vi_batch)
 
-# solve_all refuses grids with more cells than this
+# make_grid and solve_all refuse grids with more cells than this
 CELL_CAP = 100_000_000
 # the longest window of cells a sweep round screens per r-block, and the
 # most cells a round screens in all. 3200 kept an (m, cells) array at
@@ -104,6 +104,14 @@ class FactorGrid:
         return math.prod(self.shape)
 
 
+def _refuse_oversize(n_cells):
+    """Refuse a grid of more than CELL_CAP cells."""
+    if n_cells > CELL_CAP:
+        raise ValueError(
+            f"grid has {n_cells} cells, exceeding the cap of {CELL_CAP}; "
+            f"lower the per-factor resolution")
+
+
 def make_grid(instance, n_r=1, n_s=1, n_bounds=1, n_betas=1, n_alpha=1,
               rules=None):
     """Partition every factor of the instance into a FactorGrid.
@@ -111,7 +119,8 @@ def make_grid(instance, n_r=1, n_s=1, n_bounds=1, n_betas=1, n_alpha=1,
     rules maps factor groups ("r", "s", "bounds", "betas", "alpha") to a
     representative rule. Defaults: lower endpoints for the operator and
     shift factors, conditional means for the bounds. Constant factors
-    collapse to a single cell whatever their requested resolution.
+    collapse to a single cell whatever their requested resolution. A grid
+    of more than CELL_CAP cells is refused before any partition is built.
     """
     merged = dict(DEFAULT_RULES)
     if rules:
@@ -119,15 +128,20 @@ def make_grid(instance, n_r=1, n_s=1, n_bounds=1, n_betas=1, n_alpha=1,
         if unknown:
             raise ValueError(f"unknown rule keys {sorted(unknown)}")
         merged.update(rules)
-    return FactorGrid(
-        r=make_partition(instance.r_factor, n_r, merged["r"]),
-        s=make_partition(instance.s_factor, n_s, merged["s"]),
-        bounds=tuple(make_partition(f.q_bar, n_bounds, merged["bounds"])
-                     for f in instance.firms),
-        betas=tuple(make_partition(bf, n_betas, merged["betas"])
-                    for bf in instance.beta_factors),
-        alpha=make_partition(instance.alpha_factor, n_alpha, merged["alpha"]),
-    )
+    m = instance.m
+    factors = [instance.r_factor, instance.s_factor,
+               *(f.q_bar for f in instance.firms), *instance.beta_factors,
+               instance.alpha_factor]
+    sizes = [n_r, n_s] + [n_bounds] * m + [n_betas] * m + [n_alpha]
+    groups = ["r", "s"] + ["bounds"] * m + ["betas"] * m + ["alpha"]
+    # make_partition refuses a size that is not an integer
+    _refuse_oversize(math.prod(
+        int(n) for f, n in zip(factors, sizes)
+        if not f.is_constant and isinstance(n, (int, np.integer))))
+    parts = [make_partition(f, n, merged[g])
+             for f, n, g in zip(factors, sizes, groups)]
+    return FactorGrid(parts[0], parts[1], parts[2:2 + m],
+                      parts[2 + m:2 + 2 * m], parts[-1])
 
 
 @dataclass
@@ -231,10 +245,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         raise ValueError("parallelism must be an integer >= 1")
     config = solver_config or SolverConfig()
     n = grid.n_cells
-    if n > CELL_CAP:
-        raise ValueError(
-            f"grid has {n} cells, exceeding the cap of {CELL_CAP}; lower the "
-            f"per-factor resolution")
+    _refuse_oversize(n)
     m = instance.m
     _warm_heap()
 
@@ -362,10 +373,10 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
                 # and residuals
                 cells = run[missed] * na + missed
                 out = solve_box_vi_batch(
-                    frozen(evaluate, [_columns(v, cells) for v in factors],
-                           cells.size), lower, _columns(upper, cells),
-                    config, x.take(cells, axis=1),
-                    values=F.take(cells, axis=1), residuals=res.take(cells))
+                    evaluate, lower, _columns(upper, cells), config,
+                    x.take(cells, axis=1), values=F.take(cells, axis=1),
+                    residuals=res.take(cells),
+                    factors=[_columns(v, cells) for v in factors])
                 x[:, cells] = out["solutions"]
                 X[run[missed], :, missed] = out["solutions"].T
                 res[cells] = out["residuals"]

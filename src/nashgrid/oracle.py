@@ -31,7 +31,7 @@ import numpy as np
 from .aggregate import _fmt, neumaier_add, write_csv
 from .cournot import operator_eval_sampled, operator_jacobian
 from .distributions import ppf
-from .vi import SolverConfig, _warm_heap, frozen, solve_box_vi_batch
+from .vi import SolverConfig, _warm_heap, solve_box_vi_batch
 
 CHUNK_SIZE = 4096
 
@@ -92,11 +92,10 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None):
         sample = (draws[0], draws[1], np.stack(draws[2 + m:2 + 2 * m]),
                   draws[-1])
         out = solve_box_vi_batch(
-            frozen(lambda x, *f: operator_eval_sampled(instance, x, *f),
-                   sample, nc),
+            lambda x, *f: operator_eval_sampled(instance, x, *f),
             0.0, upper, config, seeds=0.5 * upper,
-            jacobian_batch=frozen(
-                lambda x, *f: operator_jacobian(instance, x, *f), sample, nc))
+            jacobian_batch=lambda x, *f: operator_jacobian(instance, x, *f),
+            factors=sample)
         sols = out["solutions"]
         failed += int(nc - out["converged"].sum())
         # a memoryview yields each value as a Python float, which fsum

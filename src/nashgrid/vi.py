@@ -213,7 +213,7 @@ def solve_vi(operator, box, config=None, warm_start=None):
     if np.isnan(seed).any():
         raise ValueError("warm_start must not contain NaN")
     out = solve_box_vi_batch(
-        lambda x, rows: np.array(operator(x[:, 0]), dtype=float)[:, None],
+        lambda x: np.array(operator(x[:, 0]), dtype=float)[:, None],
         box.lower, box.upper, config, seed[:, None])
     x = out["solutions"][:, 0]
     report = SolveReport(*(out[key][0].item() for key in (
@@ -268,20 +268,14 @@ def _columns(a, idx):
     return _take(a, idx) if getattr(a, "ndim", 0) and a.shape[-1] > 1 else a
 
 
-def frozen(fn, factors, n):
-    """fn(x, *factors) as a solver operator on n columns, factors frozen.
-
-    Rows covering all n columns are arange(n) and get the factor objects
-    themselves; other rows get each factor's columns by _columns.
-    """
+def _frozen(fn, factors):
+    """fn(x, *factors) as op(x, rows), each factor at rows by _columns."""
     def operator(x, rows):
-        if rows.size == n:
-            return fn(x, *factors)
         return fn(x, *[_columns(v, rows) for v in factors])
     return operator
 
 
-def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
+def _newton_trial(op, jac, xa, la, ua, fx, res, rows):
     """One semismooth Newton step on Phi(x) = x - P_K(x - F(x)) per column.
 
     The generalized Jacobian of Phi takes row i of J = diag(diag) +
@@ -292,7 +286,7 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
     trial point, the Newton point projected onto the box, is taken when
     its natural residual is at most _NEWTON_DECREASE times the current
     one; one whose operator value is not finite has a NaN residual and
-    is not taken.
+    is not taken. op and jac take (x, rows), as _frozen makes them.
 
     Returns:
         (take, x_new, f_new, res_new): a mask over the columns, and the
@@ -302,12 +296,12 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
     z = xa - fx
     ref = np.clip(z, la, ua)
     free = (la < z) & (z < ua)
-    d = _newton_direction(*jacobian_batch(xa, rows), free, ref - xa)
+    d = _newton_direction(*jac(xa, rows), free, ref - xa)
     idx = np.flatnonzero(np.isfinite(d).all(axis=0))
     li, ui = _columns(la, idx), _columns(ua, idx)
     xn = np.clip(_take(xa, idx) + _take(d, idx), li, ui)
     # with no trial point the operator is not called
-    fn = operator_batch(xn, rows[idx]) if idx.size else xn
+    fn = op(xn, rows[idx]) if idx.size else xn
     resn = residual_rows(xn, fn, li, ui)
     kept = np.flatnonzero(resn <= _NEWTON_DECREASE * res[idx])
     take = np.zeros(rows.size, dtype=bool)
@@ -316,12 +310,13 @@ def _newton_trial(operator_batch, jacobian_batch, xa, la, ua, fx, res, rows):
 
 
 def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
-                       jacobian_batch=None, values=None, residuals=None):
+                       jacobian_batch=None, values=None, residuals=None,
+                       factors=()):
     """Solve a batch of box VIs sharing one vectorized operator.
 
     Batches are firm-major: column i of ``seeds`` is an independent VI
-    and uses column i of ``operator_batch(X, rows)``, where ``rows`` are
-    original column indices, sorted. Columns are iterated with
+    and uses column i of ``operator_batch(X, *cols)``, where ``cols``
+    are the ``factors`` at X's columns. Columns are iterated with
     per-column steps and are frozen the moment their natural residual
     passes tolerance, so a column's result never depends on which other
     columns share the batch. A column whose operator value is
@@ -336,30 +331,31 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
     to at most _NEWTON_DECREASE of its value; the other columns take the
     extragradient step. When every column keeps its Newton point, the
     operator values and residuals computed for the test are the next
-    iteration's. Rows covering all n columns are arange(n), so an
-    operator may skip its own gathers when ``rows.size`` is the batch
-    size; ``frozen`` builds such an operator.
+    iteration's.
 
-    One rule, ``_columns``, says which batch inputs follow the columns:
-    the bounds here, and the factors a ``frozen`` operator holds. A
-    scalar, or an array with one entry on its last axis, is shared by
-    every column; any other array has one entry per column on its last
-    axis and is gathered with the rows.
+    One rule, ``_columns``, says which inputs follow the columns, for
+    the bounds and the factors alike. A scalar, or an array with one
+    entry on its last axis, is shared by every column and passed whole;
+    any other array has one entry per column on its last axis and is
+    gathered to the columns still iterating. While none has left, each
+    such array is passed itself, not a copy.
 
     Args:
-        operator_batch: callable (x: (m, B), rows: (B,) int) -> (m, B).
+        operator_batch: callable (x: (m, B), *cols) -> (m, B).
         lower, upper: box bounds: a scalar, an (m, 1) column (an (m,)
             vector is taken as one) or (m, n), one column per VI.
         config: SolverConfig.
         seeds: (m, n) start points, projected onto the box first.
-        jacobian_batch: optional callable (x: (m, B), rows: (B,) int)
-            -> (diag, col), each (m, B): the operator's Jacobian
-            columnwise in aggregative form, J = diag(diag) + col 1^T.
+        jacobian_batch: optional callable (x: (m, B), *cols) -> (diag,
+            col), each (m, B): the operator's Jacobian columnwise in
+            aggregative form, J = diag(diag) + col 1^T.
         values: optional (m, n) operator values at the seeds projected
             onto the box; given, the operator is not called there again.
         residuals: optional (n,) natural residuals at the seeds
             projected onto the box, as residual_rows gives them with
             ``values``; given, they are not computed there again.
+        factors: the operators' inputs after x, in the order they take
+            them, each shared or per column by the rule above.
 
     Returns:
         dict with keys ``solutions`` (m, n), ``residuals`` (n,),
@@ -377,6 +373,8 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
     lo, up = (np.asarray(b, dtype=float) for b in (lower, upper))
     lo, up = (b[:, None] if b.ndim == 1 else b for b in (lo, up))
     np.clip(x, lo, up, out=x)
+    op = _frozen(operator_batch, factors)
+    jac = None if jacobian_batch is None else _frozen(jacobian_batch, factors)
 
     iterations = np.zeros(n, dtype=np.int64)
     backtracks = np.zeros(n, dtype=np.int64)
@@ -395,7 +393,7 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
             la, ua = _columns(lo, active), _columns(up, active)
         if fx is None:
             # a batch emptied by trial-point freezes needs no call
-            fx = operator_batch(xa, active) if active.size else xa
+            fx = op(xa, active) if active.size else xa
         if res is None:
             res = residual_rows(xa, fx, la, ua)
         lost = ~np.isfinite(res)
@@ -414,9 +412,9 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
         if active.size == 0:
             break
         rows = active
-        if jacobian_batch is not None:
-            take, xn, fn, resn = _newton_trial(
-                operator_batch, jacobian_batch, xa, la, ua, fx, res, active)
+        if jac is not None:
+            take, xn, fn, resn = _newton_trial(op, jac, xa, la, ua, fx, res,
+                                               active)
             _put(x, active[take], xn)
             if take.all():
                 # xn is a fresh array: x's write-backs never reach it
@@ -429,7 +427,7 @@ def solve_box_vi_batch(operator_batch, lower, upper, config, seeds,
         st = step[rows]
         while True:
             y = np.clip(xa - st * fx, la, ua)
-            fy = operator_batch(y, rows)
+            fy = op(y, rows)
             df = _norm_rows(fx - fy)
             dx = _norm_rows(xa - y)
             # a column whose F(y) is not finite never shrinks its step

@@ -538,9 +538,8 @@ def reference_sweep(instance, grid, config):
                 seed = np.clip(2.0 * x1 - x0, lo, cell.upper)
             if not np.isfinite(seed).all():
                 seed = mid
-            F = cell_operator(instance, cell)
-            row = solve_box_vi_batch(lambda q, rows: F(q), lo, cell.upper,
-                                     config, seed[:, None])
+            row = solve_box_vi_batch(cell_operator(instance, cell), lo,
+                                     cell.upper, config, seed[:, None])
             x = row["solutions"][:, 0]
             acc.add([cell.weight], x[None])
             for key, v in (("solutions", x), ("weights", cell.weight),

@@ -578,3 +578,27 @@ def test_cell_weights_that_miss_one_fail_the_run(tmp_path, capsys,
     path = write_config(tmp_path, small_config())
     assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: cell weights sum to ")
+
+
+def test_an_oversize_grid_is_refused_before_any_partition_is_built(
+        tmp_path, capsys, monkeypatch):
+    # the cap is checked against the requested sizes, so a grid far too
+    # large to build fails with the cap's message, not in allocation
+    built = []
+    real_partition = discretize.make_partition
+
+    def partition_spy(*args, **kwargs):
+        built.append(args)
+        return real_partition(*args, **kwargs)
+
+    monkeypatch.setattr(discretize, "CELL_CAP", 10)
+    monkeypatch.setattr(discretize, "make_partition", partition_spy)
+    config = parse_config(small_config())
+    with pytest.raises(ValueError, match="exceeding the cap of 10"):
+        make_grid(config.instance, n_r=4, n_s=4)
+    # small_config asks for 3 x 4 = 12 cells
+    path = write_config(tmp_path, small_config())
+    assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: grid has 12 cells, exceeding the cap of 10; ")
+    assert built == []

@@ -219,7 +219,7 @@ def test_jacobian_at_zero_output_routes_to_extragradient(monkeypatch):
     def solve(jac):
         seen = []
 
-        def op(x, rows):
+        def op(x):
             seen.append(x.copy())
             return operator_eval(inst, x, 0.0, 5000.0)
 
@@ -228,8 +228,7 @@ def test_jacobian_at_zero_output_routes_to_extragradient(monkeypatch):
                                  jacobian_batch=jac)
         return out, seen
 
-    newton, seen_n = solve(lambda x, rows: operator_jacobian(inst, x, 0.0,
-                                                             5000.0))
+    newton, seen_n = solve(lambda x: operator_jacobian(inst, x, 0.0, 5000.0))
     plain, seen_p = solve(None)
     assert np.array_equal(seen_n[1], seen_p[1])
     assert taken[0] is False and any(taken[1:])

@@ -102,14 +102,14 @@ def test_batch_columns_keep_the_bits_of_one_point_calls():
 
     for jacobian in (None, jac):
         batch = solve_box_vi_batch(op, 0.0, upper, cfg, seeds,
-                                   jacobian_batch=jacobian)
+                                   jacobian_batch=jacobian,
+                                   factors=(np.arange(B),))
         assert batch["converged"].all()
         for i in range(B):
-            def shifted(f):
-                return f and (lambda x, rows: f(x, rows + i))
-            alone = solve_box_vi_batch(shifted(op), 0.0, upper[:, i:i + 1],
+            alone = solve_box_vi_batch(op, 0.0, upper[:, i:i + 1],
                                        cfg, seeds[:, i:i + 1],
-                                       jacobian_batch=shifted(jacobian))
+                                       jacobian_batch=jacobian,
+                                       factors=(np.array([i]),))
             for key in batch:
                 assert batch[key][..., i].tobytes() == \
                     alone[key][..., 0].tobytes(), (i, key)

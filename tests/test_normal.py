@@ -152,9 +152,12 @@ def test_floats_give_0d_arrays_and_lists_give_arrays():
 
 
 def test_importing_the_cli_loads_no_scipy():
+    # nor the forked fold and its mmap, which a sweep imports on first
+    # use at parallelism >= 2
     code = ("import sys, nashgrid.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m in ('scipy', 'mmap', 'nashgrid._forkfold') "
+            "or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)

@@ -21,16 +21,17 @@ def solve_both_ways(instance, n_samples, seed, config):
     """Run the oracle; solve each chunk with and without the Jacobian.
 
     Returns the report and, per chunk, the Newton and the plain
-    extragradient outputs plus the Jacobian callable.
+    extragradient outputs plus the Jacobian callable of the whole chunk.
     """
     chunks = []
     real = oracle.solve_box_vi_batch
 
-    def both(op, lower, upper, cfg, seeds, jacobian_batch):
-        plain = real(op, lower, upper, cfg, seeds)
+    def both(op, lower, upper, cfg, seeds, jacobian_batch, factors):
+        plain = real(op, lower, upper, cfg, seeds, factors=factors)
         newton = real(op, lower, upper, cfg, seeds,
-                      jacobian_batch=jacobian_batch)
-        chunks.append((newton, plain, jacobian_batch))
+                      jacobian_batch=jacobian_batch, factors=factors)
+        chunks.append((newton, plain,
+                       lambda x: jacobian_batch(x, *factors)))
         return newton
 
     with pytest.MonkeyPatch.context() as patch:
@@ -80,9 +81,7 @@ def assert_newton_matches_extragradient(newton, plain, jac, config):
     assert (newton["residuals"] <= config.tolerance).all()
     # one sample per row
     x1, x2 = newton["solutions"].T, plain["solutions"].T
-    rows = np.arange(len(x1))
-    J1, J2 = (o.dense_jacobian(*(v.T for v in jac(x.T, rows)))
-              for x in (x1, x2))
+    J1, J2 = (o.dense_jacobian(*(v.T for v in jac(x.T))) for x in (x1, x2))
     bound = solution_gap_bound(J1, J2, x1, x2, newton["residuals"],
                                plain["residuals"], 1.0)
     gap = np.linalg.norm(x1 - x2, axis=1)

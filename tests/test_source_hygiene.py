@@ -1,10 +1,12 @@
 """Static checks on the package source."""
 import ast
+import re
 from pathlib import Path
 
 import nashgrid
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nashgrid"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nashgrid"
 
 # module.name -> why the module imports a name it never uses
 UNUSED_IMPORTS_ALLOWED = {
@@ -61,3 +63,12 @@ def test_public_names_are_exactly_the_package_imports():
     assert len(set(nashgrid.__all__)) == len(nashgrid.__all__)
     assert [name for name in nashgrid.__all__
             if not hasattr(nashgrid, name)] == []
+
+
+def test_readme_layout_names_every_module():
+    # the Layout block's src/nashgrid/ lines, one module a line
+    layout = (ROOT / "README.md").read_text().split("## Layout", 1)[1]
+    block = layout.split("```")[1]
+    named = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    assert sorted(named) == sorted(path.name for path in SRC.glob("*.py")
+                                   if not path.name.startswith("__"))

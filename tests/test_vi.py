@@ -8,7 +8,7 @@ from nashgrid import (BoxSet, CournotInstance, FirmParams, NonConvergenceError,
                       natural_residual, operator_eval, operator_jacobian,
                       project, solve_vi, solve_box_vi_batch)
 from nashgrid import vi
-from nashgrid.vi import (_columns, _newton_direction, _newton_trial, frozen,
+from nashgrid.vi import (_columns, _frozen, _newton_direction, _newton_trial,
                          residual_rows)
 
 from _oracles import active_set_box_vi, dense_jacobian, extragradient_box_vi
@@ -129,7 +129,8 @@ def test_newton_point_with_non_finite_value_is_not_taken():
     out = solve_box_vi_batch(op, 0.0, 1.0, SolverConfig(), np.zeros((1, 1)),
                              jacobian_batch=lambda x, rows: (
                                  np.full((1, len(rows)), 0.1),
-                                 np.zeros((1, len(rows)))))
+                                 np.zeros((1, len(rows)))),
+                             factors=(np.arange(1),))
     assert bool(out["converged"][0]) is True
     np.testing.assert_allclose(out["solutions"][:, 0], 0.5, atol=1e-8)
 
@@ -149,9 +150,9 @@ def test_affine_solutions_match_active_set_enumeration():
         assert report.converged
         assert np.abs(x - ref).max() < 1e-8
         newton = solve_box_vi_batch(
-            lambda x, rows: M @ x + d[:, None], lo, hi, cfg,
+            lambda x: M @ x + d[:, None], lo, hi, cfg,
             seeds=(0.5 * (lo + hi))[:, None],
-            jacobian_batch=lambda x, rows: (
+            jacobian_batch=lambda x: (
                 np.broadcast_to(delta[:, None], x.shape),
                 np.broadcast_to(c[:, None], x.shape)))
         assert newton["converged"][0]
@@ -169,7 +170,7 @@ def test_backtracking_handles_stiff_operator():
     assert np.abs(x - np.array([1.0, 0.5])).max() < 1e-7
     # the batch solver counts the same shrinks, per row; the second row
     # starts at its solution and never steps
-    out = solve_box_vi_batch(lambda x, rows: M @ x - [[1.0], [25.0]],
+    out = solve_box_vi_batch(lambda x: M @ x - [[1.0], [25.0]],
                              [0.0, 0.0], [10.0, 10.0], cfg,
                              seeds=[[5.0, 1.0], [5.0, 0.5]])
     assert out["converged"].all()
@@ -249,7 +250,8 @@ def test_batch_matches_sequential_scalar_solves():
 
     out = solve_box_vi_batch(op_batch, np.tile(lo, (40, 1)).T,
                              np.tile(hi, (40, 1)).T, cfg,
-                             seeds=np.full((m, 40), 1.0))
+                             seeds=np.full((m, 40), 1.0),
+                             factors=(np.arange(40),))
     assert out["converged"].all()
     for i in range(40):
         op, box = affine_problem(M, shifts[i], lo, hi)
@@ -276,7 +278,8 @@ def test_batch_rows_converge_independently():
                          np.where(x < 0.5, np.nan, 10.0 * (x - 0.2)))
 
     cfg = SolverConfig(max_iterations=100)
-    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((1, 5), 0.9))
+    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((1, 5), 0.9),
+                             factors=(np.arange(5),))
     res, its, sol = out["residuals"], out["iterations"], out["solutions"][0]
     assert out["converged"].tolist() == (res <= cfg.tolerance).tolist()
     assert out["converged"].tolist() == [True, True, False, False, False]
@@ -289,8 +292,9 @@ def test_batch_rows_converge_independently():
     assert np.isnan(res[3:]).all() and np.isnan(sol[3:]).all()
     # each row keeps the bits it has alone
     for i in range(5):
-        alone = solve_box_vi_batch(lambda x, rows: op(x, rows + i), 0.0, 1.0,
-                                   cfg, seeds=np.full((1, 1), 0.9))
+        alone = solve_box_vi_batch(op, 0.0, 1.0, cfg,
+                                   seeds=np.full((1, 1), 0.9),
+                                   factors=(np.array([i]),))
         for key in out:
             assert out[key][..., i].tobytes() == \
                 alone[key][..., 0].tobytes(), (i, key)
@@ -306,7 +310,8 @@ def test_batch_freezes_non_finite_rows():
 
     cfg = SolverConfig()
     out = solve_box_vi_batch(op, np.zeros((2, 2)), np.ones((2, 2)), cfg,
-                             seeds=np.full((2, 2), 0.9))
+                             seeds=np.full((2, 2), 0.9),
+                             factors=(np.arange(2),))
     assert out["iterations"][0] == 0
     assert bool(out["converged"][0]) is False
     assert np.isnan(out["residuals"][0])
@@ -330,13 +335,14 @@ def test_batch_freezes_rows_whose_trial_value_is_non_finite():
                         10.0 * (x - 0.2))
 
     cfg = SolverConfig()
-    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((1, 2), 0.9))
+    out = solve_box_vi_batch(op, 0.0, 1.0, cfg, seeds=np.full((1, 2), 0.9),
+                             factors=(np.arange(2),))
     assert bool(out["converged"][0]) is False
     assert out["iterations"][0] == 0
     assert np.isnan(out["residuals"][0])
     assert np.isnan(out["solutions"][:, 0]).all()
     # the finite row keeps the bits it has alone
-    alone = solve_box_vi_batch(lambda x, rows: 10.0 * (x - 0.2), 0.0, 1.0,
+    alone = solve_box_vi_batch(lambda x: 10.0 * (x - 0.2), 0.0, 1.0,
                                cfg, seeds=np.full((1, 1), 0.9))
     assert bool(out["converged"][1]) is True
     for key in ("solutions", "residuals", "iterations", "backtracks"):
@@ -370,9 +376,10 @@ def test_newton_rows_do_not_depend_on_their_neighbours():
     cfg = SolverConfig(max_iterations=12, tolerance=1e-12)
     lo, hi = np.full(3, -2.0), np.full(3, 2.0)
     seeds = np.full((3, 4), 1.5)
-    batch = solve_box_vi_batch(op, lo, hi, cfg, seeds, jacobian_batch=jac)
+    batch = solve_box_vi_batch(op, lo, hi, cfg, seeds, jacobian_batch=jac,
+                               factors=(np.arange(4),))
     alone = solve_box_vi_batch(op, lo, hi, cfg, seeds[:, :1],
-                               jacobian_batch=jac)
+                               jacobian_batch=jac, factors=(np.arange(1),))
     # from 1.5 row 0 rejects some Newton points and backtracks
     assert bool(batch["converged"][0]) is True
     assert batch["iterations"][0] < cfg.max_iterations
@@ -387,19 +394,19 @@ def test_newton_rows_do_not_depend_on_their_neighbours():
             alone[key][..., 0].tobytes(), key
 
 
-def recording_operator(factors, n):
-    """A frozen operator on n columns that records the factors it gets."""
+def recording_operator(factors):
+    """A frozen operator that records the factors it gets."""
     seen = []
 
     def fn(x, *got):
         seen.append(got)
         return x
-    return frozen(fn, factors, n), seen
+    return _frozen(fn, factors), seen
 
 
 def test_frozen_passes_the_factor_objects_when_rows_cover_every_column():
     factors = (np.arange(4.0), 2.0, np.ones((3, 4)), np.ones((3, 1)))
-    op, seen = recording_operator(factors, 4)
+    op, seen = recording_operator(factors)
     op(np.zeros((3, 4)), np.arange(4))
     assert len(seen) == 1
     assert all(got is v for got, v in zip(seen[0], factors))
@@ -410,7 +417,7 @@ def test_frozen_gathers_per_column_factors_and_keeps_shared_ones_whole():
     r, beta = rng.random(6), rng.random((3, 6))
     shared = (2.0, np.float64(3.0), np.array(4.0), np.ones(1),
               np.ones((3, 1)))
-    op, seen = recording_operator((r, beta, *shared), 6)
+    op, seen = recording_operator((r, beta, *shared))
     rows = np.array([1, 2, 5])
     op(np.zeros((3, 3)), rows)
     got_r, got_beta, *got_shared = seen[0]
@@ -432,8 +439,8 @@ def test_frozen_operator_with_as_many_columns_as_firms():
     s = rng.uniform(4950.0, 5050.0, 5)
     beta = rng.uniform(0.5, 1.5, (5, 1))
     alpha = 0.25
-    op = frozen(lambda x, *f: operator_eval(inst, x, *f),
-                (r, s, beta, alpha), 5)
+    op = _frozen(lambda x, *f: operator_eval(inst, x, *f),
+                 (r, s, beta, alpha))
     rows = np.array([0, 2])
     got = op(q[:, rows], rows)
     for j, row in enumerate(rows):
@@ -474,7 +481,8 @@ def test_screened_residuals_give_the_bits_of_a_call_without_them(
 
     monkeypatch.setattr(vi, "residual_rows", counted)
     cfg = SolverConfig(tolerance=1e-12)
-    kwargs = {"jacobian_batch": jac if newton else None, "values": values}
+    kwargs = {"jacobian_batch": jac if newton else None, "values": values,
+              "factors": (np.arange(3),)}
     plain = solve_box_vi_batch(op, lo, hi, cfg, seeds, **kwargs)
     n_plain = len(calls)
     given = solve_box_vi_batch(op, lo, hi, cfg, seeds, residuals=screened,
