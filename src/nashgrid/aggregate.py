@@ -8,8 +8,8 @@ so results are reproducible to full precision. Values come firm-major,
 (k, dim) + lead, with a sweep's blocks on the last axis, so each step
 runs over the blocks. Stored per-cell arrays are never summed again.
 RunningMoments.folded_in_child moves an accumulator's steps, in the
-same order, to a forked child process, so the caller can go on working
-while they run.
+same order, to a forked child process that reads the observations from
+one pipe, so the caller can go on working while they run.
 
 Every CSV output of the package (summary, ladder, oracle and cell dump)
 is written by write_csv, with floats in one format, _fmt's repr.
@@ -67,7 +67,7 @@ class RunningMoments:
         self.total = np.zeros((1 + 2 * self.dim,) + lead)
         self.comp = np.zeros((1 + 2 * self.dim,) + lead)
         self._work = np.empty((3,) + self.total.shape)
-        # the ring of folded_in_child while its block runs
+        # folded_in_child's ForkedFold while its block runs
         self._child = None
 
     def add(self, weight, values):
@@ -77,8 +77,8 @@ class RunningMoments:
         they are k compensated steps, one per observation. A zero weight
         with finite values is a no-op, so an accumulator can sit out
         some of the k slots. Inside folded_in_child the steps run in the
-        child: add checks its arguments, copies them into the ring and
-        returns.
+        child: add checks its arguments, writes them to the child's pipe
+        and returns.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
@@ -105,13 +105,13 @@ class RunningMoments:
     def folded_in_child(self):
         """Run the compensated steps of the block's adds in a forked child.
 
-        add still checks its arguments in the caller, then copies them
-        into a slot of a small shared ring (a long add takes several)
-        and returns; the caller waits only while every slot is in
-        flight. The child folds the slots in the order they were filled,
-        with add's own steps, so total and comp come out bit for bit as
-        in-process adds would leave them; they are installed when the
-        block ends. If the child fails, the block raises RuntimeError.
+        add still checks its arguments in the caller, then writes them
+        to a pipe the child reads and returns; the caller waits only
+        while the pipe is full. The child folds the observations in the
+        order they were written, with add's own steps, so total and comp
+        come out bit for bit as in-process adds would leave them; they
+        are installed when the block ends. If the child fails, the block
+        raises RuntimeError.
         Without os.fork the adds fold in-process.
         """
         if not hasattr(os, "fork"):

@@ -1,5 +1,8 @@
 import csv
+import errno
+import fcntl
 import math
+import os
 
 import numpy as np
 import pytest
@@ -159,13 +162,11 @@ def _random_adds(rng, lead, dim):
     return adds
 
 
-@pytest.mark.parametrize("rows, slots", [(8, 4), (2, 2), (1, 1)])
+@pytest.mark.parametrize("rows", [8, 2, 1])
 def test_a_fold_in_a_child_equals_the_fold_in_process_bitwise(monkeypatch,
-                                                               rows, slots):
-    # rows and slots below an add's k split it over several slots and
-    # make the caller wait for the child
+                                                               rows):
+    # rows below an add's k make the child fold it over several reads
     monkeypatch.setattr(_forkfold, "ROWS", rows)
-    monkeypatch.setattr(_forkfold, "SLOTS", slots)
     rng = np.random.default_rng(17)
     lead, dim = (3, 4), 2
     adds = _random_adds(rng, lead, dim)
@@ -199,7 +200,7 @@ def test_a_failing_fold_in_the_child_raises_in_the_caller(monkeypatch):
     # the child is forked inside the block, so it inherits the patch
     monkeypatch.setattr(aggregate, "neumaier_add", broken)
     monkeypatch.setattr(_forkfold, "ROWS", 1)
-    monkeypatch.setattr(_forkfold, "SLOTS", 2)
+    monkeypatch.setattr(_forkfold, "PIPE_BYTES", 4096)
     acc = RunningMoments(2, lead=(3,))
     with fails_if_it_hangs():
         for n_adds in (1, 50):
@@ -209,6 +210,111 @@ def test_a_failing_fold_in_the_child_raises_in_the_caller(monkeypatch):
                         acc.add(np.ones((2, 3)), np.ones((2, 2, 3)))
             assert_no_child_left()
     assert not acc.total.any() and not acc.comp.any()
+
+
+def _assert_a_child_folds_bitwise(adds, dim, lead):
+    """The adds, folded in a child, leave the in-process fold's bits."""
+    here = RunningMoments(dim, lead=lead)
+    there = RunningMoments(dim, lead=lead)
+    for w, x in adds:
+        here.add(w, x)
+    with fails_if_it_hangs():
+        with there.folded_in_child():
+            for w, x in adds:
+                there.add(w, x)
+    assert_no_child_left()
+    assert there.total.tobytes() == here.total.tobytes()
+    assert there.comp.tobytes() == here.comp.tobytes()
+
+
+def test_adds_larger_than_a_one_page_pipe_fold_bitwise(monkeypatch):
+    # each add of 40 rows of 288 bytes overfills the pipe, so the caller
+    # waits for the child in mid-write and the child reads cut rows
+    monkeypatch.setattr(_forkfold, "PIPE_BYTES", 4096)
+    if hasattr(fcntl, "F_GETPIPE_SZ"):
+        fold = _forkfold.ForkedFold(RunningMoments(2, lead=(3, 4)))
+        assert fcntl.fcntl(fold.fd, fcntl.F_GETPIPE_SZ) == 4096 < 40 * 288
+        assert fold.reap() == 0
+    rng = np.random.default_rng(23)
+    _assert_a_child_folds_bitwise(
+        [(rng.random((40, 3, 4)), rng.standard_normal((40, 2, 3, 4)))
+         for _ in range(3)], 2, (3, 4))
+
+
+def _refuse_the_pipe_size(monkeypatch, error):
+    """Make fcntl.fcntl raise error for F_SETPIPE_SZ; return its calls."""
+    real = fcntl.fcntl
+    calls = []
+
+    def refusing(fd, cmd, *args):
+        if cmd == getattr(fcntl, "F_SETPIPE_SZ", None):
+            calls.append(fd)
+            raise error
+        return real(fd, cmd, *args)
+
+    monkeypatch.setattr(fcntl, "fcntl", refusing)
+    return calls
+
+
+def test_a_refused_pipe_size_keeps_the_default_pipe_and_the_bits(monkeypatch):
+    calls = _refuse_the_pipe_size(
+        monkeypatch, PermissionError(errno.EPERM, "pipe size refused"))
+    rng = np.random.default_rng(29)
+    _assert_a_child_folds_bitwise(_random_adds(rng, (3, 4), 2), 2, (3, 4))
+    assert len(calls) == (1 if hasattr(fcntl, "F_SETPIPE_SZ") else 0)
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                    reason="no F_SETPIPE_SZ to fail")
+@pytest.mark.parametrize("fails", ["fcntl", "fork"])
+def test_a_failing_start_raises_and_closes_both_pipe_ends(monkeypatch, fails):
+    if fails == "fcntl":
+        # an error other than a refusal is not swallowed
+        _refuse_the_pipe_size(monkeypatch, ValueError("bad pipe size"))
+        want = ValueError
+    else:
+        # a refused size is swallowed, then the fork fails
+        _refuse_the_pipe_size(monkeypatch, PermissionError(errno.EPERM, ""))
+
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        want = OSError
+    acc = RunningMoments(1)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(want):
+        with acc.folded_in_child():
+            acc.add([0.5], [[2.0]])
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert acc._child is None and not acc.total.any()
+    assert_no_child_left()
+
+
+def test_the_child_joins_rows_cut_over_writes_and_fails_on_a_cut_row():
+    rng = np.random.default_rng(5)
+    w, x = rng.random((2, 3)), rng.standard_normal((2, 2, 3))
+    here = RunningMoments(2, lead=(3,))
+    there = RunningMoments(2, lead=(3,))
+    here.add(w, x)
+    # the two rows of the add, as send writes them, one byte a write
+    data = np.concatenate([w[:, None], x], axis=1).tobytes()
+    with fails_if_it_hangs():
+        with there.folded_in_child():
+            for i in range(len(data)):
+                os.write(there._child.fd, data[i:i + 1])
+        assert there.total.tobytes() == here.total.tobytes()
+        assert there.comp.tobytes() == here.comp.tobytes()
+        # input that ends inside a row does not vanish: the child fails
+        fold = _forkfold.ForkedFold(there)
+        os.write(fold.fd, b"abc")
+        assert fold.reap() != 0
+        with pytest.raises(RuntimeError, match="child process failed"):
+            with there.folded_in_child():
+                os.write(there._child.fd, b"abc")
+    assert_no_child_left()
+    assert there.total.tobytes() == here.total.tobytes()
+    assert there.comp.tobytes() == here.comp.tobytes()
 
 
 def test_an_error_in_the_block_leaves_no_child():

@@ -2,6 +2,8 @@ import csv
 import errno
 import math
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -527,9 +529,37 @@ def test_a_failed_fork_raises_and_closes_every_pipe_end(monkeypatch):
     with pytest.raises(OSError) as err:
         solve_all(inst, g, parallelism=2)
     assert err.value.errno == errno.EAGAIN
-    # the token and the ack pipe were both made, and all four ends closed
-    assert len(pipes) == 2
+    # the one pipe was made, and both its ends closed
+    assert len(pipes) == 1
     assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_only_parallelism_two_forks_and_once_per_grid():
+    # in a fresh interpreter, so that no other test has imported the fold
+    code = """
+import os, sys
+from conftest import randomized_instance
+from nashgrid import make_grid, solve_all
+forks, real_fork = [], os.fork
+def fork():
+    pid = real_fork()
+    forks.append(pid)
+    return pid
+os.fork = fork
+inst = randomized_instance()
+grids = [make_grid(inst, n_r=2, n_s=n_s) for n_s in (3, 40)]
+for g in grids:
+    solve_all(inst, g, parallelism=1)
+print(len(forks), 'nashgrid._forkfold' in sys.modules)
+for g in grids:
+    solve_all(inst, g, parallelism=2)
+print(len(forks))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split("\n") == ["0 False", "2", ""]
 
 
 def test_cells_csv_round_trip(tmp_path, monkeypatch):

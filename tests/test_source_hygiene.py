@@ -14,6 +14,14 @@ UNUSED_IMPORTS_ALLOWED = {
         "perfbench/trace.py rebinds it to trace the sweep",
 }
 
+# module.import -> why a module imports a thread or process pool; the
+# package starts no threads and forks only in _forkfold
+THREAD_IMPORTS_ALLOWED = {
+    "discretize.concurrent.futures":
+        "perfbench/trace.py rebinds its ThreadPoolExecutor to trace the sweep",
+}
+THREAD_MODULES = ("threading", "_thread", "multiprocessing", "concurrent")
+
 
 def _imported_names(tree):
     """The names a module's import statements bind, skipping __future__."""
@@ -72,3 +80,38 @@ def test_readme_layout_names_every_module():
     named = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
     assert sorted(named) == sorted(path.name for path in SRC.glob("*.py")
                                    if not path.name.startswith("__"))
+
+
+def _imported_modules(tree):
+    """The absolute module names a module's import statements name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def _forks(tree):
+    """Whether the module calls os.fork or imports fork from os."""
+    return any(
+        (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+         and node.func.attr in ("fork", "forkpty")
+         and isinstance(node.func.value, ast.Name)
+         and node.func.value.id == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in ("fork", "forkpty") for a in node.names))
+        for node in ast.walk(tree))
+
+
+def test_the_package_starts_no_threads_and_forks_in_one_module():
+    # one parallel backend: the moment fold's forked child
+    threads, forks = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        threads.update(f"{path.stem}.{name}"
+                       for name in _imported_modules(tree)
+                       if name.split(".")[0] in THREAD_MODULES)
+        if _forks(tree):
+            forks.add(path.stem)
+    assert threads == set(THREAD_IMPORTS_ALLOWED)
+    assert forks == {"_forkfold"}
