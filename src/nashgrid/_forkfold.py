@@ -12,9 +12,6 @@ from contextlib import suppress
 
 import numpy as np
 
-# the observations the child reads and folds at a time: 8 rows of the
-# pinned 200 x 20000 sweep are 77 KB, and 32 solved no faster
-ROWS = 8
 # the pipe's capacity, so the caller can run several sweep rounds ahead
 # of the child; with the kernel's default 64 KiB the pinned sweep solved
 # about 1.5 times slower
@@ -26,13 +23,15 @@ class ForkedFold:
 
     send() writes each observation to one pipe as a row, its weight then
     its values, (1 + dim) + lead floats in C order. The child reads the
-    rows, ROWS at most at a time, into a buffer allocated before the fork
-    and folds them in order into total and comp, which sit in a small
-    shared anonymous mmap. Closing the pipe ends the input: the child
-    folds what is left and exits with status 0, or with 1 if the input
-    ends inside a row. The child runs only pipe reads, numpy ufuncs and
-    copies on arrays allocated before the fork, and always leaves by
-    os._exit, so it flushes no inherited stdio.
+    rows into a buffer of one batch (aggregate.SLOTS rows) allocated
+    before the fork, and folds each read's complete rows in order, with
+    the accumulator's own _fold, into total and comp, which sit in a
+    small shared anonymous mmap. Closing the
+    pipe ends the input: the child folds what is left and exits with
+    status 0, or with 1 if the input ends inside a row. The child runs
+    only pipe reads, numpy ufuncs and copies on arrays allocated before
+    the fork, and always leaves by os._exit, so it flushes no inherited
+    stdio.
     """
 
     def __init__(self, acc):
@@ -41,8 +40,8 @@ class ForkedFold:
             (2,) + acc.total.shape)
         self.sums[0], self.sums[1] = acc.total, acc.comp
         self.row_shape = (1 + acc.dim,) + lead
-        rows = np.empty((ROWS,) + self.row_shape)
-        terms = np.empty((ROWS, 1 + 2 * acc.dim) + lead)
+        # the rows of one batch, as many as the accumulator folds at once
+        rows = np.empty((len(acc._terms),) + self.row_shape)
         rfd, self.fd = os.pipe()
         try:
             # without F_SETPIPE_SZ, or above the system's limit, the
@@ -61,7 +60,7 @@ class ForkedFold:
                 # its input once the caller closes its own or dies
                 os.close(self.fd)
                 acc.total, acc.comp = self.sums
-                self._serve(acc, rfd, rows, terms)
+                self._serve(acc, rfd, rows)
                 status = 0
             finally:
                 # whatever was raised, even KeyboardInterrupt: no handler
@@ -70,14 +69,14 @@ class ForkedFold:
         os.close(rfd)
 
     @staticmethod
-    def _serve(acc, rfd, rows, terms):
+    def _serve(acc, rfd, rows):
         """The child: fold each complete row as it arrives, until EOF."""
         buf, size = memoryview(rows.reshape(-1).view(np.uint8)), rows[0].nbytes
         have = 0
         while n := os.readv(rfd, [buf[have:]]):
             have += n
             k, rest = divmod(have, size)
-            acc._fold(rows[:k, 0], rows[:k, 1:], terms[:k])
+            acc._fold(rows[:k, 0], rows[:k, 1:])
             buf[:rest] = buf[k * size:have]
             have = rest
         if have:

@@ -24,28 +24,52 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def neumaier_add(total, comp, term, work=None):
-    """One compensated-summation step, elementwise, in place.
+# the terms a compensated fold takes at a time: neumaier_add's scratch,
+# RunningMoments' term buffer and the forked child's read buffer each
+# hold this many; 8 rows of the pinned 200 x 20000 sweep are 77 KB, 32
+# folded no faster in the child, and 4, 16 or 32 no faster in process
+SLOTS = 8
 
-    Adds term to the running sum total + comp, which carries it to
-    roughly double the working precision, and returns (total, comp),
-    both updated in place; they must not share memory. comp gains the
-    exact rounding error of total + term, computed branch-free (Knuth's
-    TwoSum); for finite values that is bit for bit Neumaier's
-    (total - t) + term or (term - t) + total, whichever of total and
-    term is larger in magnitude. work is a (3,) + total.shape scratch
-    array for repeated steps; without it one is allocated.
+
+def neumaier_add(total, comp, terms, work=None):
+    """Fold a (k,) + total.shape stack of terms, in order, in place.
+
+    Adds each term in turn to the running sum total + comp, which
+    carries it to roughly double the working precision, and returns
+    (total, comp), both updated in place; they must not share memory.
+    Each step gains comp the exact rounding error of total + term,
+    computed branch-free (Knuth's TwoSum); for finite values that is bit
+    for bit Neumaier's (total - t) + term or (term - t) + total,
+    whichever of total and term is larger in magnitude. The additions
+    to total and to comp run one term at a time, in order; the errors of
+    a batch of terms are computed as whole arrays from its running
+    totals (Ogita, Rump & Oishi 2005), by the same elementwise
+    operations, so the bits are those of k single steps. work is a
+    (3, b + 1) + total.shape scratch array, and b is the batch size;
+    without it one is allocated, with b at most SLOTS.
     """
-    t, z, e = np.empty((3,) + total.shape) if work is None else work
-    np.add(total, term, out=t)
-    np.subtract(t, total, out=z)
-    # comp += (total - (t - z)) + (term - z)
-    np.subtract(t, z, out=e)
-    np.subtract(total, e, out=e)
-    np.subtract(term, z, out=z)
-    np.add(e, z, out=e)
-    np.add(comp, e, out=comp)
-    np.copyto(total, t)
+    if work is None:
+        work = np.empty((3, min(max(len(terms), 1), SLOTS) + 1) + total.shape)
+    run, z_all, e_all = work
+    b = len(run) - 1
+    for lo in range(0, len(terms), b):
+        term = terms[lo:lo + b]
+        n = len(term)
+        # run[j] is the running total before term j, run[n] after all
+        run[0] = total
+        for j in range(n):
+            np.add(run[j], term[j], out=run[j + 1])
+        # comp += (total - (t - z)) + (term - z), with t the new total
+        # and z = t - total, for all n terms at once
+        prev, t, z, e = run[:n], run[1:n + 1], z_all[:n], e_all[:n]
+        np.subtract(t, prev, out=z)
+        np.subtract(t, z, out=e)
+        np.subtract(prev, e, out=e)
+        np.subtract(term, z, out=z)
+        np.add(e, z, out=e)
+        for ej in e:
+            np.add(comp, ej, out=comp)
+        np.copyto(total, run[n])
     return total, comp
 
 
@@ -66,7 +90,10 @@ class RunningMoments:
         self.lead = lead
         self.total = np.zeros((1 + 2 * self.dim,) + lead)
         self.comp = np.zeros((1 + 2 * self.dim,) + lead)
-        self._work = np.empty((3,) + self.total.shape)
+        # the scratch of one batch of SLOTS observations: their terms,
+        # and neumaier_add's running totals and errors
+        self._terms = np.empty((SLOTS, 1 + 2 * self.dim) + lead)
+        self._work = np.empty((3, SLOTS + 1) + self.total.shape)
         # folded_in_child's ForkedFold while its block runs
         self._child = None
 
@@ -74,11 +101,11 @@ class RunningMoments:
         """Fold k weighted observations per accumulator, in order.
 
         weight has shape ``(k,) + lead`` and values ``(k, dim) + lead``;
-        they are k compensated steps, one per observation. A zero weight
-        with finite values is a no-op, so an accumulator can sit out
-        some of the k slots. Inside folded_in_child the steps run in the
-        child: add checks its arguments, writes them to the child's pipe
-        and returns.
+        they are k compensated steps, one per observation, folded SLOTS
+        at a time. A zero weight with finite values is a no-op, so an
+        accumulator can sit out some of the k slots. Inside
+        folded_in_child the steps run in the child: add checks its
+        arguments, writes them to the child's pipe and returns.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
@@ -87,19 +114,29 @@ class RunningMoments:
         if self._child is not None:
             self._child.send(w, x)
             return
+        # the batches slice both arrays, so each is spread to the k slots
         shape = np.broadcast_shapes(w[:, None].shape, x.shape)
-        self._fold(w, x, np.empty((shape[0], 1 + 2 * self.dim) + shape[2:]))
+        if len(w) != shape[0]:
+            w = np.broadcast_to(w, shape[:1] + w.shape[1:])
+        if x.shape != shape:
+            x = np.broadcast_to(x, shape)
+        b = len(self._terms)
+        for lo in range(0, shape[0], b):
+            self._fold(w[lo:lo + b], x[lo:lo + b])
 
-    def _fold(self, w, x, terms):
-        """The k compensated steps of add, with terms as their buffer."""
-        # the terms [w, w*x, w*x*x] of all k slots, built at once
+    def _fold(self, w, x):
+        """Fold at most SLOTS observations: one neumaier_add of their terms.
+
+        The forked child calls this on each batch of rows it reads.
+        """
+        # the terms [w, w*x, w*x*x] of all the slots, built at once
+        terms = self._terms[:len(w)]
         w = w[:, None]
         wx = terms[:, 1:1 + self.dim]
         terms[:, :1] = w
         np.multiply(w, x, out=wx)
         np.multiply(wx, x, out=terms[:, 1 + self.dim:])
-        for term in terms:
-            neumaier_add(self.total, self.comp, term, self._work)
+        neumaier_add(self.total, self.comp, terms, self._work)
 
     @contextmanager
     def folded_in_child(self):
@@ -157,8 +194,8 @@ def fold_moments(acc):
     accumulator is one block.
     """
     total, comp = np.zeros((2, 1 + 2 * acc.dim))
-    for term in (acc.total + acc.comp).reshape(1 + 2 * acc.dim, -1).T:
-        neumaier_add(total, comp, term)
+    neumaier_add(total, comp,
+                 (acc.total + acc.comp).reshape(1 + 2 * acc.dim, -1).T)
     sums = total + comp
     mean = sums[1:1 + acc.dim]
     m2 = sums[1 + acc.dim:]

@@ -50,7 +50,10 @@ CELL_CAP = 100_000_000
 # m = 5 under glibc's initial 128 KiB mmap threshold; since solve_all
 # warms that threshold (vi._warm_heap) the bound no longer binds, but
 # wider rounds were measured slower before it: 32 x 200-cell windows
-# cost 193 against 120 ns a kernel row and about 4 MB more peak RSS
+# cost 193 against 120 ns a kernel row and about 4 MB more peak RSS.
+# With windows sized to 1.5 times the median run, 6400 cells a round
+# solved the pinned 200 x 20000 sweep at parallelism 2 3.7% faster (5 of
+# 6 alternating runs, 2 vCPU) with 8.6% less CPU, but 0.5 MB more peak RSS
 _WINDOW_CAP = 32
 _WINDOW_CELLS = 3200
 # Gauss-Legendre points per cell per dimension in mean_truncation
@@ -207,8 +210,13 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     tolerance (solved at their seed, after 0 iterations), sends its
     first miss to one batched solve shared by all blocks, which takes
     the screened operator values and residuals, and drops the rest of
-    its window. k is twice the previous round's median accepted run,
-    between 1 and _WINDOW_CAP, and at most _WINDOW_CELLS cells a round.
+    its window. k is 1.5 times the previous round's (upper) median
+    accepted run, rounded down, plus one, between 1 and _WINDOW_CAP, and
+    at most _WINDOW_CELLS cells a round. A window's seeds are first made
+    unclipped, 2*x1 - x0 slot by slot; if every one lies in its box, no
+    clip would have changed any, and otherwise, or once a cell has
+    frozen a non-finite row, the window is seeded again slot by slot
+    with the clip (_clipped_seeds).
     At k = 1 a round is one front of a per-cell sweep: the screen
     applies the solver's iteration-0 test, and the solver takes the
     misses' screened values and residuals, so no cell's operator value
@@ -340,25 +348,19 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             chain = np.empty((k + 2, m, na))
             chain[0], chain[1] = x0.T, x1.T
             X = chain[2:]
-            # window cell j's (m, na) block of upper bounds, shared or not
-            U = np.broadcast_to(upper, (m, k * na)).reshape(m, k, na)
-            for a0, a1, seed, uj in zip(chain, chain[1:], X,
-                                        U.transpose(1, 0, 2)):
+            for a0, a1, seed in zip(chain, chain[1:], X):
                 np.multiply(a1, 2.0, out=seed)
                 np.subtract(seed, a0, out=seed)
-                # np.clip's min(max(x, lower), upper), NaN kept; the forms
-                # differ only at -0.0, which 2*a1 - a0 of values >= +0 is not
-                np.maximum(seed, lower, out=seed)
-                np.minimum(seed, uj, out=seed)
-                if lost:
-                    # a frozen non-finite cell must not seed the operator
-                    # with NaN
-                    np.copyto(seed, 0.5 * (lower + uj),
-                              where=~np.isfinite(seed).all(axis=0))
-
-            # screen the window: one operator call for all its cells, on one
-            # (m, k*na) copy of the seeds
+            # the window's cells as one (m, k*na) copy of the seeds
             x = X.transpose(1, 0, 2).reshape(m, k * na)
+            # a seed in its box is its own clip (none is -0.0, see
+            # _clipped_seeds), so if every seed is, then by induction over
+            # the slots no clip would have changed one
+            if lost or not (x.min() >= lower and (x <= upper).all()):
+                _clipped_seeds(chain, lower, upper, lost)
+                x = X.transpose(1, 0, 2).reshape(m, k * na)
+
+            # screen the window: one operator call for all its cells
             F = evaluate(x, *factors)
             res = residual_rows(x, F, lower, upper)
             # a row's accepted run ends at its first miss or its chain's end
@@ -420,9 +422,9 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
                 going = pos < inner_count
                 blocks, pos, x0, x1 = (v[going]
                                        for v in (blocks, pos, x0, x1))
-            # twice the (upper) median accepted run
+            # about 1.5 times the (upper) median accepted run
             run.sort()
-            grow = 2 * int(run[na // 2])
+            grow = 3 * int(run[na // 2]) // 2 + 1
 
     report = fold_moments(acc)
     if flagged > max_flagged_fraction * n:
@@ -432,6 +434,31 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             f"cell weights sum to {report.total_weight!r}, not 1")
     return StepSolution(grid=grid, report=report, solver_config=config,
                         n_cells=n, flagged_cells=flagged, **kept)
+
+
+def _clipped_seeds(chain, lower, upper, lost):
+    """Seed a window slot by slot, each seed clip(2*a1 - a0) into its box.
+
+    chain is solve_all's (k + 2, m, na) chain, whose first two entries
+    are the blocks' last two points; its other k entries are written.
+    upper is the window's (m, 1) or j-major (m, k*na) upper bounds. With
+    lost set, a seed with a non-finite entry becomes its box midpoint.
+    """
+    k, m, na = chain[2:].shape
+    # window cell j's (m, na) block of upper bounds, shared or not
+    U = np.broadcast_to(upper, (m, k * na)).reshape(m, k, na)
+    for a0, a1, seed, uj in zip(chain, chain[1:], chain[2:],
+                                U.transpose(1, 0, 2)):
+        np.multiply(a1, 2.0, out=seed)
+        np.subtract(seed, a0, out=seed)
+        # np.clip's min(max(x, lower), upper), NaN kept; the forms differ
+        # only at -0.0, which 2*a1 - a0 of values >= +0 is not
+        np.maximum(seed, lower, out=seed)
+        np.minimum(seed, uj, out=seed)
+        if lost:
+            # a frozen non-finite cell must not seed the operator with NaN
+            np.copyto(seed, 0.5 * (lower + uj),
+                      where=~np.isfinite(seed).all(axis=0))
 
 
 def write_cells_csv(solution, path):

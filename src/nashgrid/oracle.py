@@ -99,10 +99,11 @@ def monte_carlo_mean(instance, n_samples, seed, solver_config=None):
         sols = out["solutions"]
         failed += int(nc - out["converged"].sum())
         # a memoryview yields each value as a Python float, which fsum
-        # takes faster than numpy scalars or a list of floats built first
+        # takes faster than numpy scalars or a list of floats built first;
+        # the chunk's sums are a stack of one term
         neumaier_add(sums, comp,
-                     np.array([[math.fsum(memoryview(row)) for row in v]
-                               for v in (sols, sols ** 2)]))
+                     np.array([[[math.fsum(memoryview(row)) for row in v]
+                                for v in (sols, sols ** 2)]]))
     s1, s2 = sums + comp
 
     mean = s1 / n_samples

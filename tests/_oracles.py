@@ -265,6 +265,21 @@ def extragradient_box_vi(F, lo, hi, start, tolerance, max_iterations,
 
 
 # ---------------------------------------------------------------------------
+# one compensated-summation step as one expression
+
+
+def compensated_step(total, comp, term):
+    """One TwoSum step on fresh arrays: the new (total, comp).
+
+    comp gains the exact rounding error of total + term. This is the
+    single step the package's stacked fold must repeat, term by term.
+    """
+    t = total + term
+    z = t - total
+    return t, comp + ((total - (t - z)) + (term - z))
+
+
+# ---------------------------------------------------------------------------
 # the operator kernel as one numpy expression
 
 def operator_expression(instance, q, r, s, beta=None, alpha=0.0, s_pow=None):

@@ -6,20 +6,22 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nashgrid import ConvergenceRow, MomentReport, _forkfold, aggregate
-from nashgrid.aggregate import (RunningMoments, convergence_report,
+from nashgrid.aggregate import (SLOTS, RunningMoments, convergence_report,
                                 fold_moments, neumaier_add,
                                 write_summary_csv, write_convergence_csv)
 
+import _oracles as o
 from conftest import assert_no_child_left, fails_if_it_hangs
 
 
 def test_compensated_add_survives_cancellation():
     total = np.zeros(1)
     comp = np.zeros(1)
-    for term in (1.0, 1e100, 1.0, -1e100):
-        total, comp = neumaier_add(total, comp, np.array([term]))
+    terms = np.array([[1.0], [1e100], [1.0], [-1e100]])
+    total, comp = neumaier_add(total, comp, terms)
     assert (total + comp)[0] == 2.0  # plain summation returns 0.0 here
 
 
@@ -70,20 +72,13 @@ def test_stacked_add_equals_single_adds_bitwise():
         assert alone.comp.tobytes() == stacked.comp[:, b].tobytes()
 
 
-def _reference_step(total, comp, term):
-    """The compensated step with a fresh temporary per operation."""
-    t = total + term
-    z = t - total
-    return t, comp + ((total - (t - z)) + (term - z))
-
-
 def _reference_add(total, comp, w, x):
     """k single-slot steps on copies, each term built as its own array."""
     total, comp = total.copy(), comp.copy()
     for wj, xj in zip(w, x):
         wx = wj[None] * xj
         term = np.concatenate([wj[None], wx, wx * xj], axis=0)
-        total, comp = _reference_step(total, comp, term)
+        total, comp = o.compensated_step(total, comp, term)
     return total, comp
 
 
@@ -92,15 +87,73 @@ def test_neumaier_add_in_place_matches_the_expression():
     total = rng.standard_normal((4, 7)) * 1e8
     comp = rng.standard_normal((4, 7)) * 1e-9
     term = rng.standard_normal((4, 7)) * np.logspace(-8, 8, 7)
-    want = _reference_step(total, comp, term)
-    for work in (None, np.empty((3, 4, 7))):
+    want = o.compensated_step(total, comp, term)
+    for work in (None, np.empty((3, 2, 4, 7))):
         got_total, got_comp = total.copy(), comp.copy()
         kept = term.copy()
-        out = neumaier_add(got_total, got_comp, term, work)
+        out = neumaier_add(got_total, got_comp, term[None], work)
         assert out[0] is got_total and out[1] is got_comp
         assert got_total.tobytes() == want[0].tobytes()
         assert got_comp.tobytes() == want[1].tobytes()
         assert term.tobytes() == kept.tobytes()
+
+
+# stack heights around the fold's batch of SLOTS terms
+HEIGHTS = st.sampled_from([0, 1, 2, SLOTS - 1, SLOTS, SLOTS + 1, 3 * SLOTS])
+# any float, with signed zeros, subnormals, infinities and NaN often
+FOLD_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, math.inf, -math.inf,
+     math.nan])
+
+
+def _stack(data, k, width):
+    """k rows of width floats; with a coin, the odd rows cancel the even."""
+    terms = np.array(data.draw(st.lists(
+        FOLD_FLOATS, min_size=k * width, max_size=k * width))).reshape(k, width)
+    if k > 1 and data.draw(st.booleans()):
+        terms[1::2] = -terms[:k // 2 * 2:2]
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_folded_stack_equals_k_single_steps_bitwise(data):
+    k, width = data.draw(HEIGHTS), 3
+    terms = _stack(data, k, width)
+    start = _stack(data, 2, width)
+    want = start[0], start[1]
+    with np.errstate(all="ignore"):
+        for term in terms:
+            want = o.compensated_step(*want, term)
+    kept = terms.copy()
+    # the default scratch, one of SLOTS terms and one of 2 terms
+    for batch in (None, SLOTS, 2):
+        work = None if batch is None else np.empty((3, batch + 1, width))
+        total, comp = start[0].copy(), start[1].copy()
+        with np.errstate(all="ignore"):
+            out = neumaier_add(total, comp, terms, work)
+        assert out[0] is total and out[1] is comp
+        assert total.tobytes() == want[0].tobytes()
+        assert comp.tobytes() == want[1].tobytes()
+        assert terms.tobytes() == kept.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_stacked_add_with_zero_weights_equals_k_steps_bitwise(data):
+    # adds fold SLOTS observations at a time; zero weights sit out
+    k, lead, dim = data.draw(HEIGHTS), 3, 2
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.random((k, lead)) * np.logspace(-8, 8, lead)
+    w[rng.random(w.shape) < 0.4] = 0.0
+    x = rng.standard_normal((k, dim, lead)) * 1e3
+    acc = RunningMoments(dim, lead=(lead,))
+    acc.total[...] = rng.standard_normal(acc.total.shape) * 1e3
+    want = _reference_add(acc.total, acc.comp, w, x)
+    acc.add(w, x)
+    assert acc.total.tobytes() == want[0].tobytes()
+    assert acc.comp.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("case", ["zero_weights", "nan_values", "lead_free"])
@@ -166,7 +219,7 @@ def _random_adds(rng, lead, dim):
 def test_a_fold_in_a_child_equals_the_fold_in_process_bitwise(monkeypatch,
                                                                rows):
     # rows below an add's k make the child fold it over several reads
-    monkeypatch.setattr(_forkfold, "ROWS", rows)
+    monkeypatch.setattr(aggregate, "SLOTS", rows)
     rng = np.random.default_rng(17)
     lead, dim = (3, 4), 2
     adds = _random_adds(rng, lead, dim)
@@ -199,7 +252,7 @@ def test_a_failing_fold_in_the_child_raises_in_the_caller(monkeypatch):
 
     # the child is forked inside the block, so it inherits the patch
     monkeypatch.setattr(aggregate, "neumaier_add", broken)
-    monkeypatch.setattr(_forkfold, "ROWS", 1)
+    monkeypatch.setattr(aggregate, "SLOTS", 1)
     monkeypatch.setattr(_forkfold, "PIPE_BYTES", 4096)
     acc = RunningMoments(2, lead=(3,))
     with fails_if_it_hangs():

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +193,7 @@ def reference_chain(inst, grid, cfg):
     (randomized_instance(), dict(n_r=6, n_s=40)),
     (three_firm_instance(),
      dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)),
-    # long windows: up to 10 cells per r-block, and up to the cap of 32
+    # long windows: up to 8 cells per r-block, and up to the cap of 32
     (randomized_instance(), dict(n_r=2, n_s=4000)),
     (randomized_instance(), dict(n_r=1, n_s=20000)),
 ], ids=["five_firm_6x40", "three_firm_random_box", "five_firm_2x4000",
@@ -332,7 +332,7 @@ def test_window_sweep_matches_one_cell_windows_across_bound_cells(
         monkeypatch):
     # the bound index changes every 16 inner cells; windows run longer
     inst = three_firm_instance()
-    g = make_grid(inst, n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)
+    g = make_grid(inst, n_r=2, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)
     windowed, one_cell, widest = sweep_twice(
         monkeypatch, inst, g, SolverConfig(initial_step=1.4))
     assert widest > 16 * g.r.n_cells
@@ -376,6 +376,93 @@ def test_window_sweep_matches_one_cell_windows_with_one_group_fixed(
     assert all(shape == (3, cells) for shape, cells in calls[varying])
     for group in calls.values():
         assert max(cells for _, cells in group) > 1
+
+
+def screened_cells(monkeypatch):
+    """Spy on the sweep's screens: one entry, its cell count, per round.
+
+    A round screens its window with one operator call made outside the
+    batch solver; the solver's own operator calls are not counted.
+    """
+    real_eval = discretize.operator_eval
+    real_batch = discretize.solve_box_vi_batch
+    screens, solving = [], []
+
+    def eval_spy(instance, q, *args, **kwargs):
+        if not solving:
+            screens.append(q.shape[1])
+        return real_eval(instance, q, *args, **kwargs)
+
+    def batch_spy(*args, **kwargs):
+        solving.append(None)
+        try:
+            return real_batch(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(discretize, "operator_eval", eval_spy)
+    monkeypatch.setattr(discretize, "solve_box_vi_batch", batch_spy)
+    return screens
+
+
+def test_the_shipped_sweep_takes_its_pinned_rounds_and_screens(monkeypatch):
+    # the counts repeat exactly, because the bits do; only a deliberate
+    # change of the window rule may move them
+    config = load_config(ROOT / "configs" / "expectation_grid.json")
+    g = make_grid(config.instance, n_r=8, n_s=4000)
+    screens = screened_cells(monkeypatch)
+    solve_all(config.instance, g, config.solver)
+    assert (len(screens), sum(screens)) == (1581, 45803)
+
+
+def exiting_firm_instance():
+    """The random five-firm market where firm 1 leaves as alpha falls.
+
+    Firms 2 to 5 produce at their capacity of 30 in every cell, and
+    firm 1, at cost 30, produces nothing in about 60% of them. Alpha,
+    the innermost factor, rises along each run of its cells and falls
+    back at the next, where firm 1 leaves, so a seed extrapolated past
+    the fall is negative.
+    """
+    base = randomized_instance()
+    capped = RandomFactor.constant(30.0)
+    firms = [replace(f, q_bar=capped) for f in base.firms]
+    firms[0] = replace(base.firms[0], c=30.0)
+    return replace(base, firms=tuple(firms),
+                   alpha_factor=RandomFactor.uniform(-0.5, 0.5))
+
+
+@pytest.mark.parametrize("inst, counts", [
+    (three_firm_instance(),
+     dict(n_r=2, n_s=2, n_bounds=2, n_betas=2, n_alpha=2)),
+    (exiting_firm_instance(), dict(n_r=2, n_s=20, n_alpha=8)),
+], ids=["above_changing_capacities", "below_an_exit"])
+def test_seeds_that_leave_their_box_take_the_clipped_chain(monkeypatch, inst,
+                                                           counts):
+    # some windows' unclipped seeds leave their box, above capacities that
+    # bind and change with the bound cells, or below zero; those rounds
+    # seed again slot by slot, clipped, and the others keep the unclipped
+    # seeds
+    g = make_grid(inst, **counts)
+    cfg = SolverConfig(initial_step=1.4)
+    clipped = []
+    real_clip = discretize._clipped_seeds
+
+    def clip_spy(*args):
+        clipped.append(None)
+        return real_clip(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(discretize, "_clipped_seeds", clip_spy)
+        screens = screened_cells(patch)
+        windowed = solve_all(inst, g, cfg, keep_cells=True)
+    assert 0 < len(clipped) < len(screens)
+    assert max(screens) > g.r.n_cells
+    assert windowed.converged.all()
+    assert_same_sweep(windowed, o.reference_sweep(inst, g, cfg))
+    with monkeypatch.context() as patch:
+        patch.setattr(discretize, "_WINDOW_CAP", 1)
+        assert_same_sweep(windowed, solve_all(inst, g, cfg, keep_cells=True))
 
 
 def poisoned_operator(grid, r_cell, s_cell):
