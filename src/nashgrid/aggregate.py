@@ -7,9 +7,6 @@ accumulators in one canonical order at the end into the MomentReport,
 so results are reproducible to full precision. Values come firm-major,
 (k, dim) + lead, with a sweep's blocks on the last axis, so each step
 runs over the blocks. Stored per-cell arrays are never summed again.
-RunningMoments.folded_in_child moves an accumulator's steps, in the
-same order, to a forked child process that reads the observations from
-one pipe, so the caller can go on working while they run.
 
 Every CSV output of the package (summary, ladder, oracle and cell dump)
 is written by write_csv, with floats in one format, _fmt's repr.
@@ -17,17 +14,14 @@ is written by write_csv, with floats in one format, _fmt's repr.
 from __future__ import annotations
 
 import csv
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 
-# the terms a compensated fold takes at a time: neumaier_add's scratch,
-# RunningMoments' term buffer and the forked child's read buffer each
-# hold this many; 8 rows of the pinned 200 x 20000 sweep are 77 KB, 32
-# folded no faster in the child, and 4, 16 or 32 no faster in process
+# the terms a compensated fold takes at a time: neumaier_add's scratch
+# and RunningMoments' term buffer each hold this many; 8 rows of the
+# pinned 200 x 20000 sweep are 77 KB, and 4, 16 or 32 folded no faster
 SLOTS = 8
 
 
@@ -94,8 +88,6 @@ class RunningMoments:
         # and neumaier_add's running totals and errors
         self._terms = np.empty((SLOTS, 1 + 2 * self.dim) + lead)
         self._work = np.empty((3, SLOTS + 1) + self.total.shape)
-        # folded_in_child's ForkedFold while its block runs
-        self._child = None
 
     def add(self, weight, values):
         """Fold k weighted observations per accumulator, in order.
@@ -103,17 +95,12 @@ class RunningMoments:
         weight has shape ``(k,) + lead`` and values ``(k, dim) + lead``;
         they are k compensated steps, one per observation, folded SLOTS
         at a time. A zero weight with finite values is a no-op, so an
-        accumulator can sit out some of the k slots. Inside
-        folded_in_child the steps run in the child: add checks its
-        arguments, writes them to the child's pipe and returns.
+        accumulator can sit out some of the k slots.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
         if w.ndim != 1 + len(self.lead):
             raise ValueError("weight must have shape (k,) + lead")
-        if self._child is not None:
-            self._child.send(w, x)
-            return
         # the batches slice both arrays, so each is spread to the k slots
         shape = np.broadcast_shapes(w[:, None].shape, x.shape)
         if len(w) != shape[0]:
@@ -122,51 +109,15 @@ class RunningMoments:
             x = np.broadcast_to(x, shape)
         b = len(self._terms)
         for lo in range(0, shape[0], b):
-            self._fold(w[lo:lo + b], x[lo:lo + b])
-
-    def _fold(self, w, x):
-        """Fold at most SLOTS observations: one neumaier_add of their terms.
-
-        The forked child calls this on each batch of rows it reads.
-        """
-        # the terms [w, w*x, w*x*x] of all the slots, built at once
-        terms = self._terms[:len(w)]
-        w = w[:, None]
-        wx = terms[:, 1:1 + self.dim]
-        terms[:, :1] = w
-        np.multiply(w, x, out=wx)
-        np.multiply(wx, x, out=terms[:, 1 + self.dim:])
-        neumaier_add(self.total, self.comp, terms, self._work)
-
-    @contextmanager
-    def folded_in_child(self):
-        """Run the compensated steps of the block's adds in a forked child.
-
-        add still checks its arguments in the caller, then writes them
-        to a pipe the child reads and returns; the caller waits only
-        while the pipe is full. The child folds the observations in the
-        order they were written, with add's own steps, so total and comp
-        come out bit for bit as in-process adds would leave them; they
-        are installed when the block ends. If the child fails, the block
-        raises RuntimeError.
-        Without os.fork the adds fold in-process.
-        """
-        if not hasattr(os, "fork"):
-            yield self
-            return
-        # imported on first use (see _forkfold)
-        from ._forkfold import ForkedFold
-        child = ForkedFold(self)
-        self._child = child
-        try:
-            yield self
-        finally:
-            self._child = None
-            status = child.reap()
-        if status != 0:
-            raise RuntimeError("the moment fold's child process failed")
-        np.copyto(self.total, child.sums[0])
-        np.copyto(self.comp, child.sums[1])
+            # one neumaier_add of the batch's terms [w, w*x, w*x*x],
+            # built at once
+            wb, xb = w[lo:lo + b, None], x[lo:lo + b]
+            terms = self._terms[:len(wb)]
+            wx = terms[:, 1:1 + self.dim]
+            terms[:, :1] = wb
+            np.multiply(wb, xb, out=wx)
+            np.multiply(wx, xb, out=terms[:, 1 + self.dim:])
+            neumaier_add(self.total, self.comp, terms, self._work)
 
 
 @dataclass

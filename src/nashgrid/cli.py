@@ -140,6 +140,8 @@ class DiscretizationConfig:
 @dataclass(frozen=True)
 class RunSettings:
     mode: str = "discretize"
+    # accepted, checked (>= 1) and overridden by --threads, but of no
+    # effect in any mode: every solve runs in the calling thread
     parallelism: int = 1
     out_dir: str = "."
     seed: int = 0
@@ -351,8 +353,7 @@ def run_config(config, stdout=None):
                          n_alpha=disc.n_alpha, rules=disc.rules_dict())
         return solve_all(config.instance, grid, config.solver,
                          keep_cells=keep_cells,
-                         max_flagged_fraction=run.max_flagged_fraction,
-                         parallelism=run.parallelism)
+                         max_flagged_fraction=run.max_flagged_fraction)
 
     if run.mode == "oracle":
         report = monte_carlo_mean(config.instance, run.n_samples, run.seed,
@@ -398,9 +399,8 @@ def main(argv=None):
     solve.add_argument("--mode", choices=MODES, help="override run.mode")
     solve.add_argument("--out", help="override run.out_dir")
     solve.add_argument("--threads", type=int,
-                       help="override run.parallelism (at 2 or more, grid "
-                            "sweeps fold their moments in one forked child "
-                            "process; no effect in oracle mode)")
+                       help="override run.parallelism (accepted and checked, "
+                            ">= 1, but no effect in any mode)")
     solve.add_argument("--dump-config", action="store_true",
                        help="print the normalized config and exit")
     args = parser.parse_args(argv)

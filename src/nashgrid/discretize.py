@@ -21,15 +21,12 @@ solve. Columns of a batch are frozen individually the moment they
 converge and all elementwise arithmetic is position-stable, so each
 cell lands exactly where a single-cell solve from the same seed would,
 whatever the window length; per-block moment accumulators fold each
-chain in order and are merged in canonical block order. At parallelism
-2 or more, one forked child process runs those folds while the caller
-goes on seeding, screening and solving; the fold order, and so every
-output bit, is the same.
+chain in order, in the calling process, and are merged in canonical
+block order.
 """
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 # unused by the sweep; the benchmark tracer (perfbench/trace.py) rebinds it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
@@ -52,8 +49,9 @@ CELL_CAP = 100_000_000
 # wider rounds were measured slower before it: 32 x 200-cell windows
 # cost 193 against 120 ns a kernel row and about 4 MB more peak RSS.
 # With windows sized to 1.5 times the median run, 6400 cells a round
-# solved the pinned 200 x 20000 sweep at parallelism 2 3.7% faster (5 of
-# 6 alternating runs, 2 vCPU) with 8.6% less CPU, but 0.5 MB more peak RSS
+# solved the pinned 200 x 20000 sweep, its fold then in a child process,
+# 3.7% faster (5 of 6 alternating runs, 2 vCPU) with 8.6% less CPU, but
+# 0.5 MB more peak RSS
 _WINDOW_CAP = 32
 _WINDOW_CELLS = 3200
 # Gauss-Legendre points per cell per dimension in mean_truncation
@@ -191,7 +189,7 @@ class FlaggedCellsError(RuntimeError):
 
 
 def solve_all(instance, grid, solver_config=None, keep_cells=False,
-              max_flagged_fraction=0.0, parallelism=1):
+              max_flagged_fraction=0.0):
     """Solve every cell problem of the grid.
 
     Cells are organized into one chain per r-cell (an r-block) over the
@@ -225,10 +223,7 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     one cell. Every kernel call takes a factor with one cell in the grid
     as a scalar (an (m, 1) column for bounds and betas) and every other
     factor per cell, as vi._columns reads them. Each round's used cells
-    fold into per-block compensated accumulators, in chain order; at
-    parallelism >= 2 that fold runs in one forked child process
-    (RunningMoments.folded_in_child), in the same order, so the result
-    does not depend on parallelism.
+    fold into per-block compensated accumulators, in chain order.
 
     Args:
         instance: the market model.
@@ -238,8 +233,6 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             cells into the moments (False, the default).
         max_flagged_fraction: tolerated fraction of non-converged cells,
             in [0, 1], before FlaggedCellsError (default: none).
-        parallelism: an integer >= 1; at 2 or more the moment fold runs
-            in one forked child process. Never changes the results.
 
     Returns:
         StepSolution; its report carries the weighted moments.
@@ -249,8 +242,6 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     # the ``not`` form refuses NaN as well
     if not 0.0 <= max_flagged_fraction <= 1.0:
         raise ValueError("max_flagged_fraction must lie in [0, 1]")
-    if not (isinstance(parallelism, (int, np.integer)) and parallelism >= 1):
-        raise ValueError("parallelism must be an integer >= 1")
     config = solver_config or SolverConfig()
     n = grid.n_cells
     _refuse_oversize(n)
@@ -317,7 +308,6 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
             "iterations": np.empty(n, dtype=np.int64)} if keep_cells else {}
 
     acc = RunningMoments(m, lead=(n_blocks,))
-    fold = acc.folded_in_child() if parallelism > 1 else nullcontext()
     flagged = 0
     worst = 0.0
     lost = False
@@ -330,101 +320,100 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
                       (n_blocks, 1))
     offsets = np.arange(_WINDOW_CAP)[:, None]
     grow = 1
-    with fold:
-        while blocks.size:
-            na = blocks.size
-            k = max(1, min(grow, _WINDOW_CAP, _WINDOW_CELLS // na))
-            # the window's cells, j-major: cell (j, b) is entry j*na + b; a
-            # window that runs past its chain repeats the chain's last cell,
-            # and only its first `real` cells are cells of the chain
-            real = np.minimum(inner_count - pos, k)
-            ii = np.minimum(pos + offsets[:k], inner_count - 1).ravel()
-            cell_blocks = np.tile(blocks, k)
-            factors, upper, w = cell_factors(ii, cell_blocks)
+    while blocks.size:
+        na = blocks.size
+        k = max(1, min(grow, _WINDOW_CAP, _WINDOW_CELLS // na))
+        # the window's cells, j-major: cell (j, b) is entry j*na + b; a
+        # window that runs past its chain repeats the chain's last cell,
+        # and only its first `real` cells are cells of the chain
+        real = np.minimum(inner_count - pos, k)
+        ii = np.minimum(pos + offsets[:k], inner_count - 1).ravel()
+        cell_blocks = np.tile(blocks, k)
+        factors, upper, w = cell_factors(ii, cell_blocks)
 
-            # chain[2 + j] is window cell j's (m, na) block of seeds, made as
-            # if every earlier cell were accepted at its seed, and clipped as
-            # the solver would clip it: the cell's solution if it is accepted
-            chain = np.empty((k + 2, m, na))
-            chain[0], chain[1] = x0.T, x1.T
-            X = chain[2:]
-            for a0, a1, seed in zip(chain, chain[1:], X):
-                np.multiply(a1, 2.0, out=seed)
-                np.subtract(seed, a0, out=seed)
-            # the window's cells as one (m, k*na) copy of the seeds
+        # chain[2 + j] is window cell j's (m, na) block of seeds, made as
+        # if every earlier cell were accepted at its seed, and clipped as
+        # the solver would clip it: the cell's solution if it is accepted
+        chain = np.empty((k + 2, m, na))
+        chain[0], chain[1] = x0.T, x1.T
+        X = chain[2:]
+        for a0, a1, seed in zip(chain, chain[1:], X):
+            np.multiply(a1, 2.0, out=seed)
+            np.subtract(seed, a0, out=seed)
+        # the window's cells as one (m, k*na) copy of the seeds
+        x = X.transpose(1, 0, 2).reshape(m, k * na)
+        # a seed in its box is its own clip (none is -0.0, see
+        # _clipped_seeds), so if every seed is, then by induction over
+        # the slots no clip would have changed one
+        if lost or not (x.min() >= lower and (x <= upper).all()):
+            _clipped_seeds(chain, lower, upper, lost)
             x = X.transpose(1, 0, 2).reshape(m, k * na)
-            # a seed in its box is its own clip (none is -0.0, see
-            # _clipped_seeds), so if every seed is, then by induction over
-            # the slots no clip would have changed one
-            if lost or not (x.min() >= lower and (x <= upper).all()):
-                _clipped_seeds(chain, lower, upper, lost)
-                x = X.transpose(1, 0, 2).reshape(m, k * na)
 
-            # screen the window: one operator call for all its cells
-            F = evaluate(x, *factors)
-            res = residual_rows(x, F, lower, upper)
-            # a row's accepted run ends at its first miss or its chain's end
-            ok = np.zeros((k + 1, na), dtype=bool)
-            np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
-            run = np.minimum(ok.argmin(axis=0), real)
-            hit = run < real
-            missed = np.flatnonzero(hit)
-            its = np.zeros(k * na, dtype=np.int64)
-            if missed.size:
-                # the misses, solved from their seeds with the screened values
-                # and residuals
-                cells = run[missed] * na + missed
-                out = solve_box_vi_batch(
-                    evaluate, lower, _columns(upper, cells), config,
-                    x.take(cells, axis=1), values=F.take(cells, axis=1),
-                    residuals=res.take(cells),
-                    factors=[_columns(v, cells) for v in factors])
-                x[:, cells] = out["solutions"]
-                X[run[missed], :, missed] = out["solutions"].T
-                res[cells] = out["residuals"]
-                its[cells] = out["iterations"]
-                if not out["converged"].all():
-                    bad = out["residuals"][~out["converged"]]
-                    flagged += bad.size
-                    lost = lost or not np.isfinite(bad).all()
-                    # a non-finite residual must not vanish from the report
-                    worst = max(worst, float(
-                        np.where(np.isfinite(bad), bad, np.inf).max()))
+        # screen the window: one operator call for all its cells
+        F = evaluate(x, *factors)
+        res = residual_rows(x, F, lower, upper)
+        # a row's accepted run ends at its first miss or its chain's end
+        ok = np.zeros((k + 1, na), dtype=bool)
+        np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
+        run = np.minimum(ok.argmin(axis=0), real)
+        hit = run < real
+        missed = np.flatnonzero(hit)
+        its = np.zeros(k * na, dtype=np.int64)
+        if missed.size:
+            # the misses, solved from their seeds with the screened values
+            # and residuals
+            cells = run[missed] * na + missed
+            out = solve_box_vi_batch(
+                evaluate, lower, _columns(upper, cells), config,
+                x.take(cells, axis=1), values=F.take(cells, axis=1),
+                residuals=res.take(cells),
+                factors=[_columns(v, cells) for v in factors])
+            x[:, cells] = out["solutions"]
+            X[run[missed], :, missed] = out["solutions"].T
+            res[cells] = out["residuals"]
+            its[cells] = out["iterations"]
+            if not out["converged"].all():
+                bad = out["residuals"][~out["converged"]]
+                flagged += bad.size
+                lost = lost or not np.isfinite(bad).all()
+                # a non-finite residual must not vanish from the report
+                worst = max(worst, float(
+                    np.where(np.isfinite(bad), bad, np.inf).max()))
 
-            took = run + hit
-            # fold the used cells; every other slot holds a finite seed and
-            # gets weight zero, which makes its terms no-ops
-            used = offsets[:k] < took
-            kk = int(took.max())
-            wf = np.where(used, w.reshape(k, na), 0.0)[:kk]
-            xf = X[:kk]
-            if na < n_blocks:
-                # finished blocks sit out with zero terms
-                wf_all = np.zeros((kk, n_blocks))
-                xf_all = np.zeros((kk, m, n_blocks))
-                wf_all[:, blocks], xf_all[:, :, blocks] = wf, xf
-                wf, xf = wf_all, xf_all
-            acc.add(wf, xf)
-            if kept:
-                sel = used.ravel()
-                ids = (cell_blocks * inner_count + ii)[sel]
-                for stored, v in zip(kept.values(), (x.T, w, res, its)):
-                    stored[ids] = v[sel]
+        took = run + hit
+        # fold the used cells; every other slot holds a finite seed and
+        # gets weight zero, which makes its terms no-ops
+        used = offsets[:k] < took
+        kk = int(took.max())
+        wf = np.where(used, w.reshape(k, na), 0.0)[:kk]
+        xf = X[:kk]
+        if na < n_blocks:
+            # finished blocks sit out with zero terms
+            wf_all = np.zeros((kk, n_blocks))
+            xf_all = np.zeros((kk, m, n_blocks))
+            wf_all[:, blocks], xf_all[:, :, blocks] = wf, xf
+            wf, xf = wf_all, xf_all
+        acc.add(wf, xf)
+        if kept:
+            sel = used.ravel()
+            ids = (cell_blocks * inner_count + ii)[sel]
+            for stored, v in zip(kept.values(), (x.T, w, res, its)):
+                stored[ids] = v[sel]
 
-            # a block that has solved only its first cell takes that solution
-            # as x0 too; the first round's window is one cell long, so no
-            # window reaches a chain's second cell before this
-            cols = np.arange(na)
-            x0 = chain[np.maximum(took, 2 - pos), :, cols]
-            x1 = chain[took + 1, :, cols]
-            pos = pos + took
-            if np.maximum.reduce(pos) >= inner_count:
-                going = pos < inner_count
-                blocks, pos, x0, x1 = (v[going]
-                                       for v in (blocks, pos, x0, x1))
-            # about 1.5 times the (upper) median accepted run
-            run.sort()
-            grow = 3 * int(run[na // 2]) // 2 + 1
+        # a block that has solved only its first cell takes that solution
+        # as x0 too; the first round's window is one cell long, so no
+        # window reaches a chain's second cell before this
+        cols = np.arange(na)
+        x0 = chain[np.maximum(took, 2 - pos), :, cols]
+        x1 = chain[took + 1, :, cols]
+        pos = pos + took
+        if np.maximum.reduce(pos) >= inner_count:
+            going = pos < inner_count
+            blocks, pos, x0, x1 = (v[going]
+                                   for v in (blocks, pos, x0, x1))
+        # about 1.5 times the (upper) median accepted run
+        run.sort()
+        grow = 3 * int(run[na // 2]) // 2 + 1
 
     report = fold_moments(acc)
     if flagged > max_flagged_fraction * n:

@@ -1,6 +1,4 @@
 import os
-import signal
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -73,21 +71,6 @@ def assert_no_child_left():
     """The test process has no child process, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@contextmanager
-def fails_if_it_hangs(seconds=60):
-    """Raise TimeoutError in the block once it has run for seconds."""
-    def hung(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture

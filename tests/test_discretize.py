@@ -1,5 +1,4 @@
 import csv
-import errno
 import math
 import os
 import subprocess
@@ -16,13 +15,12 @@ from nashgrid import (BoxSet, CournotInstance, FactorGrid, FirmParams,
                       make_grid, make_partition, mean_truncation,
                       natural_residual, operator_eval, solve_all, solve_vi,
                       write_cells_csv)
-from nashgrid import aggregate, cournot
+from nashgrid import cournot
 from nashgrid.cli import load_config, parse_config
 
 import _oracles as o
 from _oracles import cell_operator, grid_cells
-from conftest import (assert_no_child_left, fails_if_it_hangs,
-                      five_firm_instance, nine_firm_config,
+from conftest import (five_firm_instance, nine_firm_config,
                       randomized_instance)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -522,131 +520,40 @@ def test_sweep_matches_its_executable_spec(monkeypatch, inst, counts, cfg,
         monkeypatch.setattr(discretize, "operator_eval", op)
         monkeypatch.setattr(cournot, "operator_eval", op)
     want = o.reference_sweep(inst, g, cfg)
-    # at 2 a forked child folds the moments
-    for parallelism in (1, 2):
-        got = solve_all(inst, g, cfg, keep_cells=True,
-                        max_flagged_fraction=1.0, parallelism=parallelism)
-        assert_same_sweep(got, want)
-        assert got.flagged_cells == (1 if poison else 0)
+    got = solve_all(inst, g, cfg, keep_cells=True, max_flagged_fraction=1.0)
+    assert_same_sweep(got, want)
+    assert got.flagged_cells == (1 if poison else 0)
 
 
-def test_solve_all_needs_an_integer_parallelism():
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=2, n_s=3)
-    for bad in (0, -2, 1.5, 2.0, "2", None):
-        with pytest.raises(ValueError,
-                           match="parallelism must be an integer >= 1"):
-            solve_all(inst, g, parallelism=bad)
-    want = solve_all(inst, g, keep_cells=True)
-    assert_same_sweep(solve_all(inst, g, keep_cells=True,
-                                parallelism=np.int64(2)), want)
-    assert_no_child_left()
-
-
-def test_an_operator_error_at_parallelism_two_leaves_no_child(monkeypatch):
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=3, n_s=400)
-    real = discretize.operator_eval
-    calls = []
-
-    def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == 50:
-            raise ZeroDivisionError("the operator failed mid-sweep")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(discretize, "operator_eval", failing)
-    with fails_if_it_hangs():
-        with pytest.raises(ZeroDivisionError, match="mid-sweep"):
-            solve_all(inst, g, SolverConfig(initial_step=1.4), parallelism=2)
-    assert_no_child_left()
-
-
-def test_flagged_cells_at_parallelism_two_leave_no_child():
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=2, n_s=2)
-    starved = SolverConfig(max_iterations=1, initial_step=1e-9)
-    with fails_if_it_hangs():
-        with pytest.raises(FlaggedCellsError) as err:
-            solve_all(inst, g, starved, parallelism=2)
-    assert err.value.flagged == 4
-    assert_no_child_left()
-
-
-def test_a_fold_error_in_the_child_raises_runtime_error(monkeypatch):
-    def broken(*args):
-        raise FloatingPointError("a fold step failed")
-
-    # the fold's child is forked inside solve_all and inherits the patch
-    monkeypatch.setattr(aggregate, "neumaier_add", broken)
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=3, n_s=400)
-    with fails_if_it_hangs():
-        with pytest.raises(RuntimeError, match="child process"):
-            solve_all(inst, g, SolverConfig(initial_step=1.4), parallelism=2)
-    assert_no_child_left()
-
-
-def test_without_fork_parallelism_two_folds_in_process(monkeypatch):
-    # where os has no fork, folded_in_child folds in the calling process
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=3, n_s=40)
-    want = solve_all(inst, g, keep_cells=True)
-    monkeypatch.delattr(os, "fork")
-    assert_same_sweep(solve_all(inst, g, keep_cells=True, parallelism=2),
-                      want)
-
-
-def test_a_failed_fork_raises_and_closes_every_pipe_end(monkeypatch):
-    def no_fork():
-        raise OSError(errno.EAGAIN, "no process to spare")
-
-    pipes = []
-    real_pipe = os.pipe
-
-    def pipe():
-        pipes.append(real_pipe())
-        return pipes[-1]
-
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=2, n_s=3)
-    monkeypatch.setattr(os, "fork", no_fork)
-    monkeypatch.setattr(os, "pipe", pipe)
-    fds = len(os.listdir("/proc/self/fd"))
-    with pytest.raises(OSError) as err:
-        solve_all(inst, g, parallelism=2)
-    assert err.value.errno == errno.EAGAIN
-    # the one pipe was made, and both its ends closed
-    assert len(pipes) == 1
-    assert len(os.listdir("/proc/self/fd")) == fds
-
-
-def test_only_parallelism_two_forks_and_once_per_grid():
-    # in a fresh interpreter, so that no other test has imported the fold
+def test_no_mode_starts_a_process(tmp_path):
+    # in a fresh interpreter, so that no other test's imports count
     code = """
-import os, sys
-from conftest import randomized_instance
-from nashgrid import make_grid, solve_all
+import io, os, sys
+from dataclasses import replace
+from nashgrid import cli
 forks, real_fork = [], os.fork
 def fork():
-    pid = real_fork()
-    forks.append(pid)
-    return pid
+    forks.append(None)
+    return real_fork()
 os.fork = fork
-inst = randomized_instance()
-grids = [make_grid(inst, n_r=2, n_s=n_s) for n_s in (3, 40)]
-for g in grids:
-    solve_all(inst, g, parallelism=1)
-print(len(forks), 'nashgrid._forkfold' in sys.modules)
-for g in grids:
-    solve_all(inst, g, parallelism=2)
-print(len(forks))
+base = cli.load_config(sys.argv[1])
+for mode in ("discretize", "ladder"):
+    config = replace(
+        base, discretization=replace(base.discretization, n_r=2, n_s=40),
+        run=replace(base.run, mode=mode, parallelism=2,
+                    ladder=((2, 20), (3, 40)), out_dir=sys.argv[2]))
+    assert cli.run_config(config, stdout=io.StringIO()) == 0
+print(len(forks), sorted(m for m in ("mmap", "fcntl", "nashgrid._forkfold")
+                         if m in sys.modules))
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "tests")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split("\n") == ["0 False", "2", ""]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code,
+         str(ROOT / "configs" / "expectation_grid.json"), str(tmp_path)],
+        env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout == "0 []\n"
+    assert (tmp_path / "summary.csv").exists()
+    assert (tmp_path / "ladder.csv").exists()
 
 
 def test_cells_csv_round_trip(tmp_path, monkeypatch):

@@ -152,11 +152,10 @@ def test_floats_give_0d_arrays_and_lists_give_arrays():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # nor the forked fold, its mmap and its fcntl, which a sweep imports
-    # on first use at parallelism >= 2
+    # nor mmap or fcntl: nashgrid starts no process and shares no memory
     code = ("import sys, nashgrid.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m in ('scipy', 'mmap', 'fcntl', 'nashgrid._forkfold') "
+            "if m in ('scipy', 'mmap', 'fcntl') "
             "or m.startswith('scipy.')))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

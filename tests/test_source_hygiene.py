@@ -15,7 +15,7 @@ UNUSED_IMPORTS_ALLOWED = {
 }
 
 # module.import -> why a module imports a thread or process pool; the
-# package starts no threads and forks only in _forkfold
+# package starts no threads and no processes
 THREAD_IMPORTS_ALLOWED = {
     "discretize.concurrent.futures":
         "perfbench/trace.py rebinds its ThreadPoolExecutor to trace the sweep",
@@ -103,8 +103,7 @@ def _forks(tree):
         for node in ast.walk(tree))
 
 
-def test_the_package_starts_no_threads_and_forks_in_one_module():
-    # one parallel backend: the moment fold's forked child
+def test_the_package_starts_no_threads_and_forks_nowhere():
     threads, forks = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -114,4 +113,4 @@ def test_the_package_starts_no_threads_and_forks_in_one_module():
         if _forks(tree):
             forks.add(path.stem)
     assert threads == set(THREAD_IMPORTS_ALLOWED)
-    assert forks == {"_forkfold"}
+    assert forks == set()
