@@ -14,7 +14,7 @@ Modules:
                    solve_vi is its one-column call
     distributions  bounded random factors and support partitions
     cournot        the oligopoly model: cost, price, welfare, operator
-    discretize     cell grids and the batched sweep over their cells
+    discretize     cell grids and the surrogate-seeded sweep over them
     aggregate      compensated moment summaries and refinement reports
     oracle         Monte Carlo cross-check with standard errors
     cli            JSON-config command line front end

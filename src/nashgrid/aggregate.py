@@ -1,12 +1,11 @@
 """Moment summaries of cell-wise solutions and refinement reports.
 
 Expectations over millions of weighted cells are folded once, during
-the sweep, with compensated (Neumaier) summation: each accumulator
-folds its cells in a fixed order, and fold_moments merges the
-accumulators in one canonical order at the end into the MomentReport,
-so results are reproducible to full precision. Values come firm-major,
-(k, dim) + lead, with a sweep's blocks on the last axis, so each step
-runs over the blocks. Stored per-cell arrays are never summed again.
+the sweep: each chunk of cells is summed pairwise and enters one
+compensated (Neumaier) step of the running sum, chunk after chunk, and
+fold_moments turns the accumulators, in one canonical order, into the
+MomentReport, so results are reproducible to full precision. Stored
+per-cell arrays are never summed again.
 
 Every CSV output of the package (summary, ladder, oracle and cell dump)
 is written by write_csv, with floats in one format, _fmt's repr.
@@ -19,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# the terms a compensated fold takes at a time: neumaier_add's scratch
-# and RunningMoments' term buffer each hold this many; 8 rows of the
-# pinned 200 x 20000 sweep are 77 KB, and 4, 16 or 32 folded no faster
-SLOTS = 8
-
-
-def neumaier_add(total, comp, terms, work=None):
+def neumaier_add(total, comp, terms):
     """Fold a (k,) + total.shape stack of terms, in order, in place.
 
     Adds each term in turn to the running sum total + comp, which
@@ -34,36 +27,13 @@ def neumaier_add(total, comp, terms, work=None):
     Each step gains comp the exact rounding error of total + term,
     computed branch-free (Knuth's TwoSum); for finite values that is bit
     for bit Neumaier's (total - t) + term or (term - t) + total,
-    whichever of total and term is larger in magnitude. The additions
-    to total and to comp run one term at a time, in order; the errors of
-    a batch of terms are computed as whole arrays from its running
-    totals (Ogita, Rump & Oishi 2005), by the same elementwise
-    operations, so the bits are those of k single steps. work is a
-    (3, b + 1) + total.shape scratch array, and b is the batch size;
-    without it one is allocated, with b at most SLOTS.
+    whichever of total and term is larger in magnitude.
     """
-    if work is None:
-        work = np.empty((3, min(max(len(terms), 1), SLOTS) + 1) + total.shape)
-    run, z_all, e_all = work
-    b = len(run) - 1
-    for lo in range(0, len(terms), b):
-        term = terms[lo:lo + b]
-        n = len(term)
-        # run[j] is the running total before term j, run[n] after all
-        run[0] = total
-        for j in range(n):
-            np.add(run[j], term[j], out=run[j + 1])
-        # comp += (total - (t - z)) + (term - z), with t the new total
-        # and z = t - total, for all n terms at once
-        prev, t, z, e = run[:n], run[1:n + 1], z_all[:n], e_all[:n]
-        np.subtract(t, prev, out=z)
-        np.subtract(t, z, out=e)
-        np.subtract(prev, e, out=e)
-        np.subtract(term, z, out=z)
-        np.add(e, z, out=e)
-        for ej in e:
-            np.add(comp, ej, out=comp)
-        np.copyto(total, run[n])
+    for term in terms:
+        t = total + term
+        z = t - total
+        comp += (total - (t - z)) + (term - z)
+        np.copyto(total, t)
     return total, comp
 
 
@@ -71,11 +41,11 @@ class RunningMoments:
     """Weighted first/second moment accumulators with compensation.
 
     ``lead`` adds trailing axes so one object can hold many independent
-    accumulators updated in lockstep (one per block of a sweep); the
-    elementwise updates keep each accumulator's history independent of
-    how many neighbors share the object. Each accumulator keeps one
-    compensated sum (``total`` + ``comp``, each of shape ``(1 + 2*dim,)
-    + lead``) of the vector [w, w*x_1..w*x_dim, w*x_1^2..w*x_dim^2].
+    accumulators updated in lockstep; the elementwise updates keep each
+    accumulator's history independent of how many neighbors share the
+    object. Each accumulator keeps one compensated sum (``total`` +
+    ``comp``, each of shape ``(1 + 2*dim,) + lead``) of the vector
+    [w, w*x_1..w*x_dim, w*x_1^2..w*x_dim^2].
     """
 
     def __init__(self, dim, lead=()):
@@ -84,40 +54,34 @@ class RunningMoments:
         self.lead = lead
         self.total = np.zeros((1 + 2 * self.dim,) + lead)
         self.comp = np.zeros((1 + 2 * self.dim,) + lead)
-        # the scratch of one batch of SLOTS observations: their terms,
-        # and neumaier_add's running totals and errors
-        self._terms = np.empty((SLOTS, 1 + 2 * self.dim) + lead)
-        self._work = np.empty((3, SLOTS + 1) + self.total.shape)
 
     def add(self, weight, values):
-        """Fold k weighted observations per accumulator, in order.
+        """Fold one chunk of k weighted observations per accumulator.
 
-        weight has shape ``(k,) + lead`` and values ``(k, dim) + lead``;
-        they are k compensated steps, one per observation, folded SLOTS
-        at a time. A zero weight with finite values is a no-op, so an
-        accumulator can sit out some of the k slots.
+        weight has shape ``(k,) + lead`` and values ``(k, dim) + lead``,
+        in any memory layout. The chunk's terms [w, w*x, w*x*x] are
+        summed pairwise over the k observations (numpy's sum along a
+        contiguous axis), and the sum enters one compensated step. So a
+        chunk of one observation is one step of its terms, and the bits
+        depend on the chunks' bounds and order only.
         """
         w = np.asarray(weight, dtype=float)
         x = np.asarray(values, dtype=float)
         if w.ndim != 1 + len(self.lead):
             raise ValueError("weight must have shape (k,) + lead")
-        # the batches slice both arrays, so each is spread to the k slots
-        shape = np.broadcast_shapes(w[:, None].shape, x.shape)
-        if len(w) != shape[0]:
-            w = np.broadcast_to(w, shape[:1] + w.shape[1:])
-        if x.shape != shape:
-            x = np.broadcast_to(x, shape)
-        b = len(self._terms)
-        for lo in range(0, shape[0], b):
-            # one neumaier_add of the batch's terms [w, w*x, w*x*x],
-            # built at once
-            wb, xb = w[lo:lo + b, None], x[lo:lo + b]
-            terms = self._terms[:len(wb)]
-            wx = terms[:, 1:1 + self.dim]
-            terms[:, :1] = wb
-            np.multiply(wb, xb, out=wx)
-            np.multiply(wx, xb, out=terms[:, 1 + self.dim:])
-            neumaier_add(self.total, self.comp, terms, self._work)
+        # the observations on the last axis; each sum runs over a
+        # contiguous one, so it is numpy's pairwise sum whatever the layout
+        wk = w.transpose(*range(1, w.ndim), 0)
+        xk = x.transpose(*range(1, x.ndim), 0)
+        wx = np.empty(np.broadcast_shapes(wk.shape, xk.shape))
+        np.multiply(wk, xk, out=wx)
+        sums = np.empty((1,) + self.total.shape)
+        sums[0, 0] = np.ascontiguousarray(
+            np.broadcast_to(wk, wx.shape[1:])).sum(axis=-1)
+        sums[0, 1:1 + self.dim] = wx.sum(axis=-1)
+        np.multiply(wx, xk, out=wx)
+        sums[0, 1 + self.dim:] = wx.sum(axis=-1)
+        neumaier_add(self.total, self.comp, sums)
 
 
 @dataclass
@@ -140,9 +104,8 @@ def fold_moments(acc):
     """Fold an accumulator's blocks, in lead order, into a MomentReport.
 
     Each block's compensated sum enters one compensated step of its
-    own; folding in the fixed lead order (ascending block index for the
-    sweep) makes the result reproducible bit for bit. A lead-free
-    accumulator is one block.
+    own; folding in the fixed lead order makes the result reproducible
+    bit for bit. A lead-free accumulator, the sweep's, is one block.
     """
     total, comp = np.zeros((2, 1 + 2 * acc.dim))
     neumaier_add(total, comp,

@@ -6,54 +6,51 @@ cell representative turns the stochastic equilibrium problem into one
 finite-dimensional box VI per cell, and the weighted family of cell
 solutions is a step-function approximation of the random equilibrium.
 
-The sweep exploits two kinds of structure. First, only the additive
-cost shift depends on the outermost factor (r), so the cells of one
-r-cell form a chain over the inner cells, and all chains can be solved
-together as the columns of one firm-major (m, cells) batch. Second,
-neighboring cells of a chain have nearly identical solutions, so each
-cell is seeded by extrapolating the chain's two previous solutions,
-and most seeds pass the tolerance as they are.
-
-The sweep therefore runs in rounds: every chain seeds a window of its
-next cells as if each were accepted at its seed, one operator call
-screens all windows, and each chain's first miss goes into one batched
-solve. Columns of a batch are frozen individually the moment they
-converge and all elementwise arithmetic is position-stable, so each
-cell lands exactly where a single-cell solve from the same seed would,
-whatever the window length; per-block moment accumulators fold each
-chain in order, in the calling process, and are merged in canonical
-block order.
+The sweep seeds every cell on its own. On a market where no bound
+switches, the solution u*(r, s) is analytic in the two shared factors,
+so a tensor Chebyshev interpolant of it, fitted from a few dozen node
+solves, is accurate to far below the tolerance (Trefethen, Approximation
+Theory and Approximation Practice, 2013, ch. 8). Each cell's seed is the
+interpolant at its representatives, clipped into its box; one operator
+call screens a chunk of cells at their seeds, and the cells whose
+natural residual misses the tolerance are finished by semismooth Newton
+steps in one batched solve. The residual test, not the surrogate,
+decides every cell, so a poor surrogate costs iterations and never
+accuracy. A cell's result depends on nothing but its own seed and
+factors, and the chunks fold in order into one compensated accumulator
+in the calling thread, so the moments are bitwise reproducible.
 """
 from __future__ import annotations
 
 import math
 # unused by the sweep; the benchmark tracer (perfbench/trace.py) rebinds it
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .aggregate import RunningMoments, _fmt, fold_moments, write_csv
-from .cournot import operator_eval
+from .cournot import operator_eval, operator_jacobian
 from .distributions import Partition1D, _cell_masses, make_partition, pdf
 from .vi import (SolverConfig, _columns, _warm_heap, residual_rows,
                  solve_box_vi_batch)
 
 # make_grid and solve_all refuse grids with more cells than this
 CELL_CAP = 100_000_000
-# the longest window of cells a sweep round screens per r-block, and the
-# most cells a round screens in all. 3200 kept an (m, cells) array at
-# m = 5 under glibc's initial 128 KiB mmap threshold; since solve_all
-# warms that threshold (vi._warm_heap) the bound no longer binds, but
-# wider rounds were measured slower before it: 32 x 200-cell windows
-# cost 193 against 120 ns a kernel row and about 4 MB more peak RSS.
-# With windows sized to 1.5 times the median run, 6400 cells a round
-# solved the pinned 200 x 20000 sweep, its fold then in a child process,
-# 3.7% faster (5 of 6 alternating runs, 2 vCPU) with 8.6% less CPU, but
-# 0.5 MB more peak RSS
-_WINDOW_CAP = 32
-_WINDOW_CELLS = 3200
+# the most cells solve_all seeds, screens and folds at a time
+_CHUNK = 4096
+# the natural residual the surrogate's nodes are solved to; the node
+# counts a factor tries, doubling; and the largest coefficient tail, as
+# a fraction of the sweep's tolerance, that stops the doubling. An
+# interpolant misses by at most twice the coefficients it leaves out
+# (Trefethen 2013, thm 4.2); while they at least halve per degree their
+# sum is at most the last one, so the miss is at most twice the tail.
+# The two factors' misses add, and tails of at most 1/4 of tolerance
+# keep every component of a seed within tolerance of the fitted u*
+_FIT_TOLERANCE = 1e-13
+_NODES = (8, 16, 32)
+_TAIL_FRACTION = 0.25
 # Gauss-Legendre points per cell per dimension in mean_truncation
 _TRUNCATION_NODES = 16
 # cells write_cells_csv turns into Python lists at a time
@@ -192,38 +189,26 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
               max_flagged_fraction=0.0):
     """Solve every cell problem of the grid.
 
-    Cells are organized into one chain per r-cell (an r-block) over the
-    inner cells in lexicographic order. Every cell is seeded at the
-    clipped secant clip(2*x1 - x0) of its chain's two previous points. A
-    chain starts with x0 = x1 = its first cell's box midpoint, so the
-    first cell starts there, and the first solution also stands in for
-    the point before it, so the second cell starts at that solution.
-    Once a cell has frozen a non-finite row, a non-finite seed becomes
-    the box midpoint.
+    Every cell is seeded from a tensor Chebyshev surrogate of the
+    solution u*(r, s), fitted once per grid (_fit_surrogate), and the
+    seed is clipped into the cell's box; a non-finite seed becomes the
+    box midpoint. The cells are taken in chunks of at most _CHUNK cells
+    in lexicographic order: whole r-blocks (an r-cell's run of inner
+    cells) while one fits, else pieces of one r-block. One operator call
+    screens a chunk's seeds. A cell whose natural residual at its seed
+    passes tolerance is solved at its seed, after 0 iterations; the
+    others (the misses) go to one batched solve, with the operator's
+    Jacobian, from their seeds and given their screened operator values
+    and residuals. So the surrogate decides only how much work a cell
+    takes; a cell is solved once its residual passes tolerance.
 
-    The sweep runs in rounds, in the calling thread. In each round every
-    unfinished r-block seeds its next k cells as if each were solved at
-    its seed, and one operator call screens all of them. A block keeps
-    its leading run of cells whose natural residual at the seed passes
-    tolerance (solved at their seed, after 0 iterations), sends its
-    first miss to one batched solve shared by all blocks, which takes
-    the screened operator values and residuals, and drops the rest of
-    its window. k is 1.5 times the previous round's (upper) median
-    accepted run, rounded down, plus one, between 1 and _WINDOW_CAP, and
-    at most _WINDOW_CELLS cells a round. A window's seeds are first made
-    unclipped, 2*x1 - x0 slot by slot; if every one lies in its box, no
-    clip would have changed any, and otherwise, or once a cell has
-    frozen a non-finite row, the window is seeded again slot by slot
-    with the clip (_clipped_seeds).
-    At k = 1 a round is one front of a per-cell sweep: the screen
-    applies the solver's iteration-0 test, and the solver takes the
-    misses' screened values and residuals, so no cell's operator value
-    or natural residual is computed twice. A window's inner cell indices
-    are decoded by one np.unravel_index over the factors with more than
-    one cell. Every kernel call takes a factor with one cell in the grid
-    as a scalar (an (m, 1) column for bounds and betas) and every other
-    factor per cell, as vi._columns reads them. Each round's used cells
-    fold into per-block compensated accumulators, in chain order.
+    Each cell's result depends on its own seed and factors alone, since
+    the solver iterates its columns independently and every elementwise
+    step is position-stable. A kernel call takes a factor with one cell
+    in the grid as a scalar (an (m, 1) column for bounds and betas) and
+    every other factor per cell, as vi._columns reads them. The chunks
+    fold, in order, into one compensated accumulator, one pairwise sum
+    per chunk (RunningMoments.add), in the calling thread.
 
     Args:
         instance: the market model.
@@ -252,7 +237,6 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
     r_probs = grid.r.probabilities
     inner_parts = [p for _, p in grid.parts()][1:]
     inner_count = math.prod(p.n_cells for p in inner_parts)
-    n_blocks = grid.r.n_cells
     s_reps = grid.s.representatives
     # the pow a scalar s gets in operator_eval, once per s-cell
     s_pows = np.fromiter((float(s) ** instance.a for s in s_reps), float,
@@ -303,117 +287,77 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
         """The operator at the points q of cells with the given factors."""
         return operator_eval(instance, q, r, s, beta, alpha, s_pow=s_pow)
 
+    def jacobian(q, r, s, beta, alpha, s_pow):
+        """The operator's Jacobian, in the (diag, col) form, likewise."""
+        return operator_jacobian(instance, q, r, s, beta, alpha)
+
+    def solve_nodes(r, s):
+        """u* at the points (r, s), the other factors at their first cell."""
+        mid = 0.5 * (lower + group_vector(first_reps, 0)[:, None])
+        out = solve_box_vi_batch(
+            evaluate, lower, 2.0 * mid, replace(config,
+                                                tolerance=_FIT_TOLERANCE),
+            np.repeat(mid, r.size, axis=1), jacobian_batch=jacobian,
+            factors=(r, s, group_vector(first_reps, 1)[:, None],
+                     first_reps[-1], None))
+        x = out["solutions"]
+        return np.where(np.isfinite(x).all(axis=0), x, mid)
+
+    coef, xi_r, xi_s = _fit_surrogate(grid.r, grid.s, solve_nodes,
+                                      config.tolerance)
+    # inner cells per s-cell: s is the outermost inner factor
+    s_stride = inner_count // grid.s.n_cells
+
     kept = {"solutions": np.empty((n, m)), "weights": np.empty(n),
             "residuals": np.empty(n),
             "iterations": np.empty(n, dtype=np.int64)} if keep_cells else {}
-
-    acc = RunningMoments(m, lead=(n_blocks,))
+    acc = RunningMoments(m)
     flagged = 0
     worst = 0.0
-    lost = False
-    # the unfinished r-blocks, each with its next inner cell and its last
-    # two points, at first both its first cell's box midpoint c, whose
-    # secant 2*c - c is c exactly; x0 and x1 hold one row per block
-    blocks = np.arange(n_blocks)
-    pos = np.zeros(n_blocks, dtype=np.int64)
-    x0 = x1 = np.tile(0.5 * (lower + group_vector(first_reps, 0)),
-                      (n_blocks, 1))
-    offsets = np.arange(_WINDOW_CAP)[:, None]
-    grow = 1
-    while blocks.size:
-        na = blocks.size
-        k = max(1, min(grow, _WINDOW_CAP, _WINDOW_CELLS // na))
-        # the window's cells, j-major: cell (j, b) is entry j*na + b; a
-        # window that runs past its chain repeats the chain's last cell,
-        # and only its first `real` cells are cells of the chain
-        real = np.minimum(inner_count - pos, k)
-        ii = np.minimum(pos + offsets[:k], inner_count - 1).ravel()
-        cell_blocks = np.tile(blocks, k)
-        factors, upper, w = cell_factors(ii, cell_blocks)
+    # a chunk is nb whole r-blocks, or at most _CHUNK cells of one
+    nb = max(1, _CHUNK // inner_count)
+    lo = 0
+    while lo < n:
+        b0, i0 = divmod(lo, inner_count)
+        cb, cl = min(nb, grid.r.n_cells - b0), min(_CHUNK, inner_count - i0)
+        inner = np.arange(i0, i0 + cl)
+        blocks = np.arange(b0, b0 + cb)
+        factors, upper, w = cell_factors(np.tile(inner, cb),
+                                         np.repeat(blocks, cl))
+        x = _seeds(coef, xi_r[blocks], xi_s[inner // s_stride])
+        # clip(x, lower, upper) as np.clip computes it, NaN kept
+        np.maximum(x, lower, out=x)
+        np.minimum(x, upper, out=x)
+        if not np.isfinite(x).all():
+            np.copyto(x, 0.5 * (lower + upper),
+                      where=~np.isfinite(x).all(axis=0))
 
-        # chain[2 + j] is window cell j's (m, na) block of seeds, made as
-        # if every earlier cell were accepted at its seed, and clipped as
-        # the solver would clip it: the cell's solution if it is accepted
-        chain = np.empty((k + 2, m, na))
-        chain[0], chain[1] = x0.T, x1.T
-        X = chain[2:]
-        for a0, a1, seed in zip(chain, chain[1:], X):
-            np.multiply(a1, 2.0, out=seed)
-            np.subtract(seed, a0, out=seed)
-        # the window's cells as one (m, k*na) copy of the seeds
-        x = X.transpose(1, 0, 2).reshape(m, k * na)
-        # a seed in its box is its own clip (none is -0.0, see
-        # _clipped_seeds), so if every seed is, then by induction over
-        # the slots no clip would have changed one
-        if lost or not (x.min() >= lower and (x <= upper).all()):
-            _clipped_seeds(chain, lower, upper, lost)
-            x = X.transpose(1, 0, 2).reshape(m, k * na)
-
-        # screen the window: one operator call for all its cells
+        # screen the chunk, then solve its misses from their seeds
         F = evaluate(x, *factors)
         res = residual_rows(x, F, lower, upper)
-        # a row's accepted run ends at its first miss or its chain's end
-        ok = np.zeros((k + 1, na), dtype=bool)
-        np.less_equal(res.reshape(k, na), config.tolerance, out=ok[:k])
-        run = np.minimum(ok.argmin(axis=0), real)
-        hit = run < real
-        missed = np.flatnonzero(hit)
-        its = np.zeros(k * na, dtype=np.int64)
-        if missed.size:
-            # the misses, solved from their seeds with the screened values
-            # and residuals
-            cells = run[missed] * na + missed
+        its = np.zeros(res.size, dtype=np.int64)
+        # a NaN residual misses too
+        miss = np.flatnonzero(~(res <= config.tolerance))
+        if miss.size:
             out = solve_box_vi_batch(
-                evaluate, lower, _columns(upper, cells), config,
-                x.take(cells, axis=1), values=F.take(cells, axis=1),
-                residuals=res.take(cells),
-                factors=[_columns(v, cells) for v in factors])
-            x[:, cells] = out["solutions"]
-            X[run[missed], :, missed] = out["solutions"].T
-            res[cells] = out["residuals"]
-            its[cells] = out["iterations"]
+                evaluate, lower, _columns(upper, miss), config,
+                x.take(miss, axis=1), jacobian_batch=jacobian,
+                values=F.take(miss, axis=1), residuals=res.take(miss),
+                factors=[_columns(v, miss) for v in factors])
+            x[:, miss] = out["solutions"]
+            res[miss] = out["residuals"]
+            its[miss] = out["iterations"]
             if not out["converged"].all():
                 bad = out["residuals"][~out["converged"]]
                 flagged += bad.size
-                lost = lost or not np.isfinite(bad).all()
                 # a non-finite residual must not vanish from the report
                 worst = max(worst, float(
                     np.where(np.isfinite(bad), bad, np.inf).max()))
-
-        took = run + hit
-        # fold the used cells; every other slot holds a finite seed and
-        # gets weight zero, which makes its terms no-ops
-        used = offsets[:k] < took
-        kk = int(took.max())
-        wf = np.where(used, w.reshape(k, na), 0.0)[:kk]
-        xf = X[:kk]
-        if na < n_blocks:
-            # finished blocks sit out with zero terms
-            wf_all = np.zeros((kk, n_blocks))
-            xf_all = np.zeros((kk, m, n_blocks))
-            wf_all[:, blocks], xf_all[:, :, blocks] = wf, xf
-            wf, xf = wf_all, xf_all
-        acc.add(wf, xf)
+        acc.add(w, x.T)
         if kept:
-            sel = used.ravel()
-            ids = (cell_blocks * inner_count + ii)[sel]
             for stored, v in zip(kept.values(), (x.T, w, res, its)):
-                stored[ids] = v[sel]
-
-        # a block that has solved only its first cell takes that solution
-        # as x0 too; the first round's window is one cell long, so no
-        # window reaches a chain's second cell before this
-        cols = np.arange(na)
-        x0 = chain[np.maximum(took, 2 - pos), :, cols]
-        x1 = chain[took + 1, :, cols]
-        pos = pos + took
-        if np.maximum.reduce(pos) >= inner_count:
-            going = pos < inner_count
-            blocks, pos, x0, x1 = (v[going]
-                                   for v in (blocks, pos, x0, x1))
-        # about 1.5 times the (upper) median accepted run
-        run.sort()
-        grow = 3 * int(run[na // 2]) // 2 + 1
+                stored[lo:lo + res.size] = v
+        lo += res.size
 
     report = fold_moments(acc)
     if flagged > max_flagged_fraction * n:
@@ -425,29 +369,85 @@ def solve_all(instance, grid, solver_config=None, keep_cells=False,
                         n_cells=n, flagged_cells=flagged, **kept)
 
 
-def _clipped_seeds(chain, lower, upper, lost):
-    """Seed a window slot by slot, each seed clip(2*a1 - a0) into its box.
+def _chebyshev(xi, n):
+    """T_0 .. T_{n-1} at the points xi, as an (n, xi.size) array."""
+    out = np.empty((n, xi.size))
+    out[0] = 1.0
+    if n > 1:
+        out[1] = xi
+    twice = xi + xi
+    for k in range(2, n):
+        np.multiply(twice, out[k - 1], out=out[k])
+        np.subtract(out[k], out[k - 2], out=out[k])
+    return out
 
-    chain is solve_all's (k + 2, m, na) chain, whose first two entries
-    are the blocks' last two points; its other k entries are written.
-    upper is the window's (m, 1) or j-major (m, k*na) upper bounds. With
-    lost set, a seed with a non-finite entry becomes its box midpoint.
+
+def _fit_surrogate(r_part, s_part, solve, tolerance):
+    """Fit u*(r, s) by a tensor Chebyshev interpolant over the supports.
+
+    A factor with one cell (a constant among them) gets one node, its
+    representative. Every other factor starts at _NODES[0] Chebyshev
+    points of the first kind over its support and doubles, up to
+    _NODES[-1], while its coefficient tail exceeds _TAIL_FRACTION *
+    tolerance; the tail is the largest coefficient of its two highest
+    degrees, over the firms and the other factor's degrees. solve(r, s)
+    returns the (m, k) solutions at k node pairs.
+
+    Returns:
+        (coef, xi_r, xi_s): the (m, n_r, n_s) coefficients, and each
+        factor's representatives mapped onto [-1, 1].
     """
-    k, m, na = chain[2:].shape
-    # window cell j's (m, na) block of upper bounds, shared or not
-    U = np.broadcast_to(upper, (m, k * na)).reshape(m, k, na)
-    for a0, a1, seed, uj in zip(chain, chain[1:], chain[2:],
-                                U.transpose(1, 0, 2)):
-        np.multiply(a1, 2.0, out=seed)
-        np.subtract(seed, a0, out=seed)
-        # np.clip's min(max(x, lower), upper), NaN kept; the forms differ
-        # only at -0.0, which 2*a1 - a0 of values >= +0 is not
-        np.maximum(seed, lower, out=seed)
-        np.minimum(seed, uj, out=seed)
-        if lost:
-            # a frozen non-finite cell must not seed the operator with NaN
-            np.copyto(seed, 0.5 * (lower + uj),
-                      where=~np.isfinite(seed).all(axis=0))
+    parts = (r_part, s_part)
+    counts = [1 if p.n_cells == 1 else _NODES[0] for p in parts]
+    # each factor's support [mid - half, mid + half]; a one-cell factor's
+    # is its representative alone, which it maps to 0
+    spans = [(p.representatives[0], 0.0) if p.n_cells == 1 else
+             (0.5 * (p.breakpoints[0] + p.breakpoints[-1]),
+              0.5 * (p.breakpoints[-1] - p.breakpoints[0])) for p in parts]
+    while True:
+        angles = [np.pi * (np.arange(k) + 0.5) / k for k in counts]
+        nodes = [mid + half * np.cos(t) for (mid, half), t in
+                 zip(spans, angles)]
+        values = solve(np.repeat(nodes[0], counts[1]),
+                       np.tile(nodes[1], counts[0]))
+        # the discrete cosine transform of each axis: coefficient j is
+        # (2 / k) sum_i value_i cos(j t_i), halved at j = 0
+        br, bs = (np.cos(np.arange(k)[:, None] * t) * (2.0 / k)
+                  for k, t in zip(counts, angles))
+        br[0] *= 0.5
+        bs[0] *= 0.5
+        values = values.reshape(len(values), *counts)
+        coef = (br[:, :, None] * values[:, None]).sum(axis=2)
+        coef = (coef[:, :, None] * bs).sum(axis=3)
+        tails = [np.abs(coef[:, -2:]).max(), np.abs(coef[:, :, -2:]).max()]
+        grow = [1 < k < _NODES[-1] and not tail <= _TAIL_FRACTION * tolerance
+                for k, tail in zip(counts, tails)]
+        if not any(grow):
+            break
+        counts = [2 * k if g else k for k, g in zip(counts, grow)]
+    xi = [np.zeros(1) if p.n_cells == 1 else (p.representatives - mid) / half
+          for p, (mid, half) in zip(parts, spans)]
+    return coef, xi[0], xi[1]
+
+
+def _seeds(coef, xi_r, xi_s):
+    """The surrogate at every (r, s) pair of xi_r x xi_s, as (m, nr * ns).
+
+    Sums the series in r for each r-point, then in s for each pair, by
+    elementwise multiply-adds.
+    """
+    tr = _chebyshev(xi_r, coef.shape[1])
+    ts = _chebyshev(xi_s, coef.shape[2])
+    # a[f, j, b]: the series in r of s-degree j at r-point b
+    a = coef[:, 0, :, None] * tr[0]
+    for i in range(1, len(tr)):
+        a += coef[:, i, :, None] * tr[i]
+    x = a[:, 0, :, None] * ts[0]
+    term = np.empty_like(x)
+    for j in range(1, len(ts)):
+        np.multiply(a[:, j, :, None], ts[j], out=term)
+        np.add(x, term, out=x)
+    return x.reshape(len(x), -1)
 
 
 def write_cells_csv(solution, path):

@@ -180,6 +180,14 @@ def _cell_masses(factor, bp):
         v = factor.params[0]
         return np.where((a <= v) & (v < b), 1.0, 0.0)
     d = np.diff(cdf(factor, bp))
+    if factor.kind == "truncated_normal":
+        # the cells above mu, the last ones, from the upper tail, where
+        # the cdf difference near 1 cancels
+        mu, sigma, za, zb, mass = factor._tn
+        z = np.minimum(np.maximum((bp - mu) / sigma, za), zb)
+        first = np.count_nonzero(z[:-1] < 0)
+        tail = ndtr(-z[first:])
+        d[first:] = (tail[:-1] - tail[1:]) / mass
     # max(d, 0.0) as Python computes it, which keeps a -0.0
     return np.where(d < 0.0, 0.0, d)
 

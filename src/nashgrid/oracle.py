@@ -12,8 +12,8 @@ with the closed-form Jacobian (cournot.operator_jacobian, a diagonal
 plus a rank-one term, so each Newton direction costs O(m)), falling
 back to extragradient steps where a Newton step does not pay; on the
 shipped market that takes 4 iterations per sample where extragradient
-alone takes about 175. The grid sweep keeps pure extragradient: its pinned
-mean depends on the iteration path, not only on the tolerance.
+alone takes about 175. The grid sweep finishes the cells that miss at
+their surrogate seeds the same way.
 
 Sampling is counter-based: sample i lives in chunk i // 4096, and each
 chunk draws from its own Philox stream keyed by (seed, chunk index).

@@ -7,9 +7,10 @@ iteration written with the math module.
 None of it uses the package under test, so agreement between the two
 is meaningful evidence; the spec of the cell masses and means reads a
 factor's kind and params, nothing else. The one exception is the
-executable spec of the grid sweep at the end: it pins the sweep's cell
-order, seed rule and fold order, so it solves and folds each cell with
-the package's own one-column solver and moment accumulator.
+per-cell reference of the grid sweep at the end: it solves every cell
+of a grid on its own with the package's batch solver, from its box
+midpoint, so it shares the solver and the operator with the sweep but
+none of its seeds.
 
 FROZEN_* constants were produced by the functions in this file; tests
 assert both that the oracle still reproduces them (guards environment
@@ -24,11 +25,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-# the sweep spec alone uses these
+# the per-cell reference alone uses these
 from nashgrid import cournot
-from nashgrid.aggregate import RunningMoments, fold_moments
-from nashgrid.discretize import StepSolution
-from nashgrid.vi import solve_box_vi_batch
+from nashgrid.vi import SolverConfig, solve_box_vi_batch
 
 
 # ---------------------------------------------------------------------------
@@ -119,11 +118,21 @@ def spec_cdf(factor, x):
 
 
 def spec_cell_probability(factor, a, b):
-    """P(a <= X < b): 1 or 0 for a constant, else cdf(b) - cdf(a)."""
+    """P(a <= X < b): 1 or 0 for a constant, else cdf(b) - cdf(a).
+
+    A truncated normal's cell above mu is taken from the upper tail,
+    ndtr(-z0) - ndtr(-z1) with its ends clamped into the support.
+    """
     if not a < b:
         raise ValueError("cell requires a < b")
     if factor.kind == "constant":
         return 1.0 if a <= factor.params[0] < b else 0.0
+    if factor.kind == "truncated_normal":
+        mu, sigma, za, zb, mass, _ = _spec_tn(factor)
+        z0 = min(max((a - mu) / sigma, za), zb)
+        z1 = min(max((b - mu) / sigma, za), zb)
+        if z0 >= 0:
+            return max((ndtr(-z0) - ndtr(-z1)) / mass, 0.0)
     return max(spec_cdf(factor, b) - spec_cdf(factor, a), 0.0)
 
 
@@ -491,7 +500,7 @@ FROZEN_EXPECTED_EQUILIBRIUM = (
 
 
 # ---------------------------------------------------------------------------
-# an executable spec of the grid sweep, one cell at a time
+# every cell of a grid, solved on its own
 
 Cell = namedtuple("Cell", "idx r s upper beta alpha weight")
 
@@ -524,50 +533,59 @@ def cell_operator(inst, cell):
                                            cell.beta, cell.alpha)
 
 
-def reference_sweep(instance, grid, config):
-    """solve_all(instance, grid, config, keep_cells=True), cell by cell.
+# the natural residual every reference cell is solved to
+REFERENCE_TOLERANCE = 1e-13
 
-    Each r-block is a chain over its inner cells in lexicographic order.
-    The chain's first cell is seeded at its box midpoint, the second at
-    the first solution, and every later one at clip(2 x1 - x0) of the
-    two previous solutions; a non-finite seed becomes the box midpoint.
-    Each cell is a one-column solve_box_vi_batch from its seed. Each block
-    folds its cells, in chain order, into its own RunningMoments, and
-    fold_moments merges the blocks in block order.
+
+def reference_cells(instance, grid, config):
+    """Every cell of the grid solved from its box midpoint, on its own.
+
+    Each cell of grid_cells is one column of a solve_box_vi_batch call
+    with the operator's Jacobian, to natural residual
+    REFERENCE_TOLERANCE (config gives the iteration cap and the first
+    step), so it shares neither seeds nor order with the sweep; the
+    solver iterates its columns independently. The operator and its
+    Jacobian are looked up in cournot at each call.
+
+    Also returns each cell's error-bound factor kappa, the norm of the
+    inverse of the natural map's generalized Jacobian at the solution:
+    the rows of J for components strictly inside the box after x - F(x),
+    unit rows for the others. To first order a point x of natural
+    residual rho lies within kappa * rho of the cell's solution (x -
+    u* = inverse(J_nat) Phi(x), since Phi(u*) = 0). A cell whose
+    solution is not finite gets kappa NaN.
+
+    Returns:
+        dict of per-cell arrays in lexicographic order: solutions (n, m),
+        residuals, weights and kappa; and mean, the fsum of weight *
+        solution per component.
     """
     cells = list(grid_cells(grid))
-    inner = len(cells) // grid.r.n_cells
-    lo = np.zeros(grid.m)
-    out = {"solutions": [], "weights": [], "residuals": [], "iterations": []}
-    blocks = []
-    for start in range(0, len(cells), inner):
-        acc = RunningMoments(grid.m)
-        x0 = x1 = None
-        for j, cell in enumerate(cells[start:start + inner]):
-            mid = 0.5 * (lo + cell.upper)
-            if j == 0:
-                seed = mid
-            elif j == 1:
-                seed = x1
-            else:
-                seed = np.clip(2.0 * x1 - x0, lo, cell.upper)
-            if not np.isfinite(seed).all():
-                seed = mid
-            row = solve_box_vi_batch(cell_operator(instance, cell), lo,
-                                     cell.upper, config, seed[:, None])
-            x = row["solutions"][:, 0]
-            acc.add([cell.weight], x[None])
-            for key, v in (("solutions", x), ("weights", cell.weight),
-                           ("residuals", row["residuals"][0]),
-                           ("iterations", row["iterations"][0])):
-                out[key].append(v)
-            x0, x1 = x1, x
-        blocks.append(acc)
-    merged = RunningMoments(grid.m, lead=(len(blocks),))
-    merged.total[:] = np.transpose([acc.total for acc in blocks])
-    merged.comp[:] = np.transpose([acc.comp for acc in blocks])
-    arrays = {key: np.array(v) for key, v in out.items()}
-    flagged = int(np.count_nonzero(~(arrays["residuals"] <= config.tolerance)))
-    return StepSolution(grid=grid, report=fold_moments(merged),
-                        solver_config=config, n_cells=len(cells),
-                        flagged_cells=flagged, **arrays)
+    upper = np.array([c.upper for c in cells]).T
+    factors = (np.array([c.r for c in cells]), np.array([c.s for c in cells]),
+               np.array([c.beta for c in cells]).T,
+               np.array([c.alpha for c in cells]))
+    out = solve_box_vi_batch(
+        lambda x, *f: cournot.operator_eval(instance, x, *f), 0.0, upper,
+        SolverConfig(tolerance=REFERENCE_TOLERANCE,
+                     max_iterations=config.max_iterations,
+                     initial_step=config.initial_step),
+        0.5 * upper,
+        jacobian_batch=lambda x, *f: cournot.operator_jacobian(instance, x,
+                                                               *f),
+        factors=factors)
+    x = out["solutions"]
+    ok = np.isfinite(x).all(axis=0)
+    xs = np.where(ok, x, 0.5 * upper)
+    diag, col = cournot.operator_jacobian(instance, xs, *factors)
+    z = xs - cournot.operator_eval(instance, xs, *factors)
+    free = ((0.0 < z) & (z < upper)).T
+    eye = np.eye(grid.m)
+    with np.errstate(invalid="ignore"):
+        jac = np.where(free[:, :, None], dense_jacobian(diag.T, col.T), eye)
+    kappa = 1.0 / np.linalg.svd(np.where(ok[:, None, None], jac, eye),
+                                compute_uv=False)[:, -1]
+    weights = np.array([c.weight for c in cells])
+    return {"solutions": x.T, "residuals": out["residuals"],
+            "weights": weights, "kappa": np.where(ok, kappa, np.nan),
+            "mean": np.array([math.fsum(weights * v) for v in x])}

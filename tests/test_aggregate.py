@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nashgrid import ConvergenceRow, MomentReport
-from nashgrid.aggregate import (SLOTS, RunningMoments, convergence_report,
+from nashgrid.aggregate import (RunningMoments, convergence_report,
                                 fold_moments, neumaier_add,
                                 write_summary_csv, write_convergence_csv)
 
@@ -41,41 +41,36 @@ def test_running_moments_match_fsum():
 
 
 def test_stacked_add_equals_single_adds_bitwise():
-    # k observations for each of 4 accumulators, stacked on a leading
-    # axis; masked slots (weight 0, finite values) sit out
+    # one chunk of k observations for each of 4 accumulators, stacked on
+    # a trailing axis, folds each accumulator as a lead-free one folds
+    # its own chunk alone
     rng = np.random.default_rng(5)
     k, lead, dim = 9, 4, 3
     w = rng.random((k, lead))
     x = (rng.standard_normal((k, lead, dim)) * 30.0).transpose(0, 2, 1)
     w[:, 0] *= 1e12  # a wide range of magnitudes exercises compensation
-    mask = rng.random((k, lead)) < 0.3
-    w[mask] = 0.0
+    w[rng.random((k, lead)) < 0.3] = 0.0
     stacked = RunningMoments(dim, lead=(lead,))
     stacked.add(w[:4], x[:4])
     stacked.add(w[4:], x[4:])
-    single = RunningMoments(dim, lead=(lead,))
-    for j in range(k):
-        single.add(w[j:j + 1], x[j:j + 1])
-    assert stacked.total.tobytes() == single.total.tobytes()
-    assert stacked.comp.tobytes() == single.comp.tobytes()
-    # a masked slot is a no-op: each accumulator matches adds of its
-    # unmasked observations alone
     for b in range(lead):
         alone = RunningMoments(dim)
-        for j in np.flatnonzero(~mask[:, b]):
-            alone.add(w[j:j + 1, b], x[j:j + 1, :, b])
+        alone.add(w[:4, b], x[:4, :, b])
+        alone.add(w[4:, b], x[4:, :, b])
         assert alone.total.tobytes() == stacked.total[:, b].tobytes()
         assert alone.comp.tobytes() == stacked.comp[:, b].tobytes()
 
 
 def _reference_add(total, comp, w, x):
-    """k single-slot steps on copies, each term built as its own array."""
-    total, comp = total.copy(), comp.copy()
+    """One step on copies: the chunk's terms, each built as its own
+    array, summed pairwise along a new last axis."""
+    terms = []
     for wj, xj in zip(w, x):
         wx = wj[None] * xj
-        term = np.concatenate([wj[None], wx, wx * xj], axis=0)
-        total, comp = o.compensated_step(total, comp, term)
-    return total, comp
+        terms.append(np.concatenate([wj[None], wx, wx * xj], axis=0))
+    stack = (np.stack(terms, axis=-1) if terms
+             else np.zeros(total.shape + (0,)))
+    return o.compensated_step(total.copy(), comp.copy(), stack.sum(axis=-1))
 
 
 def test_neumaier_add_in_place_matches_the_expression():
@@ -84,18 +79,17 @@ def test_neumaier_add_in_place_matches_the_expression():
     comp = rng.standard_normal((4, 7)) * 1e-9
     term = rng.standard_normal((4, 7)) * np.logspace(-8, 8, 7)
     want = o.compensated_step(total, comp, term)
-    for work in (None, np.empty((3, 2, 4, 7))):
-        got_total, got_comp = total.copy(), comp.copy()
-        kept = term.copy()
-        out = neumaier_add(got_total, got_comp, term[None], work)
-        assert out[0] is got_total and out[1] is got_comp
-        assert got_total.tobytes() == want[0].tobytes()
-        assert got_comp.tobytes() == want[1].tobytes()
-        assert term.tobytes() == kept.tobytes()
+    got_total, got_comp = total.copy(), comp.copy()
+    kept = term.copy()
+    out = neumaier_add(got_total, got_comp, term[None])
+    assert out[0] is got_total and out[1] is got_comp
+    assert got_total.tobytes() == want[0].tobytes()
+    assert got_comp.tobytes() == want[1].tobytes()
+    assert term.tobytes() == kept.tobytes()
 
 
-# stack heights around the fold's batch of SLOTS terms
-HEIGHTS = st.sampled_from([0, 1, 2, SLOTS - 1, SLOTS, SLOTS + 1, 3 * SLOTS])
+# stack heights, from none to past numpy's 8-way unrolled sums
+HEIGHTS = st.sampled_from([0, 1, 2, 7, 8, 9, 24])
 # any float, with signed zeros, subnormals, infinities and NaN often
 FOLD_FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, math.inf, -math.inf,
@@ -122,22 +116,18 @@ def test_a_folded_stack_equals_k_single_steps_bitwise(data):
         for term in terms:
             want = o.compensated_step(*want, term)
     kept = terms.copy()
-    # the default scratch, one of SLOTS terms and one of 2 terms
-    for batch in (None, SLOTS, 2):
-        work = None if batch is None else np.empty((3, batch + 1, width))
-        total, comp = start[0].copy(), start[1].copy()
-        with np.errstate(all="ignore"):
-            out = neumaier_add(total, comp, terms, work)
-        assert out[0] is total and out[1] is comp
-        assert total.tobytes() == want[0].tobytes()
-        assert comp.tobytes() == want[1].tobytes()
-        assert terms.tobytes() == kept.tobytes()
+    total, comp = start[0].copy(), start[1].copy()
+    with np.errstate(all="ignore"):
+        out = neumaier_add(total, comp, terms)
+    assert out[0] is total and out[1] is comp
+    assert total.tobytes() == want[0].tobytes()
+    assert comp.tobytes() == want[1].tobytes()
+    assert terms.tobytes() == kept.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_a_stacked_add_with_zero_weights_equals_k_steps_bitwise(data):
-    # adds fold SLOTS observations at a time; zero weights sit out
+def test_a_chunk_add_with_zero_weights_is_one_step_of_its_pairwise_sum(data):
     k, lead, dim = data.draw(HEIGHTS), 3, 2
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
@@ -147,13 +137,15 @@ def test_a_stacked_add_with_zero_weights_equals_k_steps_bitwise(data):
     acc = RunningMoments(dim, lead=(lead,))
     acc.total[...] = rng.standard_normal(acc.total.shape) * 1e3
     want = _reference_add(acc.total, acc.comp, w, x)
-    acc.add(w, x)
+    # the values in the sweep's layout too: a transposed view
+    xt = np.ascontiguousarray(x.transpose(1, 2, 0)).transpose(2, 0, 1)
+    acc.add(w, xt if data.draw(st.booleans()) else x)
     assert acc.total.tobytes() == want[0].tobytes()
     assert acc.comp.tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("case", ["zero_weights", "nan_values", "lead_free"])
-def test_one_stacked_add_equals_k_compensated_steps_bitwise(case):
+def test_one_chunk_add_is_one_compensated_step_of_its_pairwise_sum(case):
     rng = np.random.default_rng(11)
     k, lead, dim = 6, (3, 4), 2
     w = rng.random((k,) + lead) * np.logspace(-6, 6, 4)
@@ -184,6 +176,22 @@ def test_one_stacked_add_equals_k_compensated_steps_bitwise(case):
     # the caller's arrays are read, never written
     assert w_in.tobytes() == w_copy.tobytes()
     assert x_in.tobytes() == x_copy.tobytes()
+
+
+def test_a_chunk_add_stays_within_rounding_of_fsum():
+    # a chunk's pairwise sum errs by at most about log2(k) roundings of
+    # its terms' magnitude sum (Higham 2002, sec. 4.2), far inside 1e-13
+    rng = np.random.default_rng(4)
+    k = 4096
+    w = rng.random(k) / k
+    x = 40.0 + rng.standard_normal((k, 3))
+    acc = RunningMoments(3)
+    acc.add(w, x)
+    rep = fold_moments(acc)
+    for j in range(3):
+        want = math.fsum(w * x[:, j])
+        bound = 13 * np.finfo(float).eps * math.fsum(np.abs(w * x[:, j]))
+        assert abs(rep.mean[j] - want) <= bound
 
 
 def test_add_refuses_an_unstacked_observation():

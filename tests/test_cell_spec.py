@@ -40,7 +40,7 @@ def random_truncated_normals(n, seed):
 
 
 EDGE_FACTORS = [
-    # supports straddling mu; (0, 1, -1, 10) loses its upper cells' mass
+    # supports straddling mu; (0, 1, -1, 10) has upper cells of tiny mass
     TN(0.0, 0.25, -0.5, 0.5), TN(5000.0, 10.0, 4950.0, 5050.0),
     TN(0.0, 1.0, -1.0, 10.0), TN(0.0, 1.0, -0.5, 3.0),
     # wholly above mu, one from za = 0 itself
@@ -141,8 +141,9 @@ def test_one_cell_functions_refuse_what_the_spec_refuses(a, b):
                 fn(f, a, b)
 
 
-# the SHA-256 of mean_truncation's output bytes, recorded while every
-# cell was taken one at a time
+# the SHA-256 of mean_truncation's output bytes; the second was recorded
+# again once cells above mu took their masses from the upper tail, which
+# gave two cells of the narrow factor their mass
 def two_factor_case():
     fs, fr = TN(5000.0, 10.0, 4950.0, 5050.0), TN(0.0, 1.0, -3.0, 3.0)
     return mean_truncation(lambda s, r: s + r, (fs, fr),
@@ -155,7 +156,7 @@ def zero_mass_and_constant_case():
              make_partition(u, 5))
     out = mean_truncation(lambda x, k, y: np.sin(30.0 * x) * k + y * y,
                           (narrow, c, u), parts)
-    assert out.shape == (12, 1, 5) and (out == 0.0).sum() == 40
+    assert out.shape == (12, 1, 5) and (out == 0.0).sum() == 30
     return out
 
 
@@ -163,7 +164,7 @@ def zero_mass_and_constant_case():
     (two_factor_case,
      "731828c736969c33cb23223b84586eae8fe70887aa6038c91ad650dbf6a3f68e"),
     (zero_mass_and_constant_case,
-     "f4a740dff3da7ac18f65663bc69f2bc00b0aeabfbb3cbb5cdb56085508fd5028"),
+     "d7a854c883d787c0822ca7099c2d0142eda5bdf4927778b9a7779fb46cc53328"),
 ], ids=["200x100", "zero_mass_and_constant"])
 def test_mean_truncation_bytes_are_pinned(case, digest):
     assert hashlib.sha256(case().tobytes()).hexdigest() == digest

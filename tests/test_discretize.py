@@ -138,9 +138,9 @@ def test_every_cell_residual_rechecks_below_tolerance():
 def three_firm_instance():
     """A market where capacities, cost multipliers and price shift are random.
 
-    Firms 1 and 2 produce at capacity in every cell and firm 3 in most,
-    so the grid mixes cells solved at iteration 0 with cells that take
-    over a hundred iterations.
+    Firms 1 and 2 produce at capacity in every cell and firm 3 in most.
+    The surrogate holds the bounds at their first cells, so with several
+    bound cells most cells miss at their seeds and take Newton steps.
     """
     firms = tuple(FirmParams(c=c, k=5.0, b=b,
                              q_bar=RandomFactor.uniform(lo, lo + 10.0))
@@ -153,57 +153,6 @@ def three_firm_instance():
         beta_factors=tuple(RandomFactor.uniform(lo, lo + 0.1)
                            for lo in (0.65, 0.65, 0.85)),
         alpha_factor=RandomFactor.uniform(-0.1, 0.1))
-
-
-def reference_chain(inst, grid, cfg):
-    """Each r-block's cells solved one at a time, seeded as the sweep seeds.
-
-    The cells come from grid_cells and each is solved by the tests' own
-    extragradient loop, so the sweep is compared with code it shares
-    nothing with but the operator. The first inner cell starts at its
-    box midpoint, the second at the previous solution, every later one
-    at the clipped secant extrapolation of the two previous solutions.
-    """
-    cells = list(grid_cells(grid))
-    inner = len(cells) // grid.r.n_cells
-    lo = np.zeros(grid.m)
-    out = {"solutions": [], "residuals": [], "iterations": [], "weights": []}
-    for start in range(0, len(cells), inner):
-        x0 = x1 = None
-        for ii, cell in enumerate(cells[start:start + inner]):
-            if ii == 0:
-                seed = 0.5 * (lo + cell.upper)
-            elif ii == 1:
-                seed = x1
-            else:
-                seed = np.clip(2.0 * x1 - x0, lo, cell.upper)
-            x, res, its, _ = o.extragradient_box_vi(
-                cell_operator(inst, cell), lo, cell.upper, seed, **asdict(cfg))
-            out["solutions"].append(x)
-            out["residuals"].append(res)
-            out["iterations"].append(its)
-            out["weights"].append(cell.weight)
-            x0, x1 = x1, x
-    return {k: np.array(v) for k, v in out.items()}
-
-
-@pytest.mark.parametrize("inst, counts", [
-    (randomized_instance(), dict(n_r=6, n_s=40)),
-    (three_firm_instance(),
-     dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)),
-    # long windows: up to 8 cells per r-block, and up to the cap of 32
-    (randomized_instance(), dict(n_r=2, n_s=4000)),
-    (randomized_instance(), dict(n_r=1, n_s=20000)),
-], ids=["five_firm_6x40", "three_firm_random_box", "five_firm_2x4000",
-        "five_firm_1x20000"])
-def test_sweep_matches_single_cell_reference_chain(inst, counts):
-    cfg = SolverConfig(initial_step=1.4)
-    g = make_grid(inst, **counts)
-    sol = solve_all(inst, g, cfg, keep_cells=True)
-    want = reference_chain(inst, g, cfg)
-    assert sol.converged.all()
-    for key, ref in want.items():
-        np.testing.assert_array_equal(getattr(sol, key), ref, err_msg=key)
 
 
 @pytest.mark.parametrize("inst, counts", [
@@ -279,148 +228,13 @@ def test_non_finite_residual_reports_infinite_worst(monkeypatch):
     assert sol.converged.tolist() == [False, False, True, True]
 
 
-STEP_FIELDS = ("solutions", "weights", "residuals", "iterations",
-               "converged", "flagged_cells")
-
-
-def assert_same_sweep(got, want):
-    """Stored cells and report of two sweeps agree bit for bit."""
-    for key in STEP_FIELDS:
-        np.testing.assert_array_equal(getattr(got, key), getattr(want, key),
-                                      err_msg=key)
-    for key in ("mean", "second_moment", "variance", "total_weight"):
-        assert (np.asarray(getattr(got.report, key)).tobytes()
-                == np.asarray(getattr(want.report, key)).tobytes()), key
-
-
-def sweep_twice(monkeypatch, inst, grid, cfg, **kwargs):
-    """The sweep as shipped, and with its windows cut to one cell.
-
-    Also returns the largest number of cells one operator call
-    evaluated in the windowed sweep.
-    """
-    real = discretize.operator_eval
-    rows = []
-
-    def counting(instance, q, *args, **kw):
-        rows.append(q.shape[1])
-        return real(instance, q, *args, **kw)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(discretize, "operator_eval", counting)
-        windowed = solve_all(inst, grid, cfg, keep_cells=True, **kwargs)
-    with monkeypatch.context() as patch:
-        patch.setattr(discretize, "_WINDOW_CAP", 1)
-        one_cell = solve_all(inst, grid, cfg, keep_cells=True, **kwargs)
-    return windowed, one_cell, max(rows)
-
-
-def test_window_sweep_matches_one_cell_windows_on_shipped_market(monkeypatch):
-    config = load_config(ROOT / "configs" / "expectation_grid.json")
-    g = make_grid(config.instance, n_r=8, n_s=4000)
-    windowed, one_cell, widest = sweep_twice(monkeypatch, config.instance,
-                                             g, config.solver)
-    # some round screened several cells per r-block in one call
-    assert widest > 2 * g.r.n_cells
-    assert windowed.converged.all()
-    assert_same_sweep(windowed, one_cell)
-
-
-def test_window_sweep_matches_one_cell_windows_across_bound_cells(
-        monkeypatch):
-    # the bound index changes every 16 inner cells; windows run longer
-    inst = three_firm_instance()
-    g = make_grid(inst, n_r=2, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)
-    windowed, one_cell, widest = sweep_twice(
-        monkeypatch, inst, g, SolverConfig(initial_step=1.4))
-    assert widest > 16 * g.r.n_cells
-    assert_same_sweep(windowed, one_cell)
-
-
-@pytest.mark.parametrize("counts, bounds_vary", [
-    (dict(n_r=3, n_s=10, n_bounds=2, n_alpha=2), True),
-    (dict(n_r=3, n_s=10, n_betas=2, n_alpha=2), False),
-], ids=["bounds_vary", "betas_vary"])
-def test_window_sweep_matches_one_cell_windows_with_one_group_fixed(
-        monkeypatch, counts, bounds_vary):
-    # a bound or beta group without a varying factor reaches the kernel
-    # and the solver as one (m, 1) column built once per grid; the other
-    # group as one column per cell
-    inst = three_firm_instance()
-    g = make_grid(inst, **counts)
-    # (shape, cells of the call) of every upper and beta passed
-    calls = {"upper": [], "beta": []}
-    real_eval = discretize.operator_eval
-    real_batch = discretize.solve_box_vi_batch
-
-    def eval_spy(instance, q, r, s, beta, *args, **kwargs):
-        calls["beta"].append((beta.shape, q.shape[1]))
-        return real_eval(instance, q, r, s, beta, *args, **kwargs)
-
-    def batch_spy(operator, lower, upper, config, seeds, **kwargs):
-        calls["upper"].append((upper.shape, seeds.shape[1]))
-        return real_batch(operator, lower, upper, config, seeds, **kwargs)
-
-    monkeypatch.setattr(discretize, "operator_eval", eval_spy)
-    monkeypatch.setattr(discretize, "solve_box_vi_batch", batch_spy)
-    windowed, one_cell, widest = sweep_twice(
-        monkeypatch, inst, g, SolverConfig(initial_step=1.4))
-    # some window held several cells of each r-block
-    assert widest > g.r.n_cells
-    assert windowed.converged.all()
-    assert_same_sweep(windowed, one_cell)
-    fixed, varying = ("beta", "upper") if bounds_vary else ("upper", "beta")
-    assert {shape for shape, _ in calls[fixed]} == {(3, 1)}
-    assert all(shape == (3, cells) for shape, cells in calls[varying])
-    for group in calls.values():
-        assert max(cells for _, cells in group) > 1
-
-
-def screened_cells(monkeypatch):
-    """Spy on the sweep's screens: one entry, its cell count, per round.
-
-    A round screens its window with one operator call made outside the
-    batch solver; the solver's own operator calls are not counted.
-    """
-    real_eval = discretize.operator_eval
-    real_batch = discretize.solve_box_vi_batch
-    screens, solving = [], []
-
-    def eval_spy(instance, q, *args, **kwargs):
-        if not solving:
-            screens.append(q.shape[1])
-        return real_eval(instance, q, *args, **kwargs)
-
-    def batch_spy(*args, **kwargs):
-        solving.append(None)
-        try:
-            return real_batch(*args, **kwargs)
-        finally:
-            solving.pop()
-
-    monkeypatch.setattr(discretize, "operator_eval", eval_spy)
-    monkeypatch.setattr(discretize, "solve_box_vi_batch", batch_spy)
-    return screens
-
-
-def test_the_shipped_sweep_takes_its_pinned_rounds_and_screens(monkeypatch):
-    # the counts repeat exactly, because the bits do; only a deliberate
-    # change of the window rule may move them
-    config = load_config(ROOT / "configs" / "expectation_grid.json")
-    g = make_grid(config.instance, n_r=8, n_s=4000)
-    screens = screened_cells(monkeypatch)
-    solve_all(config.instance, g, config.solver)
-    assert (len(screens), sum(screens)) == (1581, 45803)
-
-
 def exiting_firm_instance():
     """The random five-firm market where firm 1 leaves as alpha falls.
 
     Firms 2 to 5 produce at their capacity of 30 in every cell, and
-    firm 1, at cost 30, produces nothing in about 60% of them. Alpha,
-    the innermost factor, rises along each run of its cells and falls
-    back at the next, where firm 1 leaves, so a seed extrapolated past
-    the fall is negative.
+    firm 1, at cost 30, produces nothing in about 60% of them. The
+    surrogate holds alpha, the innermost factor, at its first cell, so
+    most cells of other alphas miss at their seed.
     """
     base = randomized_instance()
     capped = RandomFactor.constant(30.0)
@@ -428,39 +242,6 @@ def exiting_firm_instance():
     firms[0] = replace(base.firms[0], c=30.0)
     return replace(base, firms=tuple(firms),
                    alpha_factor=RandomFactor.uniform(-0.5, 0.5))
-
-
-@pytest.mark.parametrize("inst, counts", [
-    (three_firm_instance(),
-     dict(n_r=2, n_s=2, n_bounds=2, n_betas=2, n_alpha=2)),
-    (exiting_firm_instance(), dict(n_r=2, n_s=20, n_alpha=8)),
-], ids=["above_changing_capacities", "below_an_exit"])
-def test_seeds_that_leave_their_box_take_the_clipped_chain(monkeypatch, inst,
-                                                           counts):
-    # some windows' unclipped seeds leave their box, above capacities that
-    # bind and change with the bound cells, or below zero; those rounds
-    # seed again slot by slot, clipped, and the others keep the unclipped
-    # seeds
-    g = make_grid(inst, **counts)
-    cfg = SolverConfig(initial_step=1.4)
-    clipped = []
-    real_clip = discretize._clipped_seeds
-
-    def clip_spy(*args):
-        clipped.append(None)
-        return real_clip(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(discretize, "_clipped_seeds", clip_spy)
-        screens = screened_cells(patch)
-        windowed = solve_all(inst, g, cfg, keep_cells=True)
-    assert 0 < len(clipped) < len(screens)
-    assert max(screens) > g.r.n_cells
-    assert windowed.converged.all()
-    assert_same_sweep(windowed, o.reference_sweep(inst, g, cfg))
-    with monkeypatch.context() as patch:
-        patch.setattr(discretize, "_WINDOW_CAP", 1)
-        assert_same_sweep(windowed, solve_all(inst, g, cfg, keep_cells=True))
 
 
 def poisoned_operator(grid, r_cell, s_cell):
@@ -476,26 +257,6 @@ def poisoned_operator(grid, r_cell, s_cell):
     return poisoned
 
 
-def test_poisoned_block_restarts_mid_chain_as_one_cell_windows(monkeypatch):
-    inst = randomized_instance()
-    g = make_grid(inst, n_r=3, n_s=3000)
-    monkeypatch.setattr(discretize, "operator_eval",
-                        poisoned_operator(g, 1, 1500))
-    windowed, one_cell, widest = sweep_twice(
-        monkeypatch, inst, g, SolverConfig(initial_step=1.4),
-        max_flagged_fraction=1.0)
-    assert widest > 2 * g.r.n_cells
-    assert_same_sweep(windowed, one_cell)
-    bad = 3000 + 1500
-    assert windowed.flagged_cells == 1
-    assert np.isnan(windowed.solutions[bad]).all()
-    assert not windowed.converged[bad]
-    # the next cell starts over from its box midpoint and converges
-    assert windowed.converged[bad + 1:2 * 3000].all()
-    assert np.isfinite(windowed.solutions[bad + 1]).all()
-    assert np.isnan(windowed.report.mean).all()
-
-
 SHIPPED = load_config(ROOT / "configs" / "expectation_grid.json")
 NINE_FIRMS = parse_config(nine_firm_config())
 
@@ -508,21 +269,112 @@ NINE_FIRMS = parse_config(nine_firm_config())
     (randomized_instance(), dict(n_r=3, n_s=3000),
      SolverConfig(initial_step=1.4), (1, 1500)),
     (NINE_FIRMS.instance, dict(n_r=2, n_s=2000), NINE_FIRMS.solver, None),
+    (randomized_instance(), dict(n_r=6, n_s=40),
+     SolverConfig(initial_step=1.4), None),
+    (three_firm_instance(),
+     dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2),
+     SolverConfig(initial_step=1.4), None),
+    (randomized_instance(), dict(n_r=2, n_s=4000),
+     SolverConfig(initial_step=1.4), None),
+    (randomized_instance(), dict(n_r=1, n_s=20000),
+     SolverConfig(initial_step=1.4), None),
+    (three_firm_instance(),
+     dict(n_r=2, n_s=2, n_bounds=2, n_betas=2, n_alpha=2),
+     SolverConfig(initial_step=1.4), None),
+    (three_firm_instance(), dict(n_r=3, n_s=10, n_betas=2, n_alpha=2),
+     SolverConfig(initial_step=1.4), None),
+    (exiting_firm_instance(), dict(n_r=2, n_s=20, n_alpha=8),
+     SolverConfig(initial_step=1.4), None),
 ], ids=["shipped_3x40", "three_firm_bounds_alpha", "five_firm_4x60",
-        "poisoned_3x3000", "nine_firm_2x2000"])
+        "poisoned_3x3000", "nine_firm_2x2000", "five_firm_6x40",
+        "three_firm_random_box", "five_firm_2x4000", "five_firm_1x20000",
+        "above_changing_capacities", "three_firm_betas_alpha",
+        "below_an_exit"])
 def test_sweep_matches_its_executable_spec(monkeypatch, inst, counts, cfg,
                                            poison):
-    # every stored array and report field, bit for bit, against the cells
-    # solved one at a time from the documented seeds (_oracles)
+    # every cell against the same cell solved on its own from its box
+    # midpoint (_oracles.reference_cells). Both solutions have natural
+    # residuals of at most cfg.tolerance and REFERENCE_TOLERANCE, so to
+    # first order each lies within kappa times its residual of the cell's
+    # solution, and the two within kappa times the sum of both of each
+    # other; the mean within the weighted sum of those bounds
     g = make_grid(inst, **counts)
     if poison:
         op = poisoned_operator(g, *poison)
         monkeypatch.setattr(discretize, "operator_eval", op)
         monkeypatch.setattr(cournot, "operator_eval", op)
-    want = o.reference_sweep(inst, g, cfg)
+    want = o.reference_cells(inst, g, cfg)
     got = solve_all(inst, g, cfg, keep_cells=True, max_flagged_fraction=1.0)
-    assert_same_sweep(got, want)
-    assert got.flagged_cells == (1 if poison else 0)
+    bound = want["kappa"] * (cfg.tolerance + o.REFERENCE_TOLERANCE)
+    gap = np.sqrt(((got.solutions - want["solutions"]) ** 2).sum(axis=1))
+    finite = np.isfinite(want["solutions"]).all(axis=1)
+    assert (gap[finite] <= bound[finite]).all()
+    np.testing.assert_array_equal(got.weights, want["weights"])
+    np.testing.assert_array_equal(np.isfinite(got.solutions).all(axis=1),
+                                  finite)
+    assert got.flagged_cells == np.count_nonzero(~finite)
+    assert (got.residuals[finite] <= cfg.tolerance).all()
+    if poison:
+        assert got.flagged_cells == 1
+        assert np.isnan(got.report.mean).all()
+    else:
+        assert (np.abs(got.report.mean - want["mean"])
+                <= math.fsum(want["weights"] * bound)).all()
+
+
+def test_a_non_finite_cell_stays_in_its_cell(monkeypatch):
+    # the poisoned cell is frozen non-finite and flagged; every other
+    # cell, its chunk's included, keeps the bits of the unpoisoned sweep
+    inst = randomized_instance()
+    g = make_grid(inst, n_r=3, n_s=3000)
+    cfg = SolverConfig(initial_step=1.4)
+    clean = solve_all(inst, g, cfg, keep_cells=True)
+    monkeypatch.setattr(discretize, "operator_eval",
+                        poisoned_operator(g, 1, 1500))
+    sol = solve_all(inst, g, cfg, keep_cells=True, max_flagged_fraction=1.0)
+    bad = 3000 + 1500
+    assert sol.flagged_cells == 1
+    assert np.isnan(sol.solutions[bad]).all() and np.isnan(sol.residuals[bad])
+    assert not sol.converged[bad]
+    others = np.arange(g.n_cells) != bad
+    for key in ("solutions", "weights", "residuals", "iterations"):
+        np.testing.assert_array_equal(getattr(sol, key)[others],
+                                      getattr(clean, key)[others],
+                                      err_msg=key)
+    assert np.isnan(sol.report.mean).all()
+
+
+def test_the_shipped_sweep_takes_its_pinned_work(monkeypatch):
+    # the counts repeat exactly, because the bits do; only a deliberate
+    # change of the surrogate or the chunks may move them
+    config = load_config(ROOT / "configs" / "expectation_grid.json")
+    g = make_grid(config.instance, n_r=8, n_s=4000)
+    real_eval = discretize.operator_eval
+    real_batch = discretize.solve_box_vi_batch
+    screens, batches, solving = [], [], []
+
+    def eval_spy(instance, q, *args, **kwargs):
+        if not solving:
+            screens.append(q.shape[1])
+        return real_eval(instance, q, *args, **kwargs)
+
+    def batch_spy(operator, lower, upper, config, seeds, **kwargs):
+        batches.append(seeds.shape[1])
+        solving.append(None)
+        try:
+            return real_batch(operator, lower, upper, config, seeds,
+                              **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(discretize, "operator_eval", eval_spy)
+    monkeypatch.setattr(discretize, "solve_box_vi_batch", batch_spy)
+    sol = solve_all(config.instance, g, config.solver, keep_cells=True)
+    # the surrogate's 8 x 8 nodes, one screen per 4000-cell r-block, and
+    # no cell missed at its seed
+    assert batches == [64]
+    assert screens == [4000] * 8
+    assert not sol.iterations.any()
 
 
 def test_no_mode_starts_a_process(tmp_path):
