@@ -155,6 +155,83 @@ def three_firm_instance():
         alpha_factor=RandomFactor.uniform(-0.1, 0.1))
 
 
+def reference_chain(inst, grid, cfg):
+    """Each r-block's cells solved one at a time, seeded along a chain.
+
+    The cells come from grid_cells and each is solved by the tests' own
+    extragradient loop to cfg's tolerance, so the sweep is compared with
+    code it shares nothing with but the operator, from seeds it never
+    takes. The first inner cell starts at its box midpoint, the second
+    at the previous solution, every later one at the secant extrapolation
+    of the two previous solutions, clipped into its box; left_box marks
+    the cells whose extrapolated seed lay outside it.
+    """
+    cells = list(grid_cells(grid))
+    inner = len(cells) // grid.r.n_cells
+    lo = np.zeros(grid.m)
+    out = {"solutions": [], "residuals": [], "left_box": []}
+    for start in range(0, len(cells), inner):
+        x0 = x1 = None
+        for ii, cell in enumerate(cells[start:start + inner]):
+            if ii == 0:
+                seed = 0.5 * (lo + cell.upper)
+            elif ii == 1:
+                seed = x1
+            else:
+                seed = 2.0 * x1 - x0
+            out["left_box"].append(bool(((seed < lo)
+                                         | (seed > cell.upper)).any()))
+            x, res, _, _ = o.extragradient_box_vi(
+                cell_operator(inst, cell), lo, cell.upper,
+                np.clip(seed, lo, cell.upper), **asdict(cfg))
+            out["solutions"].append(x)
+            out["residuals"].append(res)
+            x0, x1 = x1, x
+    return {k: np.array(v) for k, v in out.items()}
+
+
+def assert_within_references(got, inst, grid, cfg):
+    """The sweep against the per-cell and the chain reference of its grid.
+
+    Every solution of the three has a natural residual of at most
+    cfg.tolerance (REFERENCE_TOLERANCE for the per-cell one), so to first
+    order each lies within kappa times its residual of the cell's
+    solution, and two of them within kappa times the sum of both of each
+    other; the means within the weighted sum of those bounds. Returns
+    the chain reference.
+    """
+    cells = o.reference_cells(inst, grid, cfg)
+    chain = reference_chain(inst, grid, cfg)
+    assert (chain["residuals"] <= cfg.tolerance).all()
+    assert got.converged.all()
+    np.testing.assert_array_equal(got.weights, cells["weights"])
+    for want, tol in ((cells, o.REFERENCE_TOLERANCE), (chain, cfg.tolerance)):
+        bound = cells["kappa"] * (cfg.tolerance + tol)
+        gap = np.sqrt(((got.solutions - want["solutions"]) ** 2).sum(axis=1))
+        assert (gap <= bound).all()
+        mean = np.array([math.fsum(cells["weights"] * v)
+                         for v in want["solutions"].T])
+        assert (np.abs(got.report.mean - mean)
+                <= math.fsum(cells["weights"] * bound)).all()
+    return chain
+
+
+@pytest.mark.parametrize("inst, counts", [
+    (randomized_instance(), dict(n_r=6, n_s=40)),
+    (three_firm_instance(),
+     dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2)),
+    # long r-blocks: one chunk per block, and five chunks of one block
+    (randomized_instance(), dict(n_r=2, n_s=4000)),
+    (randomized_instance(), dict(n_r=1, n_s=20000)),
+], ids=["five_firm_6x40", "three_firm_random_box", "five_firm_2x4000",
+        "five_firm_1x20000"])
+def test_sweep_matches_single_cell_reference_chain(inst, counts):
+    cfg = SolverConfig(initial_step=1.4)
+    g = make_grid(inst, **counts)
+    sol = solve_all(inst, g, cfg, keep_cells=True)
+    assert_within_references(sol, inst, g, cfg)
+
+
 @pytest.mark.parametrize("inst, counts", [
     (randomized_instance(), dict(n_r=6, n_s=40)),
     (three_firm_instance(),
@@ -244,6 +321,39 @@ def exiting_firm_instance():
                    alpha_factor=RandomFactor.uniform(-0.5, 0.5))
 
 
+@pytest.mark.parametrize("inst, counts", [
+    (three_firm_instance(),
+     dict(n_r=2, n_s=2, n_bounds=2, n_betas=2, n_alpha=2)),
+    (exiting_firm_instance(), dict(n_r=2, n_s=20, n_alpha=8)),
+], ids=["above_changing_capacities", "below_an_exit"])
+def test_seeds_that_leave_their_box_take_the_clipped_chain(monkeypatch, inst,
+                                                           counts):
+    # the surrogate overshoots capacities that bind, where they change
+    # with the bound cells or where firm 1 exits, and the chain's secants
+    # leave their boxes too; the sweep screens every seed clipped into its
+    # box, and matches the chain reference, which clips likewise
+    g = make_grid(inst, **counts)
+    cfg = SolverConfig(initial_step=1.4)
+    raw = []
+    real_seeds = discretize._seeds
+
+    def seeds_spy(*args):
+        x = real_seeds(*args)
+        raw.append(x.copy())
+        return x
+
+    monkeypatch.setattr(discretize, "_seeds", seeds_spy)
+    screens, _ = sweep_spies(monkeypatch)
+    sol = solve_all(inst, g, cfg, keep_cells=True)
+    upper = np.array([c.upper for c in grid_cells(g)]).T
+    raw = np.concatenate(raw, axis=1)
+    assert ((raw < 0.0) | (raw > upper)).any(axis=0).any()
+    np.testing.assert_array_equal(np.concatenate(screens, axis=1),
+                                  np.clip(raw, 0.0, upper))
+    chain = assert_within_references(sol, inst, g, cfg)
+    assert chain["left_box"].any()
+
+
 def poisoned_operator(grid, r_cell, s_cell):
     """operator_eval, with all-NaN values at one (r, s) cell of the grid."""
     poisoned_r = grid.r.representatives[r_cell]
@@ -269,27 +379,10 @@ NINE_FIRMS = parse_config(nine_firm_config())
     (randomized_instance(), dict(n_r=3, n_s=3000),
      SolverConfig(initial_step=1.4), (1, 1500)),
     (NINE_FIRMS.instance, dict(n_r=2, n_s=2000), NINE_FIRMS.solver, None),
-    (randomized_instance(), dict(n_r=6, n_s=40),
-     SolverConfig(initial_step=1.4), None),
-    (three_firm_instance(),
-     dict(n_r=3, n_s=5, n_bounds=2, n_betas=2, n_alpha=2),
-     SolverConfig(initial_step=1.4), None),
-    (randomized_instance(), dict(n_r=2, n_s=4000),
-     SolverConfig(initial_step=1.4), None),
-    (randomized_instance(), dict(n_r=1, n_s=20000),
-     SolverConfig(initial_step=1.4), None),
-    (three_firm_instance(),
-     dict(n_r=2, n_s=2, n_bounds=2, n_betas=2, n_alpha=2),
-     SolverConfig(initial_step=1.4), None),
     (three_firm_instance(), dict(n_r=3, n_s=10, n_betas=2, n_alpha=2),
      SolverConfig(initial_step=1.4), None),
-    (exiting_firm_instance(), dict(n_r=2, n_s=20, n_alpha=8),
-     SolverConfig(initial_step=1.4), None),
 ], ids=["shipped_3x40", "three_firm_bounds_alpha", "five_firm_4x60",
-        "poisoned_3x3000", "nine_firm_2x2000", "five_firm_6x40",
-        "three_firm_random_box", "five_firm_2x4000", "five_firm_1x20000",
-        "above_changing_capacities", "three_firm_betas_alpha",
-        "below_an_exit"])
+        "poisoned_3x3000", "nine_firm_2x2000", "three_firm_betas_alpha"])
 def test_sweep_matches_its_executable_spec(monkeypatch, inst, counts, cfg,
                                            poison):
     # every cell against the same cell solved on its own from its box
@@ -344,18 +437,20 @@ def test_a_non_finite_cell_stays_in_its_cell(monkeypatch):
     assert np.isnan(sol.report.mean).all()
 
 
-def test_the_shipped_sweep_takes_its_pinned_work(monkeypatch):
-    # the counts repeat exactly, because the bits do; only a deliberate
-    # change of the surrogate or the chunks may move them
-    config = load_config(ROOT / "configs" / "expectation_grid.json")
-    g = make_grid(config.instance, n_r=8, n_s=4000)
+def sweep_spies(monkeypatch):
+    """Spy on the sweep's screens and solver batches.
+
+    Returns (screens, batches): a copy of the points of every operator
+    call made outside the batch solver, one per chunk, and the column
+    count of every solve_box_vi_batch call.
+    """
     real_eval = discretize.operator_eval
     real_batch = discretize.solve_box_vi_batch
     screens, batches, solving = [], [], []
 
     def eval_spy(instance, q, *args, **kwargs):
         if not solving:
-            screens.append(q.shape[1])
+            screens.append(q.copy())
         return real_eval(instance, q, *args, **kwargs)
 
     def batch_spy(operator, lower, upper, config, seeds, **kwargs):
@@ -369,11 +464,22 @@ def test_the_shipped_sweep_takes_its_pinned_work(monkeypatch):
 
     monkeypatch.setattr(discretize, "operator_eval", eval_spy)
     monkeypatch.setattr(discretize, "solve_box_vi_batch", batch_spy)
+    return screens, batches
+
+
+def test_the_shipped_sweep_takes_its_pinned_rounds_and_screens(monkeypatch):
+    # a round is one chunk: one screen of its seeds, then one solver batch
+    # for its misses, if any. The counts repeat exactly, because the bits
+    # do; only a deliberate change of the surrogate or the chunks may
+    # move them
+    config = load_config(ROOT / "configs" / "expectation_grid.json")
+    g = make_grid(config.instance, n_r=8, n_s=4000)
+    screens, batches = sweep_spies(monkeypatch)
     sol = solve_all(config.instance, g, config.solver, keep_cells=True)
-    # the surrogate's 8 x 8 nodes, one screen per 4000-cell r-block, and
+    # the surrogate's 8 x 8 nodes, one round per 4000-cell r-block, and
     # no cell missed at its seed
     assert batches == [64]
-    assert screens == [4000] * 8
+    assert [q.shape[1] for q in screens] == [4000] * 8
     assert not sol.iterations.any()
 
 
